@@ -1,0 +1,53 @@
+"""Golden-output tests: fixed CLI configs must reproduce their files byte for byte.
+
+Each `tests/golden/<name>.json` config names its subcommand in `kind`; its
+expected outputs sit beside it as `<name>_report.json` and
+`<name>_<table>.csv` (or `.json` for `"format": "json"`). The files were
+written with numpy 2.4.6 on scipy-openblas 0.3.31. Another numpy or BLAS
+build may change the low bits of the tables; regenerate from the repository
+root with
+
+    PYTHONPATH=src python3 -m qsl.cli <kind> --config tests/golden/<name>.json --out tests/golden/<name>
+
+(`qsl <kind> --config tests/golden/<name>.json --out tests/golden/<name>`
+once the package is installed), with QSL_SEED unset, and record the
+regeneration and its reason in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qsl.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "refute_ml": "trajectory",
+    "bd_gap_csv": "trajectory",
+    "bd_gap_5level": "trajectory",
+    "trajectory_rotating": "trajectory",
+    "alpha_table": "alpha",
+    "validity_sweep": "sweep",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_are_byte_identical(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("QSL_SEED", raising=False)
+    config = GOLDEN / f"{name}.json"
+    cfg = json.loads(config.read_text())
+    ext = cfg.get("format", "csv")
+    prefix = tmp_path / name
+    assert main([cfg["kind"], "--config", str(config), "--out", str(prefix)]) == 0
+    for suffix in ("report.json", f"{CASES[name]}.{ext}"):
+        produced = Path(f"{prefix}_{suffix}").read_bytes()
+        expected = (GOLDEN / f"{name}_{suffix}").read_bytes()
+        assert produced == expected, f"{name}_{suffix} differs from its golden copy"
+
+
+def test_every_config_has_a_case():
+    configs = {p.stem for p in GOLDEN.glob("*.json") if not p.stem.endswith("_report")}
+    configs -= {f"{name}_{table}" for name, table in CASES.items()}
+    assert configs == set(CASES)
