@@ -76,60 +76,9 @@ from .sweeps import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ConfigError",
-    "DegenerateInterval",
-    "DimensionMismatch",
-    "DomainError",
-    "HermitianOperator",
-    "InsufficientLevels",
-    "NoOccupation",
-    "NonHermitian",
-    "NotReached",
-    "OccupiedExtrema",
-    "PureState",
-    "QslError",
-    "RefutationReport",
-    "RefutationSpec",
-    "RotatedHamiltonianSystem",
-    "StepTooLarge",
-    "SweepRow",
-    "Trajectory",
-    "alpha",
-    "alpha_grid_oracle",
-    "bd_closed",
-    "bd_isolated",
-    "bd_pointwise_margin",
-    "bloch_operators",
-    "build_coupling",
-    "build_ml_family",
-    "choose_theta",
-    "commutator_norm",
-    "eigh",
-    "evaluate_bounds",
-    "expectation",
-    "fidelity",
-    "first_passage",
-    "level_occupations",
-    "ml_isolated",
-    "mt_closed",
-    "mt_isolated",
-    "occupied_extrema",
-    "propagate_exact",
-    "propagate_numeric",
-    "random_coupled_system",
-    "random_hermitian",
-    "random_isolated_system",
-    "random_pure_state",
-    "random_saturating_two_level",
-    "rotating_frame",
-    "run_bd_nonsaturation",
-    "run_ml_refutation",
-    "sample_trajectory",
-    "time_average",
-    "trace_distance",
-    "unitary_exp",
-    "validity_sweep",
-    "variance",
-]
+# Every public class and function imported above, and nothing else.
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and getattr(obj, "__module__", "").startswith(__name__ + ".")
+)

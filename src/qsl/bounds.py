@@ -17,7 +17,6 @@ from .errors import DegenerateInterval, DomainError, NotReached
 from .evolution import (
     RotatedHamiltonianSystem,
     Trajectory,
-    _frame_states,
     fidelity_function,
     sample_trajectory,
 )
@@ -34,6 +33,13 @@ INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 ZERO_DENOMINATOR = 1e-14
 PASSAGE_FID_TOL = 1e-10
 VALIDITY_SLACK = 1e-9
+
+
+def _check_delta(delta: float, below_one: bool = False) -> float:
+    """delta as a float, or DomainError outside [0, 1] ([0, 1) if below_one)."""
+    if not (0.0 <= delta < 1.0 if below_one else 0.0 <= delta <= 1.0):
+        raise DomainError(f"delta must lie in [0, {'1)' if below_one else '1]'}, got {delta!r}")
+    return float(delta)
 
 
 def _ml_objective(z, delta: float):
@@ -79,8 +85,7 @@ def alpha(delta: float) -> float:
     Bracketing grid of 2048 points, golden-section refinement of the best
     bracket, then comparison against both endpoint values.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
+    delta = _check_delta(delta)
     if delta == 0.0:
         return math.pi / 2.0
     if delta == 1.0:
@@ -99,8 +104,7 @@ def alpha(delta: float) -> float:
 
 def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
     """Independent dense-grid scan of the same objective (no refinement)."""
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
+    delta = _check_delta(delta)
     if delta == 0.0:
         return math.pi / 2.0
     if delta == 1.0:
@@ -125,64 +129,56 @@ def time_average(times, values) -> float:
     return integral / span
 
 
-def _check_delta(delta: float) -> float:
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
-    return float(delta)
-
-
-def _distance(delta: float) -> float:
-    """Fubini-Study distance arccos(sqrt(delta)) to fidelity delta."""
-    return math.acos(math.sqrt(delta))
-
-
-def mt_isolated(H, state, delta: float) -> float:
-    """arccos(sqrt(delta)) / energy uncertainty; inf for a stationary state."""
-    delta = _check_delta(delta)
-    spread = math.sqrt(variance(H, state))
-    if spread <= ZERO_DENOMINATOR:
+def _over(delta: float, rate: float) -> float:
+    """Fubini-Study distance arccos(sqrt(delta)) over rate; inf when the rate vanishes."""
+    if rate <= ZERO_DENOMINATOR:
         return math.inf
-    return _distance(delta) / spread
+    return math.acos(math.sqrt(delta)) / rate
 
 
-def mt_closed(traj: Trajectory, delta: float) -> float:
-    """arccos(sqrt(delta)) over the time-averaged energy uncertainty."""
-    delta = _check_delta(delta)
-    avg = time_average(traj.times, traj.energy_uncertainty)
-    if avg <= ZERO_DENOMINATOR:
-        return math.inf
-    return _distance(delta) / avg
-
-
-def ml_isolated(H, state, delta: float, tol: float = DEFAULT_OCCUPATION_TOL) -> float:
-    """alpha(delta) over the normalized expected energy; inf on a bottom eigenstate."""
-    delta = _check_delta(delta)
-    eps_min, _, _ = occupied_extrema(H, state, tol)
-    norm_energy = expectation(H, state) - eps_min
+def _ml(delta: float, norm_energy: float) -> float:
+    """alpha(delta) over the normalized expected energy; inf when it vanishes."""
     if norm_energy <= ZERO_DENOMINATOR:
         return math.inf
     return alpha(delta) / norm_energy
 
 
-def bd_isolated(H, state, delta: float, tol: float = DEFAULT_OCCUPATION_TOL) -> float:
-    """arccos(sqrt(delta)) over the geometric mean of the two energy distances."""
-    delta = _check_delta(delta)
+def _initial_rates(H, state, tol: float) -> tuple[float, float, float]:
+    """Energy uncertainty, sqrt((eps_max - <H>)(<H> - eps_min)) and <H> - eps_min."""
     eps_min, eps_max, _ = occupied_extrema(H, state, tol)
     mean = expectation(H, state)
-    product = (eps_max - mean) * (mean - eps_min)
-    if product <= ZERO_DENOMINATOR**2:
-        return math.inf
-    return _distance(delta) / math.sqrt(product)
+    factor = math.sqrt(max((eps_max - mean) * (mean - eps_min), 0.0))
+    return math.sqrt(variance(H, state)), factor, mean - eps_min
+
+
+def _bd_factor(traj: Trajectory) -> np.ndarray:
+    """Per-sample geometric mean of the two distances to the occupied extrema."""
+    return np.sqrt(np.maximum(traj.dual_norm_energy * traj.norm_energy, 0.0))
+
+
+def mt_isolated(H, state, delta: float) -> float:
+    """arccos(sqrt(delta)) / energy uncertainty; inf for a stationary state."""
+    return _over(_check_delta(delta), math.sqrt(variance(H, state)))
+
+
+def mt_closed(traj: Trajectory, delta: float) -> float:
+    """arccos(sqrt(delta)) over the time-averaged energy uncertainty."""
+    return _over(_check_delta(delta), time_average(traj.times, traj.energy_uncertainty))
+
+
+def ml_isolated(H, state, delta: float, tol: float = DEFAULT_OCCUPATION_TOL) -> float:
+    """alpha(delta) over the normalized expected energy; inf on a bottom eigenstate."""
+    return _ml(_check_delta(delta), _initial_rates(H, state, tol)[2])
+
+
+def bd_isolated(H, state, delta: float, tol: float = DEFAULT_OCCUPATION_TOL) -> float:
+    """arccos(sqrt(delta)) over the geometric mean of the two energy distances."""
+    return _over(_check_delta(delta), _initial_rates(H, state, tol)[1])
 
 
 def bd_closed(traj: Trajectory, delta: float) -> float:
     """arccos(sqrt(delta)) over the time-averaged per-sample geometric mean."""
-    delta = _check_delta(delta)
-    factor = np.sqrt(np.maximum(traj.dual_norm_energy * traj.norm_energy, 0.0))
-    avg = time_average(traj.times, factor)
-    if avg <= ZERO_DENOMINATOR:
-        return math.inf
-    return _distance(delta) / avg
+    return _over(_check_delta(delta), time_average(traj.times, _bd_factor(traj)))
 
 
 def _bisect_crossing(f, t_lo: float, t_hi: float, delta: float) -> float:
@@ -232,13 +228,13 @@ def first_passage(
     located by golden-section plus parabolic refinement of the local minimum.
     """
     delta = _check_delta(delta)
-    if t_max <= 0:
-        raise DomainError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
     if delta == 1.0:
         return 0.0
     fid = fidelity_function(sys)
     times = np.linspace(0.0, float(t_max), samples + 1)
-    _, psi = _frame_states(sys, times)
+    _, psi = sys.evaluator.states(times)
     overlaps = psi @ sys.initial.amplitudes.conj()
     fids = overlaps.real**2 + overlaps.imag**2
     return _passage_from_scan(fid, times, fids, delta)
@@ -302,20 +298,6 @@ class BoundReport:
             if math.isfinite(value) and value > self.tau_actual + slack
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "tau_actual": self.tau_actual,
-            "mt": self.mt,
-            "ml": self.ml,
-            "bd": self.bd,
-            "mt_closed": self.mt_closed,
-            "bd_closed": self.bd_closed,
-            "avg_uncertainty": self.avg_uncertainty,
-            "avg_bd_factor": self.avg_bd_factor,
-            "avg_norm_energy": self.avg_norm_energy,
-        }
-
 
 def evaluate_bounds(
     sys: RotatedHamiltonianSystem,
@@ -334,50 +316,29 @@ def evaluate_bounds(
     already measured first-passage time.
     """
     delta = _check_delta(delta)
-    H, state = sys.H, sys.initial
-    mt0 = mt_isolated(H, state, delta)
-    bd0 = bd_isolated(H, state, delta, occupation_tol)
-    ml0 = ml_isolated(H, state, delta, occupation_tol) if sys.is_isolated else None
-
+    spread, factor, norm_energy = _initial_rates(sys.H, sys.initial, occupation_tol)
     if delta == 1.0:
-        eps_min, eps_max, _ = occupied_extrema(H, state, occupation_tol)
-        mean = expectation(H, state)
-        spread = math.sqrt(variance(H, state))
-        factor = math.sqrt(max((eps_max - mean) * (mean - eps_min), 0.0))
-        return BoundReport(
-            delta=1.0,
-            tau_actual=0.0,
-            mt=0.0 if math.isfinite(mt0) else math.inf,
-            ml=ml0,
-            bd=0.0 if math.isfinite(bd0) else math.inf,
-            mt_closed=0.0 if spread > ZERO_DENOMINATOR else math.inf,
-            bd_closed=0.0 if factor > ZERO_DENOMINATOR else math.inf,
-            avg_uncertainty=spread,
-            avg_bd_factor=factor,
-            avg_norm_energy=mean - eps_min,
-        )
-
-    if tau is None:
-        if t_max is None:
-            spread = math.sqrt(variance(H, state))
-            if spread <= ZERO_DENOMINATOR:
-                raise DomainError("provide t_max explicitly for a stationary initial state")
-            t_max = 4.0 * math.pi / spread
-        tau = first_passage(sys, delta, t_max)
-    traj = sample_trajectory(sys, tau, samples, occupation_tol=occupation_tol)
-    avg_unc = time_average(traj.times, traj.energy_uncertainty)
-    bd_factor = np.sqrt(np.maximum(traj.dual_norm_energy * traj.norm_energy, 0.0))
-    avg_bdf = time_average(traj.times, bd_factor)
-    avg_norm = time_average(traj.times, traj.norm_energy)
-    distance = _distance(delta)
+        # tau = 0: averages over the one-point window are the initial values
+        tau, avg_unc, avg_bdf, avg_norm = 0.0, spread, factor, norm_energy
+    else:
+        if tau is None:
+            if t_max is None:
+                if spread <= ZERO_DENOMINATOR:
+                    raise DomainError("provide t_max explicitly for a stationary initial state")
+                t_max = 4.0 * math.pi / spread
+            tau = first_passage(sys, delta, t_max)
+        traj = sample_trajectory(sys, tau, samples, occupation_tol=occupation_tol)
+        avg_unc = time_average(traj.times, traj.energy_uncertainty)
+        avg_bdf = time_average(traj.times, _bd_factor(traj))
+        avg_norm = time_average(traj.times, traj.norm_energy)
     return BoundReport(
         delta=delta,
         tau_actual=tau,
-        mt=mt0,
-        ml=ml0,
-        bd=bd0,
-        mt_closed=distance / avg_unc if avg_unc > ZERO_DENOMINATOR else math.inf,
-        bd_closed=distance / avg_bdf if avg_bdf > ZERO_DENOMINATOR else math.inf,
+        mt=_over(delta, spread),
+        ml=_ml(delta, norm_energy) if sys.is_isolated else None,
+        bd=_over(delta, factor),
+        mt_closed=_over(delta, avg_unc),
+        bd_closed=_over(delta, avg_bdf),
         avg_uncertainty=avg_unc,
         avg_bd_factor=avg_bdf,
         avg_norm_energy=avg_norm,

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys as _sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -128,13 +129,22 @@ def _load_config(path: str, kind: str) -> dict:
     return cfg
 
 
+def _finite(key: str, value) -> float:
+    """JSON also parses NaN, Infinity and integers beyond the float range; none is valid here."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key!r} must hold finite numbers only, got {value!r}")
+    return float(value)
+
+
 def _number(cfg: dict, key: str, default=None, *, minimum=None, maximum=None) -> float:
     value = cfg.get(key, default)
     if value is None:
         raise ConfigError(f"missing numeric value for {key!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
-    value = float(value)
+    value = _finite(key, value)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key!r} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -155,12 +165,7 @@ def _number_list(cfg: dict, key: str, default=None) -> list[float]:
     values = cfg.get(key, default)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{key!r} must be a non-empty array of numbers")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key!r} must contain only numbers, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_finite(key, v) for v in values]
 
 
 def _choice(cfg: dict, key: str, options: tuple[str, ...], default: str) -> str:
@@ -226,7 +231,8 @@ def cmd_refute_ml(cfg: dict, prefix: str, fmt: str) -> int:
     samples = _integer(cfg, "samples", 1000, minimum=2)
 
     report = run_ml_refutation(delta, big_l, energy, margin, samples=samples)
-    payload = {"kind": "refute-ml", **report.to_dict()}
+    payload = {"kind": "refute-ml", **asdict(report)}
+    del payload["trajectory"]
     ok = (
         report.violated
         and report.margins["mt_saturation"] <= 1e-8
@@ -263,7 +269,7 @@ def cmd_bd_gap(cfg: dict, prefix: str, fmt: str) -> int:
     payload = {
         "kind": "bd-gap",
         "levels": levels,
-        "report": report.to_dict(),
+        "report": asdict(report),
         "gap": gap,
         "min_pointwise_bd_margin": margin,
         "claim_verified": ok,
@@ -355,9 +361,6 @@ def cmd_validity_sweep(cfg: dict, prefix: str, fmt: str) -> int:
     deltas = tuple(_number_list(cfg, "deltas", list(DEFAULT_DELTAS)))
     samples = _integer(cfg, "samples", 1000, minimum=2)
     isolated_fraction = _number(cfg, "isolated_fraction", 0.3, minimum=0.0, maximum=1.0)
-    for delta in deltas:
-        if not 0.0 <= delta <= 1.0:
-            raise ConfigError(f"sweep deltas must lie in [0, 1], got {delta}")
 
     rows, violations = validity_sweep(
         n_systems=n_systems,
@@ -438,12 +441,9 @@ def main(argv=None) -> int:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"'format' must be csv or json, got {fmt!r}")
         return HANDLERS[args.command](cfg, prefix, fmt)
-    except INVALID_INPUT_ERRORS as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return EXIT_INVALID_INPUT
     except QslError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return EXIT_NUMERICAL
+        return EXIT_INVALID_INPUT if isinstance(exc, INVALID_INPUT_ERRORS) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundReport, evaluate_bounds, first_passage, mt_closed
+from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage, mt_closed
 from .errors import DimensionMismatch, DomainError, InsufficientLevels
 from .evolution import RotatedHamiltonianSystem, Trajectory, sample_trajectory
 from .linalg import (
@@ -82,8 +82,7 @@ def choose_theta(delta: float, L: float, margin: float = 0.1) -> float:
     Returns 2*arctan(1 / (c*(1+margin))) with c = arccos(sqrt(delta))/L, so
     the strict inequality holds by the factor (1+margin).
     """
-    if not 0.0 <= delta < 1.0:
-        raise DomainError(f"delta must lie in [0, 1), got {delta!r}")
+    delta = _check_delta(delta, below_one=True)
     if L <= 0.0:
         raise DomainError(f"L must be positive, got {L!r}")
     if margin <= 0.0:
@@ -103,8 +102,7 @@ class RefutationSpec:
     mu: float
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < 1.0:
-            raise DomainError(f"delta must lie in [0, 1), got {self.delta!r}")
+        _check_delta(self.delta, below_one=True)
         if self.L <= 0.0 or self.E <= 0.0:
             raise DomainError("L and E must be positive")
         if not (0.0 < self.theta < math.pi):
@@ -113,15 +111,6 @@ class RefutationSpec:
             raise DomainError("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")
         if abs(self.mu * (1.0 - math.cos(self.theta)) - self.E) > 1e-12 * max(1.0, self.E):
             raise DomainError("mu * (1 - cos(theta)) must equal E")
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "L": self.L,
-            "E": self.E,
-            "theta": self.theta,
-            "mu": self.mu,
-        }
 
 
 @dataclass
@@ -136,17 +125,6 @@ class RefutationReport:
     margins: dict[str, float]
     max_energy_drift: float
     trajectory: Trajectory | None = field(repr=False, default=None)
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "tau": self.tau,
-            "hypothetical_bound": self.hypothetical_bound,
-            "mt_closed": self.mt_closed,
-            "violated": self.violated,
-            "margins": self.margins,
-            "max_energy_drift": self.max_energy_drift,
-        }
 
 
 def run_ml_refutation(
@@ -165,8 +143,6 @@ def run_ml_refutation(
     expected energy stays at E.
     """
     theta = choose_theta(delta, L, margin)
-    if E <= 0.0:
-        raise DomainError(f"E must be positive, got {E!r}")
     sys = build_ml_family(E, theta)
     uncertainty = E / math.tan(theta / 2.0)
     tau = first_passage(sys, delta, math.pi / uncertainty)
@@ -212,8 +188,7 @@ def run_bd_nonsaturation(
     the coupling construction then drives a geodesic whose Bhatia-Davies
     inequality is strict at every sample.
     """
-    if not 0.0 <= delta < 1.0:
-        raise DomainError(f"delta must lie in [0, 1), got {delta!r}")
+    delta = _check_delta(delta, below_one=True)
     operator = _ensure_operator(H)
     u = _ensure_state(state)
     _, _, count = occupied_extrema(operator, u, occupation_tol)

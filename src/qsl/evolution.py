@@ -7,13 +7,16 @@ a second Hermitian operator A:
     H(t) = exp(-iAt) H exp(+iAt)
 
 The Schroedinger-picture propagator factors exactly as
-exp(-iAt) exp(-i(H-A)t), which is what `propagate_exact` applies. A classical
-fixed-step 4th-order integrator of the same equation of motion is provided as
-an independent cross-check.
+exp(-iAt) exp(-i(H-A)t). It lives in one place: the cached evaluator
+`RotatedHamiltonianSystem.evaluator`, which every exact evolution (states,
+fidelities, trajectories, first-passage scans) goes through. A classical
+fixed-step 4th-order integrator that builds H(t) on its own,
+`propagate_numeric`, is the independent cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +28,7 @@ from .linalg import (
     HermitianOperator,
     PureState,
     _level_groups,
+    unitary_exp,
 )
 
 NORM_DRIFT_TOL = 1e-6
@@ -69,60 +73,65 @@ class RotatedHamiltonianSystem:
             1.0 + float(np.linalg.norm(self.H.entries))
         )
 
+    @cached_property
+    def evaluator(self) -> "_SpectralEvaluator":
+        """The cached exact propagator of this system."""
+        return _SpectralEvaluator(self)
+
     def hamiltonian_at(self, t: float) -> HermitianOperator:
         """The instantaneous Hamiltonian exp(-iAt) H exp(+iAt)."""
-        a, V = self.A.eig
-        phases = np.exp(-1j * a * float(t))
-        rot = (V * phases) @ V.conj().T
+        rot = unitary_exp(self.A, t)
         return HermitianOperator(rot @ self.H.entries @ rot.conj().T)
 
     def __repr__(self) -> str:
         return f"RotatedHamiltonianSystem(dim={self.dim})"
 
 
-def _frame_states(sys: RotatedHamiltonianSystem, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating-frame and Schroedinger states at the given times, one per row."""
-    mu, W = sys.effective.eig
-    a, V = sys.A.eig
-    u0 = sys.initial.amplitudes
-    times = np.asarray(times, dtype=float)
+class _SpectralEvaluator:
+    """exp(-iAt) exp(-i(H-A)t) u0 from the eigenpairs (mu, W) of H - A and (a, V) of A.
 
-    c0 = W.conj().T @ u0
-    phi = (np.exp(-1j * np.outer(times, mu)) * c0) @ W.T
-    d = phi @ V.conj()
-    psi = (np.exp(-1j * np.outer(times, a)) * d) @ V.T
-    return phi, psi
+    Rotating frame: phi_t = W exp(-i mu t) c0 with c0 = W^dagger u0.
+    Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t.
+    """
+
+    def __init__(self, sys: RotatedHamiltonianSystem):
+        self.mu, self.W = sys.effective.eig
+        self.a, self.V = sys.A.eig
+        self.u0 = sys.initial.amplitudes
+        self.c0 = self.W.conj().T @ self.u0
+        self.Vh = self.V.conj().T
+
+    def states(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Rotating-frame and Schroedinger states at the given times, one per row."""
+        times = np.asarray(times, dtype=float)
+        phi = (np.exp(-1j * np.outer(times, self.mu)) * self.c0) @ self.W.T
+        d = phi @ self.V.conj()
+        psi = (np.exp(-1j * np.outer(times, self.a)) * d) @ self.V.T
+        return phi, psi
+
+    def fidelity(self, t: float) -> float:
+        """|<u0|psi_t>|^2 at one time, from matrix-vector products only."""
+        phi = self.W @ (np.exp(-1j * self.mu * t) * self.c0)
+        psi = self.V @ (np.exp(-1j * self.a * t) * (self.Vh @ phi))
+        overlap = np.vdot(self.u0, psi)
+        return overlap.real**2 + overlap.imag**2
 
 
 def propagate_exact(sys: RotatedHamiltonianSystem, t: float) -> PureState:
     """State at time t via the factored propagator exp(-iAt) exp(-i(H-A)t)."""
-    _, psi = _frame_states(sys, np.array([float(t)]))
-    return PureState.normalized(psi[0])
+    return PureState.normalized(sys.evaluator.states([float(t)])[1][0])
 
 
 def fidelity_function(sys: RotatedHamiltonianSystem):
     """Fast scalar map t -> fidelity between the evolved and initial states."""
-    mu, W = sys.effective.eig
-    a, V = sys.A.eig
-    u0 = sys.initial.amplitudes
-    c0 = W.conj().T @ u0
-
-    def fid(t: float) -> float:
-        phi = W @ (np.exp(-1j * mu * t) * c0)
-        psi = V @ (np.exp(-1j * a * t) * (V.conj().T @ phi))
-        overlap = np.vdot(u0, psi)
-        return overlap.real**2 + overlap.imag**2
-
-    return fid
+    return sys.evaluator.fidelity
 
 
 def rotating_frame(sys: RotatedHamiltonianSystem, t: float, state_at_t: PureState) -> PureState:
     """Apply exp(+iAt); the result evolves under the time-independent H - A."""
     if state_at_t.dim != sys.dim:
         raise DimensionMismatch(f"state dim {state_at_t.dim} != system dim {sys.dim}")
-    a, V = sys.A.eig
-    phases = np.exp(1j * a * float(t))
-    return PureState.normalized(V @ (phases * (V.conj().T @ state_at_t.amplitudes)))
+    return PureState.normalized(unitary_exp(sys.A, -t) @ state_at_t.amplitudes)
 
 
 def propagate_numeric(sys: RotatedHamiltonianSystem, t: float, step: float) -> PureState:
@@ -132,10 +141,10 @@ def propagate_numeric(sys: RotatedHamiltonianSystem, t: float, step: float) -> P
     step. Raises StepTooLarge if the pre-renormalization norm drift of any
     step exceeds 1e-6, which signals an unreliable step size.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step!r}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be nonnegative and finite, got {t!r}")
 
     a, V = sys.A.eig
     h_tilde = V.conj().T @ sys.H.entries @ V
@@ -209,15 +218,15 @@ def sample_trajectory(
     frame: str = "schrodinger",
 ) -> Trajectory:
     """Evaluate the evolution at n+1 uniform times from 0 to t_max inclusive."""
-    if t_max <= 0:
-        raise DomainError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
     if n < 2:
         raise DomainError("need at least 2 sampling intervals")
     if frame not in ("schrodinger", "rotating"):
         raise DomainError(f"unknown frame {frame!r}")
 
     times = np.linspace(0.0, float(t_max), n + 1)
-    phi, psi = _frame_states(sys, times)
+    phi, psi = sys.evaluator.states(times)
 
     # Spectral observables of H(t) in psi_t equal those of H in the
     # rotating-frame state phi_t, since both pictures differ by exp(-iAt).

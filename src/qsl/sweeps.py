@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, evaluate_bounds, first_passage
+from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage
 from .counterexamples import build_coupling
 from .errors import NotReached
 from .evolution import RotatedHamiltonianSystem
@@ -131,8 +131,10 @@ def validity_sweep(
     Returns the evaluated rows and the number of violations (cells where a
     finite bound exceeds the measured first-passage time by more than
     slack). Cells whose target fidelity is never reached are recorded with
-    reached=False and do not count as violations.
+    reached=False and do not count as violations. Every delta is checked
+    before the first system is built.
     """
+    deltas = tuple(map(_check_delta, deltas))
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     violations = 0

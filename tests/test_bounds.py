@@ -138,8 +138,9 @@ class TestFirstPassage:
         sys_ = build_ml_family(1.0, 0.8)
         with pytest.raises(DomainError):
             first_passage(sys_, -0.2, 1.0)
-        with pytest.raises(DomainError):
-            first_passage(sys_, 0.5, 0.0)
+        for t_max in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                first_passage(sys_, 0.5, t_max)
 
 
 class TestIsolatedBounds:
@@ -231,6 +232,20 @@ class TestValiditySweep:
         assert len(reached) > 150
         for row in reached:
             assert row.worst_margin <= 1e-9
+
+    def test_every_delta_checked_before_the_first_system(self, monkeypatch):
+        import qsl.sweeps
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return first_passage(*args, **kwargs)
+
+        monkeypatch.setattr(qsl.sweeps, "first_passage", counted)
+        with pytest.raises(DomainError):
+            validity_sweep(n_systems=3, deltas=(0.1, 1.5))
+        assert calls == []
 
     def test_sweep_is_deterministic(self):
         rows1, _ = validity_sweep(n_systems=5, seed=7, samples=200)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qsl.cli import TRAJECTORY_COLUMNS, main
 
@@ -248,9 +249,35 @@ class TestValiditySweep:
         assert report_b["seed"] == 99
         assert (tmp_path / "a_sweep.csv").read_bytes() != (tmp_path / "b_sweep.csv").read_bytes()
 
+    def test_bad_delta_is_domain_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sweep.json", {"seed": 1, "systems": 2, "deltas": [0.5, 1.5]})
+        assert main(["validity-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "DomainError"
+        assert not (tmp_path / "x_report.json").exists()
+
     def test_missing_seed_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "sweep.json", {"systems": 2})
         assert main(["validity-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("trajectory", {"E": 1.0, "theta_deg": 45.0, "t_max": math.inf}),
+        ("refute-ml", {"delta": 0.0, "L": 1.0, "E": math.nan}),
+        ("refute-ml", {"delta": 0.0, "L": 10**400, "E": 1.0}),
+        ("bd-gap", {"delta": 0.0, "levels": [0.0, 1.0, -math.inf]}),
+        ("alpha-table", {"deltas": [0.5, math.nan]}),
+    ],
+)
+def test_non_finite_numbers_rejected(kind, payload, tmp_path, capsys):
+    # json.dumps writes NaN and Infinity, which json.load accepts
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ConfigError"
+    assert not list(tmp_path.glob("x_*"))
 
 
 class TestConsoleScript:

@@ -140,10 +140,9 @@ class TestPropagateNumeric:
 
     def test_bad_arguments(self):
         sys_ = build_ml_family(1.0, 0.8)
-        with pytest.raises(DomainError):
-            propagate_numeric(sys_, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            propagate_numeric(sys_, -1.0, 1e-3)
+        for t, step in [(1.0, 0.0), (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                propagate_numeric(sys_, t, step)
 
 
 class TestRotatingFrame:
@@ -195,8 +194,9 @@ class TestSampleTrajectory:
 
     def test_validation(self):
         sys_ = build_ml_family(1.0, 0.8)
-        with pytest.raises(DomainError):
-            sample_trajectory(sys_, 0.0, 10)
+        for t_max in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sample_trajectory(sys_, t_max, 10)
         with pytest.raises(DomainError):
             sample_trajectory(sys_, 1.0, 1)
         with pytest.raises(DomainError):
