@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage, mt_closed
 from .errors import DimensionMismatch, DomainError, InsufficientLevels
-from .evolution import RotatedHamiltonianSystem, Trajectory, sample_trajectory
+from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
 from .linalg import (
     DEFAULT_OCCUPATION_TOL,
     HermitianOperator,
@@ -69,8 +69,7 @@ def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     if E <= 0.0:
         raise DomainError(f"E must be positive, got {E!r}")
     mu = E / (1.0 - math.cos(theta))
-    x = np.array([[1.0, 0.0], [0.0, -1.0]])
-    z = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x, _, z = bloch_operators()
     hamiltonian = HermitianOperator(mu * (math.sin(theta) * z - math.cos(theta) * x))
     initial = PureState([1.0, 0.0])
     return RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, initial), initial)

@@ -46,17 +46,19 @@ def bloch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, z
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class RotatedHamiltonianSystem:
-    """A fixed Hermitian pair (H, A) plus an initial pure state."""
+    """A fixed Hermitian pair (H, A) plus an initial pure state; frozen, as derived values are cached."""
 
-    def __init__(self, H: HermitianOperator, A: HermitianOperator, initial: PureState):
-        if not (H.dim == A.dim == initial.dim):
+    H: HermitianOperator
+    A: HermitianOperator
+    initial: PureState
+
+    def __post_init__(self):
+        if not (self.H.dim == self.A.dim == self.initial.dim):
             raise DimensionMismatch(
-                f"dims differ: H {H.dim}, A {A.dim}, state {initial.dim}"
+                f"dims differ: H {self.H.dim}, A {self.A.dim}, state {self.initial.dim}"
             )
-        self.H = H
-        self.A = A
-        self.initial = initial
 
     @property
     def dim(self) -> int:
