@@ -30,6 +30,7 @@ CASES = {
     "trajectory_rotating": "trajectory",
     "alpha_table": "alpha",
     "validity_sweep": "sweep",
+    "validity_sweep_full": "sweep",
 }
 
 
