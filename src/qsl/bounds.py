@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -136,15 +138,26 @@ def _over(delta: float, rate: float) -> float:
     return math.acos(math.sqrt(delta)) / rate
 
 
+@lru_cache(maxsize=64)
+def _alpha_of(delta: float) -> float:
+    """alpha(delta), computed once per delta."""
+    return alpha(delta)
+
+
 def _ml(delta: float, norm_energy: float) -> float:
     """alpha(delta) over the normalized expected energy; inf when it vanishes."""
     if norm_energy <= ZERO_DENOMINATOR:
         return math.inf
-    return alpha(delta) / norm_energy
+    return _alpha_of(delta) / norm_energy
 
 
+@lru_cache(maxsize=16)
 def _initial_rates(H, state, tol: float) -> tuple[float, float, float]:
-    """Energy uncertainty, sqrt((eps_max - <H>)(<H> - eps_min)) and <H> - eps_min."""
+    """Energy uncertainty, sqrt((eps_max - <H>)(<H> - eps_min)) and <H> - eps_min.
+
+    Operators and states are immutable and hash by identity, so the values
+    of one system are computed once however many deltas ask for them.
+    """
     eps_min, eps_max, _ = occupied_extrema(H, state, tol)
     mean = expectation(H, state)
     factor = math.sqrt(max((eps_max - mean) * (mean - eps_min), 0.0))
@@ -230,20 +243,21 @@ def first_passage(
     delta = _check_delta(delta)
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
+    if not isinstance(samples, Integral) or isinstance(samples, bool) or samples < 1:
+        raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
     if delta == 1.0:
         return 0.0
     fid = fidelity_function(sys)
-    times = np.linspace(0.0, float(t_max), samples + 1)
-    _, psi = sys.evaluator.states(times)
-    overlaps = psi @ sys.initial.amplitudes.conj()
-    fids = overlaps.real**2 + overlaps.imag**2
+    times, fids = sys.evaluator.scan(t_max, samples)
     return _passage_from_scan(fid, times, fids, delta)
 
 
 def _passage_from_scan(fid, times: np.ndarray, fids: np.ndarray, delta: float) -> float:
     tangent_window = 1e-3
     n = len(times)
-    for i in range(1, n):
+    # both branches below need fids[i] <= delta + tangent_window
+    candidates = np.flatnonzero(fids[1:] <= delta + tangent_window) + 1
+    for i in candidates.tolist():
         if fids[i] <= delta:
             if fids[i] == delta:
                 return float(times[i])

@@ -9,7 +9,10 @@ a second Hermitian operator A:
 The Schroedinger-picture propagator factors exactly as
 exp(-iAt) exp(-i(H-A)t). It lives in one place: the cached evaluator
 `RotatedHamiltonianSystem.evaluator`, which every exact evolution (states,
-fidelities, trajectories, first-passage scans) goes through. A classical
+fidelities, trajectories, first-passage scans) goes through. The evaluator
+keeps its last fidelity scan, so the first-passage searches for several
+target fidelities on one window share one scan, and when A is exactly zero
+it skips the exp(-iAt) factor, which is then exactly the identity. A classical
 fixed-step 4th-order integrator that builds H(t) on its own,
 `propagate_numeric`, is the independent cross-check.
 """
@@ -93,7 +96,9 @@ class _SpectralEvaluator:
     """exp(-iAt) exp(-i(H-A)t) u0 from the eigenpairs (mu, W) of H - A and (a, V) of A.
 
     Rotating frame: phi_t = W exp(-i mu t) c0 with c0 = W^dagger u0.
-    Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t.
+    Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t, which is
+    exactly phi_t when A is exactly zero (then a = 0 and V = I, so the
+    general formula would reproduce phi_t bit for bit).
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
@@ -102,21 +107,44 @@ class _SpectralEvaluator:
         self.u0 = sys.initial.amplitudes
         self.c0 = self.W.conj().T @ self.u0
         self.Vh = self.V.conj().T
+        self.a_is_zero = not np.any(sys.A.entries)
+        self._rate_mu = -1j * self.mu
+        self._rate_a = -1j * self.a
+        self._scan: tuple | None = None
 
     def states(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Rotating-frame and Schroedinger states at the given times, one per row."""
         times = np.asarray(times, dtype=float)
-        phi = (np.exp(-1j * np.outer(times, self.mu)) * self.c0) @ self.W.T
+        phi = (np.exp(np.outer(times, self._rate_mu)) * self.c0) @ self.W.T
+        if self.a_is_zero:
+            return phi, phi
         d = phi @ self.V.conj()
-        psi = (np.exp(-1j * np.outer(times, self.a)) * d) @ self.V.T
+        psi = (np.exp(np.outer(times, self._rate_a)) * d) @ self.V.T
         return phi, psi
 
     def fidelity(self, t: float) -> float:
         """|<u0|psi_t>|^2 at one time, from matrix-vector products only."""
-        phi = self.W @ (np.exp(-1j * self.mu * t) * self.c0)
-        psi = self.V @ (np.exp(-1j * self.a * t) * (self.Vh @ phi))
+        psi = self.W @ (np.exp(self._rate_mu * t) * self.c0)
+        if not self.a_is_zero:
+            psi = self.V @ (np.exp(self._rate_a * t) * (self.Vh @ psi))
         overlap = np.vdot(self.u0, psi)
         return overlap.real**2 + overlap.imag**2
+
+    def scan(self, t_max: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only times and fidelities at samples + 1 uniform times on [0, t_max].
+
+        The last scan is kept, so repeating the window costs nothing.
+        """
+        key = (t_max, samples)
+        if self._scan is None or self._scan[0] != key:
+            times = np.linspace(0.0, float(t_max), samples + 1)
+            _, psi = self.states(times)
+            overlaps = psi @ self.u0.conj()
+            fids = overlaps.real**2 + overlaps.imag**2
+            times.flags.writeable = False
+            fids.flags.writeable = False
+            self._scan = key, times, fids
+        return self._scan[1:]
 
 
 def propagate_exact(sys: RotatedHamiltonianSystem, t: float) -> PureState:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage
 from .counterexamples import build_coupling
-from .errors import NotReached
+from .errors import DomainError, NotReached
 from .evolution import RotatedHamiltonianSystem
 from .linalg import HermitianOperator, PureState, variance
 
@@ -46,8 +46,11 @@ def random_coupled_system(
     The Hamiltonian is rescaled so the initial energy uncertainty hits a
     target drawn from uncertainty_range, which keeps first-passage times
     O(1) and tangential crossings well conditioned; draws are rejected if
-    the rescaled spectral radius would exceed 5.
+    the rescaled spectral radius would exceed 5. A single level has no
+    energy uncertainty to rescale, so dim must be at least 2.
     """
+    if dim < 2:
+        raise DomainError(f"a coupled system needs dim >= 2, got {dim!r}")
     state = random_pure_state(rng, dim)
     target = rng.uniform(*uncertainty_range)
     while True:
@@ -131,10 +134,13 @@ def validity_sweep(
     Returns the evaluated rows and the number of violations (cells where a
     finite bound exceeds the measured first-passage time by more than
     slack). Cells whose target fidelity is never reached are recorded with
-    reached=False and do not count as violations. Every delta is checked
-    before the first system is built.
+    reached=False and do not count as violations. Every delta, and
+    2 <= dim_range[0] <= dim_range[1], is checked before the first system
+    is built.
     """
     deltas = tuple(map(_check_delta, deltas))
+    if not 2 <= dim_range[0] <= dim_range[1]:
+        raise DomainError(f"dim_range must satisfy 2 <= low <= high, got {dim_range!r}")
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     violations = 0

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qsl
 
 from qsl import (
     DegenerateInterval,
@@ -23,7 +29,15 @@ from qsl import (
     sample_trajectory,
     time_average,
 )
-from qsl.sweeps import random_saturating_two_level, validity_sweep
+from qsl.bounds import (
+    PASSAGE_FID_TOL,
+    _alpha_of,
+    _bisect_crossing,
+    _passage_from_scan,
+    _refine_minimum,
+)
+from qsl.evolution import _SpectralEvaluator
+from qsl.sweeps import random_coupled_system, random_saturating_two_level, validity_sweep
 
 # frozen from an independent 1e7-point grid scan with bounded refinement
 ALPHA_ORACLE = {
@@ -141,9 +155,80 @@ class TestFirstPassage:
         for t_max in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 first_passage(sys_, 0.5, t_max)
+        for samples in (0, -3, 2.5, True):
+            for delta in (0.5, 1.0):
+                with pytest.raises(DomainError):
+                    first_passage(sys_, delta, 1.0, samples=samples)
+
+    def test_warm_scan_gives_the_cold_taus(self):
+        rng = np.random.default_rng(5)
+        shared = random_coupled_system(rng, 4)
+        t_max = 1.05 * math.pi / math.sqrt(qsl.variance(shared.H, shared.initial))
+        for delta in (0.0, 0.3, 0.6, 0.9):
+            cold = RotatedHamiltonianSystem(shared.H, shared.A, shared.initial)
+            assert first_passage(shared, delta, t_max) == first_passage(cold, delta, t_max)
+
+    def test_candidate_search_matches_the_scalar_loop(self):
+        def loop_reference(fid, times, fids, delta):
+            n = len(times)
+            for i in range(1, n):
+                if fids[i] <= delta:
+                    if fids[i] == delta:
+                        return float(times[i])
+                    return float(_bisect_crossing(fid, float(times[i - 1]), float(times[i]), delta))
+                if i + 1 < n and fids[i] <= delta + 1e-3 and fids[i] <= fids[i - 1] and fids[i] <= fids[i + 1]:
+                    t_star, f_star = _refine_minimum(fid, float(times[i - 1]), float(times[i + 1]))
+                    if f_star < delta - PASSAGE_FID_TOL:
+                        return float(_bisect_crossing(fid, float(times[i - 1]), float(t_star), delta))
+                    if f_star <= delta + PASSAGE_FID_TOL:
+                        return float(t_star)
+            return None
+
+        rng = np.random.default_rng(17)
+        systems = [build_ml_family(1.0, 0.8), random_saturating_two_level(rng)]
+        systems += [random_coupled_system(rng, dim) for dim in (2, 3, 5)]
+        # fidelity stays above 0.92: most deltas are never reached
+        systems.append(isolated(HermitianOperator.from_diagonal([0.0, 1.0]), PureState.normalized([0.99, 0.14])))
+        compared = 0
+        for sys_ in systems:
+            ev = sys_.evaluator
+            times, fids = ev.scan(12.0, 512)
+            for delta in (0.0, 0.05, 0.3, 0.75, 0.9, 0.999):
+                expected = loop_reference(ev.fidelity, times, fids, delta)
+                if expected is None:
+                    with pytest.raises(NotReached):
+                        _passage_from_scan(ev.fidelity, times, fids, delta)
+                else:
+                    assert _passage_from_scan(ev.fidelity, times, fids, delta) == expected
+                    compared += 1
+        assert compared >= 20
+
+    def test_scan_is_kept_per_window(self):
+        ev = build_ml_family(1.0, 0.8).evaluator
+        times, fids = ev.scan(2.0, 64)
+        assert ev.scan(2.0, 64)[1] is fids
+        longer, _ = ev.scan(3.0, 64)
+        assert longer is not times and longer[-1] == 3.0
+        finer, _ = ev.scan(3.0, 128)
+        assert len(finer) == 129
+        assert np.array_equal(ev.scan(2.0, 64)[1], fids)
+
+    def test_scan_arrays_are_read_only(self):
+        times, fids = build_ml_family(1.0, 0.8).evaluator.scan(2.0, 64)
+        for array in (times, fids):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestIsolatedBounds:
+    def test_alpha_memo_is_alpha(self):
+        for delta in (0.0, 0.1, 0.25, 0.7, 0.1, 1.0):
+            assert _alpha_of(delta) == alpha(delta)
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1.0, 3.0]), PureState.normalized([1.0, 1.0, 1.0]))
+        # eps_min = 0, so the normalized energy is <H>
+        norm_energy = qsl.expectation(sys_.H, sys_.initial)
+        assert ml_isolated(sys_.H, sys_.initial, 0.3) == alpha(0.3) / norm_energy
+
     def test_ml_equal_superposition_saturates(self):
         hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0])
         state = PureState.normalized([1.0, 1.0])
@@ -246,6 +331,43 @@ class TestValiditySweep:
         with pytest.raises(DomainError):
             validity_sweep(n_systems=3, deltas=(0.1, 1.5))
         assert calls == []
+
+    def test_one_scan_per_system(self, monkeypatch):
+        scans = []
+        states = _SpectralEvaluator.states
+
+        def counted(self, times):
+            if len(times) == 2049:
+                scans.append(self)
+            return states(self, times)
+
+        monkeypatch.setattr(_SpectralEvaluator, "states", counted)
+        rows, _ = validity_sweep(n_systems=4, seed=3, samples=50, isolated_fraction=0.5)
+        assert len(rows) == 40
+        assert len(scans) == len(set(map(id, scans))) == 4
+
+    def test_dimension_below_two_is_rejected(self):
+        # A one-level coupled system used to loop forever looking for a
+        # spread, so the calls run in a child process with a deadline.
+        code = (
+            "import numpy as np\n"
+            "from qsl import DomainError\n"
+            "from qsl.sweeps import random_coupled_system, validity_sweep\n"
+            "calls = [lambda: random_coupled_system(np.random.default_rng(0), 1)]\n"
+            "calls += [\n"
+            "    lambda dims=dims: validity_sweep(n_systems=3, dim_range=dims, isolated_fraction=0.0, deltas=(0.5,))\n"
+            "    for dims in ((1, 1), (1, 3), (4, 3))\n"
+            "]\n"
+            "for number, call in enumerate(calls):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except DomainError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'call {number} was accepted')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qsl.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stdout + done.stderr
 
     def test_sweep_is_deterministic(self):
         rows1, _ = validity_sweep(n_systems=5, seed=7, samples=200)

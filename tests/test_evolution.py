@@ -88,6 +88,46 @@ class TestPropagateExact:
             assert fidelity(full, PureState.normalized(reduced)) == pytest.approx(1.0, abs=1e-10)
 
 
+def general_formula(ev, times, a, V):
+    """psi_t = V exp(-i a t) V^dagger phi_t written out, plus the scalar fidelity at each time."""
+    phi = (np.exp(-1j * np.outer(times, ev.mu)) * ev.c0) @ ev.W.T
+    psi = (np.exp(-1j * np.outer(times, a)) * (phi @ V.conj())) @ V.T
+    fids = []
+    for t in times:
+        one = V @ (np.exp(-1j * a * t) * (V.conj().T @ (ev.W @ (np.exp(-1j * ev.mu * t) * ev.c0))))
+        overlap = np.vdot(ev.u0, one)
+        fids.append(overlap.real**2 + overlap.imag**2)
+    return phi, psi, fids
+
+
+class TestSpectralEvaluator:
+    TIMES = np.linspace(0.0, 7.0, 29)
+
+    def test_zero_coupling_matches_the_general_formula_bit_for_bit(self):
+        for dim in (2, 3, 6):
+            sys_ = random_isolated_system(np.random.default_rng(dim), dim)
+            ev = sys_.evaluator
+            assert ev.a_is_zero
+            phi, psi, fids = general_formula(ev, self.TIMES, np.zeros(dim), np.eye(dim, dtype=complex))
+            got_phi, got_psi = ev.states(self.TIMES)
+            assert np.array_equal(got_phi, phi)
+            assert np.array_equal(got_psi, psi)
+            assert [ev.fidelity(t) for t in self.TIMES] == fids
+
+    def test_tiny_coupling_takes_the_general_path(self):
+        rng = np.random.default_rng(1)
+        base = random_isolated_system(rng, 3)
+        tiny = HermitianOperator(1e-20 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        sys_ = RotatedHamiltonianSystem(base.H, tiny, base.initial)
+        ev = sys_.evaluator
+        assert sys_.is_isolated and not ev.a_is_zero
+        phi, psi, fids = general_formula(ev, self.TIMES, ev.a, ev.V)
+        got_phi, got_psi = ev.states(self.TIMES)
+        assert np.array_equal(got_phi, phi)
+        assert np.array_equal(got_psi, psi)
+        assert [ev.fidelity(t) for t in self.TIMES] == fids
+
+
 class TestPropagateNumeric:
     def test_zero_time(self):
         sys_ = build_ml_family(1.0, 0.8)
