@@ -22,12 +22,14 @@ from qsl import (
     build_coupling,
     build_ml_family,
     evaluate_bounds,
+    expectation,
     first_passage,
     ml_isolated,
     mt_closed,
     mt_isolated,
     sample_trajectory,
     time_average,
+    variance,
 )
 from qsl.bounds import (
     PASSAGE_FID_TOL,
@@ -163,7 +165,7 @@ class TestFirstPassage:
     def test_warm_scan_gives_the_cold_taus(self):
         rng = np.random.default_rng(5)
         shared = random_coupled_system(rng, 4)
-        t_max = 1.05 * math.pi / math.sqrt(qsl.variance(shared.H, shared.initial))
+        t_max = 1.05 * math.pi / math.sqrt(variance(shared.H, shared.initial))
         for delta in (0.0, 0.3, 0.6, 0.9):
             cold = RotatedHamiltonianSystem(shared.H, shared.A, shared.initial)
             assert first_passage(shared, delta, t_max) == first_passage(cold, delta, t_max)
@@ -226,7 +228,7 @@ class TestIsolatedBounds:
             assert _alpha_of(delta) == alpha(delta)
         sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1.0, 3.0]), PureState.normalized([1.0, 1.0, 1.0]))
         # eps_min = 0, so the normalized energy is <H>
-        norm_energy = qsl.expectation(sys_.H, sys_.initial)
+        norm_energy = expectation(sys_.H, sys_.initial)
         assert ml_isolated(sys_.H, sys_.initial, 0.3) == alpha(0.3) / norm_energy
 
     def test_ml_equal_superposition_saturates(self):
