@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import qsl
+from qsl import cli
 from qsl.cli import TRAJECTORY_COLUMNS, main
 
 
@@ -278,6 +281,35 @@ def test_non_finite_numbers_rejected(kind, payload, tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ConfigError"
     assert not list(tmp_path.glob("x_*"))
+
+
+def _refutation_not_violated(*args, **kwargs):
+    return dataclasses.replace(qsl.run_ml_refutation(*args, **kwargs), violated=False)
+
+
+def _sweep_with_one_violation(**kwargs):
+    rows, _ = qsl.validity_sweep(**kwargs)
+    return rows, 1
+
+
+@pytest.mark.parametrize(
+    "kind, payload, name, replacement, table",
+    [
+        ("refute-ml", {"delta": 0.0, "L": 1.0, "E": 1.0, "samples": 20},
+         "run_ml_refutation", _refutation_not_violated, "trajectory"),
+        ("bd-gap", {"delta": 0.0, "samples": 20}, "bd_pointwise_margin", lambda traj: -1.0, "trajectory"),
+        ("alpha-table", {"deltas": [0.0, 0.5, 1.0]}, "alpha", lambda delta: 2.0, "alpha"),
+        ("validity-sweep", {"seed": 1, "systems": 2, "deltas": [0.5], "samples": 20},
+         "validity_sweep", _sweep_with_one_violation, "sweep"),
+    ],
+)
+def test_violated_claim_exits_one(kind, payload, name, replacement, table, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, name, replacement)
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    report = json.loads((tmp_path / "x_report.json").read_text())
+    assert report["claim_verified"] is False
+    assert (tmp_path / f"x_{table}.csv").stat().st_size > 0
 
 
 class TestConsoleScript:

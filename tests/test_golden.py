@@ -29,8 +29,10 @@ CASES = {
     "bd_gap_5level": "trajectory",
     "trajectory_rotating": "trajectory",
     "alpha_table": "alpha",
+    "alpha_table_json": "alpha",
     "validity_sweep": "sweep",
     "validity_sweep_full": "sweep",
+    "validity_sweep_json": "sweep",
 }
 
 
