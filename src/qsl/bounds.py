@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .errors import DegenerateInterval, DomainError, NotReached
 from .evolution import (
     RotatedHamiltonianSystem,
     Trajectory,
+    _check_count,
     fidelity_function,
     sample_trajectory,
 )
@@ -243,8 +243,7 @@ def first_passage(
     delta = _check_delta(delta)
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
-    if not isinstance(samples, Integral) or isinstance(samples, bool) or samples < 1:
-        raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = _check_count(samples, 1, "samples must be an integer >= 1, got {!r}")
     if delta == 1.0:
         return 0.0
     fid = fidelity_function(sys)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage, mt_closed
+from .bounds import VALIDITY_SLACK, BoundReport, _check_delta, evaluate_bounds, first_passage, mt_closed
 from .errors import DimensionMismatch, DomainError, InsufficientLevels
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
 from .linalg import (
@@ -33,8 +33,6 @@ from .linalg import (
     occupied_extrema,
     variance,
 )
-
-VIOLATION_SLACK = 1e-9
 
 
 def build_coupling(H, state) -> HermitianOperator:
@@ -159,7 +157,7 @@ def run_ml_refutation(
         tau=float(tau),
         hypothetical_bound=hypothetical,
         mt_closed=float(mt_bar),
-        violated=bool(tau < hypothetical - VIOLATION_SLACK),
+        violated=bool(tau < hypothetical - VALIDITY_SLACK),
         margins=margins,
         max_energy_drift=float(np.abs(traj.norm_energy - E).max()),
         trajectory=traj,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,16 @@ from .linalg import (
 )
 
 NORM_DRIFT_TOL = 1e-6
+
+
+def _check_count(value, minimum: int, message: str) -> int:
+    """value as an int; DomainError unless it is an integer >= minimum (bools are not counts).
+
+    `message` may hold one `{}` or `{!r}` placeholder for the value.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise DomainError(message.format(value))
+    return int(value)
 
 
 def bloch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,8 +261,7 @@ def sample_trajectory(
     """Evaluate the evolution at n+1 uniform times from 0 to t_max inclusive."""
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
-    if n < 2:
-        raise DomainError("need at least 2 sampling intervals")
+    n = _check_count(n, 2, "need at least 2 sampling intervals")
     if frame not in ("schrodinger", "rotating"):
         raise DomainError(f"unknown frame {frame!r}")
 

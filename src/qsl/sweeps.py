@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage
+from .bounds import VALIDITY_SLACK, BoundReport, _check_delta, evaluate_bounds, first_passage
 from .counterexamples import build_coupling
 from .errors import DomainError, NotReached
 from .evolution import RotatedHamiltonianSystem
@@ -127,7 +127,7 @@ def validity_sweep(
     seed: int = 0,
     isolated_fraction: float = 0.3,
     samples: int = 1000,
-    slack: float = 1e-9,
+    slack: float = VALIDITY_SLACK,
 ) -> tuple[list[SweepRow], int]:
     """Check every bound against the measured time on seeded random systems.
 

@@ -150,6 +150,27 @@ class TestFirstPassage:
         with pytest.raises(NotReached):
             first_passage(sys_, 0.1, 50.0)
 
+    # Isolated H = diag(0, g), equal superposition: tau(0) = pi/g, tau(0.5) = pi/(2g).
+    # The root finder's tolerances are absolute below t = 1 (`_refine_minimum`'s
+    # max(1, |b|) scale, `_bisect_crossing`'s 1e-13 * max(1, t_hi)), so the
+    # passage is exact for g <= 1e3 and degrades above.
+    @pytest.mark.parametrize("g", [1.0, 1e3])
+    def test_fast_two_level_passage_at_moderate_scale(self, g):
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, g]), PureState.normalized([1.0, 1.0]))
+        assert first_passage(sys_, 0.0, 1.5 * math.pi / g) == pytest.approx(math.pi / g, rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, raises=NotReached, reason="first_passage is not scale-free")
+    @pytest.mark.parametrize("g", [1e5, 1e6])
+    def test_fast_two_level_passage_is_scale_free(self, g):
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, g]), PureState.normalized([1.0, 1.0]))
+        assert first_passage(sys_, 0.0, 1.5 * math.pi / g) == pytest.approx(math.pi / g, rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="first_passage is not scale-free")
+    def test_fast_two_level_transversal_crossing_is_scale_free(self):
+        g = 1e6
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, g]), PureState.normalized([1.0, 1.0]))
+        assert first_passage(sys_, 0.5, 1.5 * math.pi / g) == pytest.approx(math.pi / (2 * g), rel=1e-10, abs=0.0)
+
     def test_domain_errors(self):
         sys_ = build_ml_family(1.0, 0.8)
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from qsl import (
     StepTooLarge,
     build_coupling,
     build_ml_family,
+    evaluate_bounds,
     expectation,
     fidelity,
     propagate_exact,
@@ -237,8 +238,12 @@ class TestSampleTrajectory:
         for t_max in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 sample_trajectory(sys_, t_max, 10)
-        with pytest.raises(DomainError):
-            sample_trajectory(sys_, 1.0, 1)
+        for n in (1, 0, 2.5, 3.0, True, "3", None):
+            with pytest.raises(DomainError, match="need at least 2 sampling intervals"):
+                sample_trajectory(sys_, 1.0, n)
+        with pytest.raises(DomainError, match="need at least 2 sampling intervals"):
+            evaluate_bounds(sys_, 0.5, samples=2.5)
+        assert sample_trajectory(sys_, 1.0, np.int64(4)).n_samples == 5
         with pytest.raises(DomainError):
             sample_trajectory(sys_, 1.0, 10, frame="interaction")
 
