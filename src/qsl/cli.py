@@ -6,6 +6,12 @@ Subcommands: refute-ml, bd-gap, trajectory, alpha-table, validity-sweep.
 Configs are flat JSON objects; the QSL_SEED environment variable overrides
 the config seed. Exit codes: 0 success or claim verified, 1 claim violated
 unexpectedly, 2 invalid input, 3 numerical failure.
+
+Each `cmd_*` handler is a function of the config alone: it returns a report
+(a JSON object), a table name and a table that maps each column name to its
+column. `write_outputs` writes both, as `<prefix>_report.json` and
+`<prefix>_<name>.csv` (or `.json`), and `main` turns the report's
+`claim_verified` flag (true when absent) into exit code 0 or 1.
 """
 
 from __future__ import annotations
@@ -47,20 +53,6 @@ EXIT_NUMERICAL = 3
 
 INVALID_INPUT_ERRORS = (ConfigError, DomainError, DimensionMismatch, NonHermitian, InsufficientLevels)
 
-TRAJECTORY_COLUMNS = [
-    "t",
-    "fidelity",
-    "exp_energy",
-    "energy_uncertainty",
-    "eps_min",
-    "eps_max",
-    "norm_energy",
-    "dual_norm_energy",
-    "bloch_x",
-    "bloch_y",
-    "bloch_z",
-]
-
 # Bloch vector (1/2, 0, sqrt(3)/2): polar angle 60 degrees from the x axis,
 # in the x-z plane. Used when a config asks for the off-equator start.
 OFF_EQUATOR_AMPLITUDES = (math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
@@ -92,12 +84,19 @@ COMMON_KEYS = {"kind", "out", "format", "seed"}
 
 
 def _fmt(value) -> str:
-    """CSV cell serialization: 17 significant digits, empty for missing."""
+    """CSV cell serialization: strings as they are, 17 significant digits, empty for missing."""
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return format(float(value), ".17g")
+
+
+def _json_cell(value):
+    """JSON table cell: strings and missing as they are, every other value a float."""
+    return value if value is None or isinstance(value, str) else float(value)
 
 
 def _load_config(path: str, kind: str) -> dict:
@@ -181,49 +180,44 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(prefix: str, name: str, fmt: str, columns: list[str], rows: list[list]) -> str:
+def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -> None:
+    """Write `<prefix>_report.json` and the table as `<prefix>_<name>.csv` or `.json`.
+
+    `table` maps each column name, in output order, to its cells: a numpy
+    array or a list of numbers, booleans, strings or None (missing). CSV
+    rows are formatted one at a time as they are written.
+    """
+    _write_json(f"{prefix}_report.json", report)
+    columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
+    rows = zip(*columns, strict=True)
     if fmt == "csv":
-        path = f"{prefix}_{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(cell) if not isinstance(cell, str) else cell for cell in row])
+            writer.writerow(table)
+            writer.writerows([_fmt(cell) for cell in row] for row in rows)
     else:
-        path = f"{prefix}_{name}.json"
-        payload = {
-            "columns": columns,
-            "rows": [
-                [cell if isinstance(cell, str) else (None if cell is None else float(cell)) for cell in row]
-                for row in rows
-            ],
-        }
-        _write_json(path, payload)
-    return path
+        cells = [list(map(_json_cell, row)) for row in rows]
+        _write_json(f"{prefix}_{name}.json", {"columns": list(table), "rows": cells})
 
 
-def _trajectory_rows(traj: Trajectory) -> list[list]:
-    rows = []
-    for i in range(traj.n_samples):
-        row = [
-            traj.times[i],
-            traj.fidelity[i],
-            traj.exp_energy[i],
-            traj.energy_uncertainty[i],
-            traj.eps_min[i],
-            traj.eps_max[i],
-            traj.norm_energy[i],
-            traj.dual_norm_energy[i],
-        ]
-        if traj.bloch is not None:
-            row.extend(traj.bloch[i])
-        else:
-            row.extend([None, None, None])
-        rows.append(row)
-    return rows
+def _trajectory_table(traj: Trajectory) -> dict:
+    bloch = traj.bloch.T if traj.bloch is not None else [[None] * traj.n_samples] * 3
+    return {
+        "t": traj.times,
+        "fidelity": traj.fidelity,
+        "exp_energy": traj.exp_energy,
+        "energy_uncertainty": traj.energy_uncertainty,
+        "eps_min": traj.eps_min,
+        "eps_max": traj.eps_max,
+        "norm_energy": traj.norm_energy,
+        "dual_norm_energy": traj.dual_norm_energy,
+        "bloch_x": bloch[0],
+        "bloch_y": bloch[1],
+        "bloch_z": bloch[2],
+    }
 
 
-def cmd_refute_ml(cfg: dict, prefix: str, fmt: str) -> int:
+def cmd_refute_ml(cfg: dict) -> tuple[dict, str, dict]:
     delta = _number(cfg, "delta")
     big_l = _number(cfg, "L")
     energy = _number(cfg, "E")
@@ -233,18 +227,15 @@ def cmd_refute_ml(cfg: dict, prefix: str, fmt: str) -> int:
     report = run_ml_refutation(delta, big_l, energy, margin, samples=samples)
     payload = {"kind": "refute-ml", **asdict(report)}
     del payload["trajectory"]
-    ok = (
+    payload["claim_verified"] = (
         report.violated
         and report.margins["mt_saturation"] <= 1e-8
         and report.max_energy_drift <= 1e-9
     )
-    payload["claim_verified"] = ok
-    _write_json(f"{prefix}_report.json", payload)
-    _write_table(prefix, "trajectory", fmt, TRAJECTORY_COLUMNS, _trajectory_rows(report.trajectory))
-    return EXIT_OK if ok else EXIT_CLAIM_VIOLATED
+    return payload, "trajectory", _trajectory_table(report.trajectory)
 
 
-def cmd_bd_gap(cfg: dict, prefix: str, fmt: str) -> int:
+def cmd_bd_gap(cfg: dict) -> tuple[dict, str, dict]:
     delta = _number(cfg, "delta")
     levels = _number_list(cfg, "levels", [0.0, 1.0, 2.0])
     amplitudes = _number_list(cfg, "amplitudes", [1.0] * len(levels))
@@ -261,25 +252,22 @@ def cmd_bd_gap(cfg: dict, prefix: str, fmt: str) -> int:
     traj = sample_trajectory(sys_, report.tau_actual, samples)
     margin = bd_pointwise_margin(traj)
     gap = report.mt_closed - report.bd_closed
-    ok = (
-        gap > 1e-6
-        and margin > 0.0
-        and abs(report.tau_actual - report.mt_closed) <= 1e-8
-    )
     payload = {
         "kind": "bd-gap",
         "levels": levels,
         "report": asdict(report),
         "gap": gap,
         "min_pointwise_bd_margin": margin,
-        "claim_verified": ok,
+        "claim_verified": (
+            gap > 1e-6
+            and margin > 0.0
+            and abs(report.tau_actual - report.mt_closed) <= 1e-8
+        ),
     }
-    _write_json(f"{prefix}_report.json", payload)
-    _write_table(prefix, "trajectory", fmt, TRAJECTORY_COLUMNS, _trajectory_rows(traj))
-    return EXIT_OK if ok else EXIT_CLAIM_VIOLATED
+    return payload, "trajectory", _trajectory_table(traj)
 
 
-def cmd_trajectory(cfg: dict, prefix: str, fmt: str) -> int:
+def cmd_trajectory(cfg: dict) -> tuple[dict, str, dict]:
     energy = _number(cfg, "E")
     theta = math.radians(_number(cfg, "theta_deg"))
     samples = _integer(cfg, "samples", 1000, minimum=2)
@@ -303,12 +291,10 @@ def cmd_trajectory(cfg: dict, prefix: str, fmt: str) -> int:
         "samples": samples,
         "energy_uncertainty": float(traj.energy_uncertainty[0]),
     }
-    _write_json(f"{prefix}_report.json", payload)
-    _write_table(prefix, "trajectory", fmt, TRAJECTORY_COLUMNS, _trajectory_rows(traj))
-    return EXIT_OK
+    return payload, "trajectory", _trajectory_table(traj)
 
 
-def cmd_alpha_table(cfg: dict, prefix: str, fmt: str) -> int:
+def cmd_alpha_table(cfg: dict) -> tuple[dict, str, dict]:
     if "deltas" in cfg and "grid_points" in cfg:
         raise ConfigError("give either 'deltas' or 'grid_points', not both")
     if "deltas" in cfg:
@@ -319,41 +305,28 @@ def cmd_alpha_table(cfg: dict, prefix: str, fmt: str) -> int:
     else:
         raise ConfigError("alpha-table needs 'deltas' or 'grid_points'")
 
-    rows = []
-    for delta in deltas:
-        value = alpha(delta)  # validates the range before anything else
-        rows.append(
-            [
-                delta,
-                value,
-                math.acos(math.sqrt(delta)),
-                (1.0 - math.sqrt(delta)) * math.pi / 2.0,
-            ]
-        )
-    values = [row[1] for row in rows]
-    ordered = sorted(range(len(deltas)), key=lambda i: deltas[i])
-    nonincreasing = all(
-        values[ordered[i + 1]] <= values[ordered[i]] + 1e-12 for i in range(len(ordered) - 1)
-    )
-    below_endpoint = all(row[1] <= row[3] + 1e-12 for row in rows)
+    alphas = [alpha(delta) for delta in deltas]  # validates every delta first
+    arccos = [math.acos(math.sqrt(delta)) for delta in deltas]
+    endpoint = [(1.0 - math.sqrt(delta)) * math.pi / 2.0 for delta in deltas]
+    by_delta = [value for _, value in sorted(zip(deltas, alphas), key=lambda pair: pair[0])]
+    nonincreasing = all(b <= a + 1e-12 for a, b in zip(by_delta, by_delta[1:]))
+    below_endpoint = all(a <= e + 1e-12 for a, e in zip(alphas, endpoint))
     strictly_below_arccos = all(
-        row[1] < row[2] - 1e-12 for row in rows if 1e-3 <= row[0] <= 1.0 - 1e-3
+        a < c - 1e-12 for d, a, c in zip(deltas, alphas, arccos) if 1e-3 <= d <= 1.0 - 1e-3
     )
-    ok = nonincreasing and below_endpoint and strictly_below_arccos
     payload = {
         "kind": "alpha-table",
         "n_deltas": len(deltas),
         "alpha_nonincreasing": nonincreasing,
         "below_endpoint_bound": below_endpoint,
         "strictly_below_arccos": strictly_below_arccos,
-        "claim_verified": ok,
+        "claim_verified": nonincreasing and below_endpoint and strictly_below_arccos,
     }
-    _write_json(f"{prefix}_report.json", payload)
-    _write_table(prefix, "alpha", fmt, ["delta", "alpha", "arccos_sqrt_delta", "endpoint_value"], rows)
-    return EXIT_OK if ok else EXIT_CLAIM_VIOLATED
+    table = {"delta": deltas, "alpha": alphas, "arccos_sqrt_delta": arccos, "endpoint_value": endpoint}
+    return payload, "alpha", table
 
 
-def cmd_validity_sweep(cfg: dict, prefix: str, fmt: str) -> int:
+def cmd_validity_sweep(cfg: dict) -> tuple[dict, str, dict]:
     seed = _integer(cfg, "seed")
     n_systems = _integer(cfg, "systems", 200, minimum=1)
     dim_min = _integer(cfg, "dim_min", 2, minimum=2)
@@ -370,44 +343,34 @@ def cmd_validity_sweep(cfg: dict, prefix: str, fmt: str) -> int:
         isolated_fraction=isolated_fraction,
         samples=samples,
     )
-    table = []
-    for row in rows:
-        rep = row.report
-        table.append(
-            [
-                row.system,
-                row.kind,
-                row.dim,
-                row.delta,
-                row.reached,
-                rep.tau_actual if rep else None,
-                rep.mt if rep else None,
-                (rep.ml if rep and rep.ml is not None else None),
-                rep.bd if rep else None,
-                rep.mt_closed if rep else None,
-                rep.bd_closed if rep else None,
-                row.worst_margin,
-            ]
-        )
-    reached = sum(1 for row in rows if row.reached)
+
+    def bound(name: str) -> list:
+        return [getattr(row.report, name) if row.report else None for row in rows]
+
     payload = {
         "kind": "validity-sweep",
         "seed": seed,
         "systems": n_systems,
         "cells": len(rows),
-        "reached_cells": reached,
+        "reached_cells": sum(1 for row in rows if row.reached),
         "violations": violations,
         "claim_verified": violations == 0,
     }
-    _write_json(f"{prefix}_report.json", payload)
-    _write_table(
-        prefix,
-        "sweep",
-        fmt,
-        ["system", "kind", "dim", "delta", "reached", "tau", "mt", "ml", "bd", "mt_closed", "bd_closed", "worst_margin"],
-        table,
-    )
-    return EXIT_OK if violations == 0 else EXIT_CLAIM_VIOLATED
+    table = {
+        "system": [row.system for row in rows],
+        "kind": [row.kind for row in rows],
+        "dim": [row.dim for row in rows],
+        "delta": [row.delta for row in rows],
+        "reached": [row.reached for row in rows],
+        "tau": bound("tau_actual"),
+        "mt": bound("mt"),
+        "ml": bound("ml"),
+        "bd": bound("bd"),
+        "mt_closed": bound("mt_closed"),
+        "bd_closed": bound("bd_closed"),
+        "worst_margin": [row.worst_margin for row in rows],
+    }
+    return payload, "sweep", table
 
 
 HANDLERS = {
@@ -440,10 +403,12 @@ def main(argv=None) -> int:
         fmt = args.format or cfg.get("format") or "csv"
         if fmt not in ("csv", "json"):
             raise ConfigError(f"'format' must be csv or json, got {fmt!r}")
-        return HANDLERS[args.command](cfg, prefix, fmt)
+        report, name, table = HANDLERS[args.command](cfg)
+        write_outputs(prefix, fmt, report, name, table)
     except QslError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_INVALID_INPUT if isinstance(exc, INVALID_INPUT_ERRORS) else EXIT_NUMERICAL
+    return EXIT_OK if report.get("claim_verified", True) else EXIT_CLAIM_VIOLATED
 
 
 if __name__ == "__main__":

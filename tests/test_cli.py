@@ -10,7 +10,13 @@ import pytest
 
 import qsl
 from qsl import cli
-from qsl.cli import TRAJECTORY_COLUMNS, main
+from qsl.cli import main
+
+# The documented trajectory column order (README, "Command line").
+TRAJECTORY_COLUMNS = [
+    "t", "fidelity", "exp_energy", "energy_uncertainty", "eps_min", "eps_max",
+    "norm_energy", "dual_norm_energy", "bloch_x", "bloch_y", "bloch_z",
+]
 
 
 def write_config(tmp_path, name, payload):
@@ -79,6 +85,14 @@ class TestRefuteMl:
         assert main(["refute-ml", "--config", cfg, "--out", second]) == 0
         assert (tmp_path / "a_trajectory.csv").read_bytes() == (tmp_path / "b_trajectory.csv").read_bytes()
         assert (tmp_path / "a_report.json").read_bytes() == (tmp_path / "b_report.json").read_bytes()
+
+    @pytest.mark.parametrize("energy", [
+        1e5,
+        pytest.param(2e5, marks=pytest.mark.xfail(strict=True, reason="first_passage is not scale-free: exits 3")),
+    ])
+    def test_large_energy_is_refuted(self, energy, tmp_path):
+        cfg = write_config(tmp_path, "refute.json", {"delta": 0.0, "L": 1.0, "E": energy, "samples": 20})
+        assert main(["refute-ml", "--config", cfg, "--out", str(tmp_path / "big")]) == 0
 
     def test_delta_one_invalid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"delta": 1.0, "L": 1.0, "E": 1.0})
