@@ -39,10 +39,7 @@ NORM_DRIFT_TOL = 1e-6
 
 
 def _check_count(value, minimum: int, message: str) -> int:
-    """value as an int; DomainError unless it is an integer >= minimum (bools are not counts).
-
-    `message` may hold one `{}` or `{!r}` placeholder for the value.
-    """
+    """value as an int, or DomainError(message.format(value)) unless an integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise DomainError(message.format(value))
     return int(value)
