@@ -116,19 +116,23 @@ def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
     return float(_ml_objective(grid, delta).min())
 
 
-def time_average(times, values) -> float:
-    """Trapezoidal quadrature divided by the window length."""
+def time_average(times, values):
+    """Trapezoidal quadrature divided by the window length.
+
+    A 1-d `values` gives a float; a 2-d one gives a list of floats, one per
+    row, from one check of the times.
+    """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+    if t.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1:] != t.shape or t.size < 2:
         raise DomainError("need matching 1-d arrays with at least 2 samples")
-    if np.any(np.diff(t) < 0):
+    steps = np.diff(t)
+    if np.any(steps < 0):
         raise DomainError("times must be ascending")
     span = float(t[-1] - t[0])
     if span == 0.0:
         raise DegenerateInterval("time window has zero length")
-    integral = float(np.sum((v[1:] + v[:-1]) / 2.0 * np.diff(t)))
-    return integral / span
+    return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * steps, axis=-1) / span).tolist()
 
 
 def _over(delta: float, rate: float) -> float:
@@ -341,9 +345,9 @@ def evaluate_bounds(
                 t_max = 4.0 * math.pi / spread
             tau = first_passage(sys, delta, t_max)
         traj = sample_trajectory(sys, tau, samples, occupation_tol=occupation_tol)
-        avg_unc = time_average(traj.times, traj.energy_uncertainty)
-        avg_bdf = time_average(traj.times, _bd_factor(traj))
-        avg_norm = time_average(traj.times, traj.norm_energy)
+        avg_unc, avg_bdf, avg_norm = time_average(
+            traj.times, np.stack([traj.energy_uncertainty, _bd_factor(traj), traj.norm_energy])
+        )
     return BoundReport(
         delta=delta,
         tau_actual=tau,

@@ -110,6 +110,17 @@ class TestTimeAverage:
         avg = time_average(traj.times, traj.energy_uncertainty)
         assert abs(avg - energy / math.tan(theta / 2)) <= 1e-9
 
+    def test_rows_are_averaged_from_one_check_of_the_times(self):
+        times = np.linspace(0.0, 2.0, 33)
+        rows = np.stack([np.sin(times), times**2, np.full(33, 3.0)])
+        averages = time_average(times, rows)
+        assert averages == [time_average(times, row) for row in rows]
+        assert all(type(value) is float for value in averages)
+        with pytest.raises(DomainError):
+            time_average(times, rows[:, :-1])
+        with pytest.raises(DomainError):
+            time_average(times, rows[None])
+
     def test_degenerate_interval(self):
         with pytest.raises(DegenerateInterval):
             time_average([1.0, 1.0], [2.0, 2.0])
