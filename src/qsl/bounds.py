@@ -333,6 +333,7 @@ def evaluate_bounds(
     already measured first-passage time.
     """
     delta = _check_delta(delta)
+    samples = _check_count(samples, 2, "need at least 2 sampling intervals")
     spread, factor, norm_energy = _initial_rates(sys.H, sys.initial, occupation_tol)
     if delta == 1.0:
         # tau = 0: averages over the one-point window are the initial values

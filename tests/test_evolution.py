@@ -241,8 +241,10 @@ class TestSampleTrajectory:
         for n in (1, 0, 2.5, 3.0, True, "3", None):
             with pytest.raises(DomainError, match="need at least 2 sampling intervals"):
                 sample_trajectory(sys_, 1.0, n)
-        with pytest.raises(DomainError, match="need at least 2 sampling intervals"):
-            evaluate_bounds(sys_, 0.5, samples=2.5)
+        for samples in (2.5, -4, True):
+            for delta in (0.5, 1.0):
+                with pytest.raises(DomainError, match="need at least 2 sampling intervals"):
+                    evaluate_bounds(sys_, delta, samples=samples)
         assert sample_trajectory(sys_, 1.0, np.int64(4)).n_samples == 5
         with pytest.raises(DomainError):
             sample_trajectory(sys_, 1.0, 10, frame="interaction")
