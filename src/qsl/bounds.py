@@ -33,7 +33,11 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 ZERO_DENOMINATOR = 1e-14
-PASSAGE_FID_TOL = 1e-10
+PASSAGE_SLACK = 1e-14
+PASSAGE_WIDTH = 1e-13
+PASSAGE_SPLIT = 32
+PASSAGE_FRACTIONS = np.arange(PASSAGE_SPLIT + 1) / PASSAGE_SPLIT
+PASSAGE_BATCH = 2048
 VALIDITY_SLACK = 1e-9
 
 
@@ -198,39 +202,6 @@ def bd_closed(traj: Trajectory, delta: float) -> float:
     return _over(_check_delta(delta), time_average(traj.times, _bd_factor(traj)))
 
 
-def _bisect_crossing(f, t_lo: float, t_hi: float, delta: float) -> float:
-    """Root of f(t) - delta on [t_lo, t_hi] with f(t_lo) > delta >= f(t_hi)."""
-    for _ in range(200):
-        mid = (t_lo + t_hi) / 2.0
-        if f(mid) > delta:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
-            break
-    return (t_lo + t_hi) / 2.0
-
-
-def _parabolic_vertex(f, center: float, h: float) -> tuple[float, float]:
-    f_minus, f_center, f_plus = f(center - h), f(center), f(center + h)
-    curvature = f_plus - 2.0 * f_center + f_minus
-    if curvature <= 0.0:
-        return center, f_center
-    shift = 0.5 * h * (f_minus - f_plus) / curvature
-    x = center + min(max(shift, -h), h)
-    return x, f(x)
-
-
-def _refine_minimum(f, a: float, b: float) -> tuple[float, float]:
-    """Locate a local minimum of f to high accuracy (for tangential crossings)."""
-    scale = max(1.0, abs(b))
-    x, fx = golden_section_min(f, a, b, tol=1e-6 * scale)
-    for h in (1e-4 * scale, 1e-5 * scale):
-        x, fx = _parabolic_vertex(f, x, h)
-    x = min(max(x, a), b)
-    return x, f(x)
-
-
 def first_passage(
     sys: RotatedHamiltonianSystem,
     delta: float,
@@ -240,9 +211,20 @@ def first_passage(
 ) -> float:
     """Earliest t in [0, t_max] at which the fidelity to the initial state is delta.
 
-    Coarse uniform scan, then bisection on transversal crossings. A dip that
-    only touches the target level (the generic situation for delta = 0) is
-    located by golden-section plus parabolic refinement of the local minimum.
+    Certified search: the Fubini-Study angle theta = arccos(sqrt(F)) moves
+    no faster than v, half the spectral width of H, which every H(t) shares
+    (Anandan-Aharonov, PRL 65, 1697, 1990). An interval [a, b] with
+    theta_a + theta_b + v (b - a) < 2 arccos(sqrt(delta)) (1 - 1e-14) thus
+    cannot hold the passage. Every scan interval not ruled out this way is
+    cut into 32 parts, in one batch of at most 2048 intervals (the time
+    beyond is scanned again if they all drop out), and the intervals after
+    the first one whose right end reaches delta are dropped. The midpoint of
+    the first open interval is returned once that is narrower than 1e-13 of
+    its right end, so the result is the same on every time scale and never
+    later than the first passage by more than half that width; a shallow
+    crossing can come out a few widths early. The slack keeps rounding from
+    ruling out an exact touch, so a dip within it counts as reached (the
+    generic case for delta = 0).
     """
     delta = _check_delta(delta)
     if not 0 < t_max < math.inf:
@@ -250,35 +232,41 @@ def first_passage(
     samples = _check_count(samples, 1, "samples must be an integer >= 1, got {!r}")
     if delta == 1.0:
         return 0.0
-    fid = fidelity_function(sys)
+    fidelities = fidelity_function(sys)
     times, fids = sys.evaluator.scan(t_max, samples)
-    return _passage_from_scan(fid, times, fids, delta)
-
-
-def _passage_from_scan(fid, times: np.ndarray, fids: np.ndarray, delta: float) -> float:
-    tangent_window = 1e-3
-    n = len(times)
-    # both branches below need fids[i] <= delta + tangent_window
-    candidates = np.flatnonzero(fids[1:] <= delta + tangent_window) + 1
-    for i in candidates.tolist():
-        if fids[i] <= delta:
-            if fids[i] == delta:
-                return float(times[i])
-            return float(_bisect_crossing(fid, float(times[i - 1]), float(times[i]), delta))
-        if (
-            i + 1 < n
-            and fids[i] <= delta + tangent_window
-            and fids[i] <= fids[i - 1]
-            and fids[i] <= fids[i + 1]
-        ):
-            t_star, f_star = _refine_minimum(fid, float(times[i - 1]), float(times[i + 1]))
-            if f_star < delta - PASSAGE_FID_TOL:
-                return float(_bisect_crossing(fid, float(times[i - 1]), float(t_star), delta))
-            if f_star <= delta + PASSAGE_FID_TOL:
-                return float(t_star)
-    raise NotReached(
-        f"fidelity never reached {delta} within t_max={times[-1]:.6g}"
-    )
+    target = 2.0 * math.acos(math.sqrt(delta)) * (1.0 - PASSAGE_SLACK)
+    speed = sys.H.spectral_width / 2.0
+    # Each row of t is one interval cut into equal parts; f holds the fidelities there.
+    t, f, resume = times[None, :], fids[None, :], None
+    while True:
+        th = np.arccos(np.minimum(np.sqrt(f), 1.0))  # clipped against rounding above F = 1
+        reached = (f[:, 1:] <= delta).ravel()
+        keep = (th[:, :-1] + th[:, 1:] + speed * (t[:, 1:] - t[:, :-1]) >= target).ravel()
+        keep |= reached  # rounding must not certify away a sample that reached delta
+        first = reached.argmax()
+        if reached[first]:
+            keep[first + 1:] = False
+        index = keep.nonzero()[0]
+        index += index // (t.shape[1] - 1)  # part -> its left end in the flattened rows
+        t, f = t.ravel(), f.ravel()
+        if index.size > PASSAGE_BATCH:
+            # bound one round's memory: what lies beyond is searched again afterwards
+            resume, index = t[index[PASSAGE_BATCH]], index[:PASSAGE_BATCH]
+        if not index.size:
+            if resume is None:
+                raise NotReached(f"fidelity never reached {delta} within t_max={times[-1]:.6g}")
+            t = np.linspace(resume, times[-1], samples + 1)
+            t, f, resume = t[None, :], fidelities(t)[None, :], None
+            continue
+        lo, hi = t[index], t[index + 1]
+        if hi[0] - lo[0] <= PASSAGE_WIDTH * hi[0]:
+            return float((lo[0] + hi[0]) / 2.0)
+        f_lo, f_hi = f[index], f[index + 1]
+        t = (hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None]
+        t[:, -1] = hi
+        f = np.empty(t.shape)
+        f[:, 0], f[:, -1] = f_lo, f_hi
+        f[:, 1:-1] = fidelities(t[:, 1:-1].ravel()).reshape(len(index), -1)
 
 
 @dataclass

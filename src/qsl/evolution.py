@@ -8,11 +8,13 @@ a second Hermitian operator A:
 
 The Schroedinger-picture propagator factors exactly as
 exp(-iAt) exp(-i(H-A)t). It lives in one place: the cached evaluator
-`RotatedHamiltonianSystem.evaluator`, which every exact evolution (states,
-fidelities, trajectories, first-passage scans) goes through. The evaluator
-keeps its last fidelity scan, so the first-passage searches for several
-target fidelities on one window share one scan, and when A is exactly zero
-it skips the exp(-iAt) factor, which is then exactly the identity. A classical
+`RotatedHamiltonianSystem.evaluator`, which every exact evolution goes
+through. It has two batched maps: `states(times)` for trajectories and
+single states, and `fidelities(times)` for the first-passage scan and its
+refinement (`fidelity_function` hands out the latter). The evaluator keeps
+its last fidelity scan, so the first-passage searches for several target
+fidelities on one window share one scan, and when A is exactly zero it
+skips the exp(-iAt) factor, which is then exactly the identity. A classical
 fixed-step 4th-order integrator that builds H(t) on its own,
 `propagate_numeric`, is the independent cross-check.
 """
@@ -104,9 +106,11 @@ class _SpectralEvaluator:
     """exp(-iAt) exp(-i(H-A)t) u0 from the eigenpairs (mu, W) of H - A and (a, V) of A.
 
     Rotating frame: phi_t = W exp(-i mu t) c0 with c0 = W^dagger u0.
-    Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t, which is
-    exactly phi_t when A is exactly zero (then a = 0 and V = I, so the
-    general formula would reproduce phi_t bit for bit).
+    Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t. Fidelities
+    take <u0|psi_t> in the eigenbasis of A, as the product of (V^dagger u0)^dagger,
+    exp(-i a t), V^dagger W and exp(-i mu t) c0, without forming psi_t. When A
+    is exactly zero, a = 0 and V = I: both maps skip exp(-i a t), and the
+    general formula would reproduce their numbers bit for bit.
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
@@ -114,29 +118,33 @@ class _SpectralEvaluator:
         self.a, self.V = sys.A.eig
         self.u0 = sys.initial.amplitudes
         self.c0 = self.W.conj().T @ self.u0
-        self.Vh = self.V.conj().T
         self.a_is_zero = not np.any(sys.A.entries)
-        self._rate_mu = -1j * self.mu
-        self._rate_a = -1j * self.a
+        self._mix = self.W.T @ self.V.conj()
+        self._probe = self.V.T @ self.u0.conj()
+        # A global phase of either factor drops out of fidelities: phases about the
+        # mean energies of u0 keep a constant energy offset from costing precision.
+        self._rate_mu = -1j * (self.mu - self.mu @ np.abs(self.c0) ** 2)
+        self._rate_a = -1j * (self.a - self.a @ np.abs(self._probe) ** 2)
         self._scan: tuple | None = None
 
     def states(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Rotating-frame and Schroedinger states at the given times, one per row."""
         times = np.asarray(times, dtype=float)
-        phi = (np.exp(np.outer(times, self._rate_mu)) * self.c0) @ self.W.T
+        phi = (np.exp(np.outer(times, -1j * self.mu)) * self.c0) @ self.W.T
         if self.a_is_zero:
             return phi, phi
         d = phi @ self.V.conj()
-        psi = (np.exp(np.outer(times, self._rate_a)) * d) @ self.V.T
+        psi = (np.exp(np.outer(times, -1j * self.a)) * d) @ self.V.T
         return phi, psi
 
-    def fidelity(self, t: float) -> float:
-        """|<u0|psi_t>|^2 at one time, from matrix-vector products only."""
-        psi = self.W @ (np.exp(self._rate_mu * t) * self.c0)
+    def fidelities(self, times) -> np.ndarray:
+        """|<u0|psi_t>|^2 at each of the given times, without forming the states."""
+        times = np.asarray(times, dtype=float)
+        mixed = (np.exp(times[:, None] * self._rate_mu) * self.c0) @ self._mix
         if not self.a_is_zero:
-            psi = self.V @ (np.exp(self._rate_a * t) * (self.Vh @ psi))
-        overlap = np.vdot(self.u0, psi)
-        return overlap.real**2 + overlap.imag**2
+            mixed *= np.exp(times[:, None] * self._rate_a)
+        overlaps = mixed @ self._probe
+        return overlaps.real**2 + overlaps.imag**2
 
     def scan(self, t_max: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only times and fidelities at samples + 1 uniform times on [0, t_max].
@@ -146,9 +154,7 @@ class _SpectralEvaluator:
         key = (t_max, samples)
         if self._scan is None or self._scan[0] != key:
             times = np.linspace(0.0, float(t_max), samples + 1)
-            _, psi = self.states(times)
-            overlaps = psi @ self.u0.conj()
-            fids = overlaps.real**2 + overlaps.imag**2
+            fids = self.fidelities(times)
             times.flags.writeable = False
             fids.flags.writeable = False
             self._scan = key, times, fids
@@ -161,8 +167,8 @@ def propagate_exact(sys: RotatedHamiltonianSystem, t: float) -> PureState:
 
 
 def fidelity_function(sys: RotatedHamiltonianSystem):
-    """Fast scalar map t -> fidelity between the evolved and initial states."""
-    return sys.evaluator.fidelity
+    """Batched map times -> fidelities between the evolved and initial states."""
+    return sys.evaluator.fidelities
 
 
 def rotating_frame(sys: RotatedHamiltonianSystem, t: float, state_at_t: PureState) -> PureState:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -31,15 +32,9 @@ from qsl import (
     time_average,
     variance,
 )
-from qsl.bounds import (
-    PASSAGE_FID_TOL,
-    _alpha_of,
-    _bisect_crossing,
-    _passage_from_scan,
-    _refine_minimum,
-)
+from qsl.bounds import _alpha_of
 from qsl.evolution import _SpectralEvaluator
-from qsl.sweeps import random_coupled_system, random_saturating_two_level, validity_sweep
+from qsl.sweeps import random_coupled_system, random_isolated_system, random_saturating_two_level, validity_sweep
 
 # frozen from an independent 1e7-point grid scan with bounded refinement
 ALPHA_ORACLE = {
@@ -162,22 +157,32 @@ class TestFirstPassage:
             first_passage(sys_, 0.1, 50.0)
 
     # Isolated H = diag(0, g), equal superposition: tau(0) = pi/g, tau(0.5) = pi/(2g).
-    # The root finder's tolerances are absolute below t = 1 (`_refine_minimum`'s
-    # max(1, |b|) scale, `_bisect_crossing`'s 1e-13 * max(1, t_hi)), so the
-    # passage is exact for g <= 1e3 and degrades above.
-    @pytest.mark.parametrize("g", [1.0, 1e3] + [
-        pytest.param(g, marks=pytest.mark.xfail(strict=True, raises=NotReached, reason="not scale-free"))
-        for g in (1e5, 1e6)
-    ])
+    # The search stops at a width relative to t, so it is exact on every time scale.
+    @pytest.mark.parametrize("g", [1.0, 1e3, 1e5, 1e6])
     def test_fast_two_level_passage_is_scale_free(self, g):
         sys_ = isolated(HermitianOperator.from_diagonal([0.0, g]), PureState.normalized([1.0, 1.0]))
         assert first_passage(sys_, 0.0, 1.5 * math.pi / g) == pytest.approx(math.pi / g, rel=1e-12, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="first_passage is not scale-free")
-    def test_fast_two_level_transversal_crossing_is_scale_free(self):
-        g = 1e6
+    @pytest.mark.parametrize("g", [1.0, 1e3, 1e5, 1e6])
+    def test_fast_two_level_transversal_crossing_is_scale_free(self, g):
         sys_ = isolated(HermitianOperator.from_diagonal([0.0, g]), PureState.normalized([1.0, 1.0]))
-        assert first_passage(sys_, 0.5, 1.5 * math.pi / g) == pytest.approx(math.pi / (2 * g), rel=1e-10, abs=0.0)
+        assert first_passage(sys_, 0.5, 1.5 * math.pi / g) == pytest.approx(math.pi / (2 * g), rel=1e-12, abs=0.0)
+
+    # A constant energy offset is a global phase: it must not move the passage,
+    # even at delta = 0, where the dip only touches the target.
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e6])
+    def test_energy_offset_leaves_the_passage_unchanged(self, offset):
+        sys_ = isolated(HermitianOperator.from_diagonal([offset, offset + 1.0]), PureState.normalized([1.0, 1.0]))
+        assert first_passage(sys_, 0.0, 1.5 * math.pi) == pytest.approx(math.pi, rel=1e-12, abs=0.0)
+        assert first_passage(sys_, 0.5, 1.5 * math.pi) == pytest.approx(math.pi / 2, rel=1e-12, abs=0.0)
+
+    # A window of many periods puts few scan points per period; the first crossing
+    # must still be found, not a later one.
+    @pytest.mark.parametrize("t_max", [1.0, 100.0, 2000.0, 5000.0])
+    def test_under_sampled_window_finds_the_first_crossing(self, t_max):
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 10.0]), PureState.normalized([1.0, 1.0]))
+        assert first_passage(sys_, 0.0, t_max) == pytest.approx(math.pi / 10, rel=1e-12, abs=0.0)
+        assert first_passage(sys_, 0.5, t_max) == pytest.approx(math.pi / 20, rel=1e-12, abs=0.0)
 
     def test_domain_errors(self):
         sys_ = build_ml_family(1.0, 0.8)
@@ -199,40 +204,64 @@ class TestFirstPassage:
             cold = RotatedHamiltonianSystem(shared.H, shared.A, shared.initial)
             assert first_passage(shared, delta, t_max) == first_passage(cold, delta, t_max)
 
-    def test_candidate_search_matches_the_scalar_loop(self):
-        def loop_reference(fid, times, fids, delta):
-            n = len(times)
-            for i in range(1, n):
-                if fids[i] <= delta:
-                    if fids[i] == delta:
-                        return float(times[i])
-                    return float(_bisect_crossing(fid, float(times[i - 1]), float(times[i]), delta))
-                if i + 1 < n and fids[i] <= delta + 1e-3 and fids[i] <= fids[i - 1] and fids[i] <= fids[i + 1]:
-                    t_star, f_star = _refine_minimum(fid, float(times[i - 1]), float(times[i + 1]))
-                    if f_star < delta - PASSAGE_FID_TOL:
-                        return float(_bisect_crossing(fid, float(times[i - 1]), float(t_star), delta))
-                    if f_star <= delta + PASSAGE_FID_TOL:
-                        return float(t_star)
-            return None
-
+    def test_never_later_than_the_first_dense_sample_at_delta(self):
         rng = np.random.default_rng(17)
-        systems = [build_ml_family(1.0, 0.8), random_saturating_two_level(rng)]
-        systems += [random_coupled_system(rng, dim) for dim in (2, 3, 5)]
+        systems = [random_coupled_system(rng, dim) for dim in (2, 3, 5)]
+        systems += [random_isolated_system(rng, dim) for dim in (2, 4, 6)]
+        systems.append(random_saturating_two_level(rng))
         # fidelity stays above 0.92: most deltas are never reached
         systems.append(isolated(HermitianOperator.from_diagonal([0.0, 1.0]), PureState.normalized([0.99, 0.14])))
-        compared = 0
+        reached = 0
         for sys_ in systems:
-            ev = sys_.evaluator
-            times, fids = ev.scan(12.0, 512)
-            for delta in (0.0, 0.05, 0.3, 0.75, 0.9, 0.999):
-                expected = loop_reference(ev.fidelity, times, fids, delta)
-                if expected is None:
-                    with pytest.raises(NotReached):
-                        _passage_from_scan(ev.fidelity, times, fids, delta)
-                else:
-                    assert _passage_from_scan(ev.fidelity, times, fids, delta) == expected
-                    compared += 1
-        assert compared >= 20
+            t_max = 40.0 / math.sqrt(variance(sys_.H, sys_.initial))
+            dense = np.linspace(0.0, t_max, 400_001)
+            fids = sys_.evaluator.fidelities(dense)
+            for delta, samples in itertools.product((0.0, 0.05, 0.3, 0.75, 0.9, 0.999), (16, 2048)):
+                hits = np.flatnonzero(fids <= delta)
+                try:
+                    tau = first_passage(sys_, delta, t_max, samples=samples)
+                except NotReached:
+                    assert not hits.size
+                    continue
+                reached += 1
+                assert sys_.evaluator.fidelities([tau])[0] == pytest.approx(delta, abs=1e-9)
+                if hits.size:
+                    assert tau <= dense[hits[0]] * (1.0 + 1e-13)
+        assert reached >= 60
+
+    def test_deferred_intervals_give_the_same_taus(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        systems = [random_isolated_system(rng, dim) for dim in (3, 5)] + [random_coupled_system(rng, 4)]
+
+        def taus():
+            out = []
+            for sys_ in systems:
+                fresh = RotatedHamiltonianSystem(sys_.H, sys_.A, sys_.initial)
+                t_max = 40.0 / math.sqrt(variance(sys_.H, sys_.initial))
+                for delta in (0.0, 0.2, 0.5, 0.8):
+                    try:
+                        out.append(first_passage(fresh, delta, t_max))
+                    except NotReached:
+                        out.append(None)
+            return out
+
+        expected = taus()
+        rescans = []
+        fidelities = _SpectralEvaluator.fidelities
+
+        def counted(self, times):
+            if len(times) == 2049 and times[0] > 0.0:
+                rescans.append(times[0])
+            return fidelities(self, times)
+
+        monkeypatch.setattr(_SpectralEvaluator, "fidelities", counted)
+        monkeypatch.setattr(qsl.bounds, "PASSAGE_BATCH", 2)
+        got = taus()
+        assert rescans
+        assert [tau is None for tau in got] == [tau is None for tau in expected]
+        for tau, reference in zip(got, expected):
+            if tau is not None:
+                assert tau == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_scan_is_kept_per_window(self):
         ev = build_ml_family(1.0, 0.8).evaluator
@@ -365,14 +394,14 @@ class TestValiditySweep:
 
     def test_one_scan_per_system(self, monkeypatch):
         scans = []
-        states = _SpectralEvaluator.states
+        fidelities = _SpectralEvaluator.fidelities
 
         def counted(self, times):
             if len(times) == 2049:
                 scans.append(self)
-            return states(self, times)
+            return fidelities(self, times)
 
-        monkeypatch.setattr(_SpectralEvaluator, "states", counted)
+        monkeypatch.setattr(_SpectralEvaluator, "fidelities", counted)
         rows, _ = validity_sweep(n_systems=4, seed=3, samples=50, isolated_fraction=0.5)
         assert len(rows) == 40
         assert len(scans) == len(set(map(id, scans))) == 4

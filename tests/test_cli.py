@@ -86,10 +86,7 @@ class TestRefuteMl:
         assert (tmp_path / "a_trajectory.csv").read_bytes() == (tmp_path / "b_trajectory.csv").read_bytes()
         assert (tmp_path / "a_report.json").read_bytes() == (tmp_path / "b_report.json").read_bytes()
 
-    @pytest.mark.parametrize("energy", [
-        1e5,
-        pytest.param(2e5, marks=pytest.mark.xfail(strict=True, reason="first_passage is not scale-free: exits 3")),
-    ])
+    @pytest.mark.parametrize("energy", [1e5, 2e5])
     def test_large_energy_is_refuted(self, energy, tmp_path):
         cfg = write_config(tmp_path, "refute.json", {"delta": 0.0, "L": 1.0, "E": energy, "samples": 20})
         assert main(["refute-ml", "--config", cfg, "--out", str(tmp_path / "big")]) == 0
