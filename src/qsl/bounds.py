@@ -120,7 +120,7 @@ def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
     return float(_ml_objective(grid, delta).min())
 
 
-def time_average(times, values):
+def time_average(times, values) -> float | list[float]:
     """Trapezoidal quadrature divided by the window length.
 
     A 1-d `values` gives a float; a 2-d one gives a list of floats, one per
