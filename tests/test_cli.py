@@ -294,6 +294,123 @@ def test_non_finite_numbers_rejected(kind, payload, tmp_path, capsys):
     assert not list(tmp_path.glob("x_*"))
 
 
+REFUTE = {"delta": 0.0, "L": 1.0, "E": 1.0}
+TRAJ = {"E": 1.0, "theta_deg": 45.0}
+SWEEP = {"seed": 1, "systems": 2}
+FRAMES = "('schrodinger', 'rotating')"
+
+
+# Each bad config, its error type and the full message. Where a config has
+# several faults, the order of the checks decides which one is reported.
+@pytest.mark.parametrize(
+    "kind, payload, env_seed, error, message",
+    [
+        # JSON null, one key of every kind
+        ("refute-ml", {**REFUTE, "delta": None}, None, "ConfigError", "missing numeric value for 'delta'"),
+        ("refute-ml", {**REFUTE, "margin": None}, None, "ConfigError", "missing numeric value for 'margin'"),
+        ("refute-ml", {**REFUTE, "samples": None}, None, "ConfigError", "'samples' must be an integer, got None"),
+        ("bd-gap", {"delta": 0.0, "levels": None}, None, "ConfigError",
+         "'levels' must be a non-empty array of numbers"),
+        ("bd-gap", {"delta": 0.0, "amplitudes": None}, None, "ConfigError",
+         "'amplitudes' must be a non-empty array of numbers"),
+        ("bd-gap", {"delta": 0.0, "t_max": None}, None, "ConfigError", "missing numeric value for 't_max'"),
+        ("trajectory", {**TRAJ, "frame": None}, None, "ConfigError",
+         f"'frame' must be one of {FRAMES}, got None"),
+        ("trajectory", {**TRAJ, "initial": None}, None, "ConfigError",
+         "'initial' must be one of ('equator', 'off_equator'), got None"),
+        ("trajectory", {**TRAJ, "t_max": None}, None, "ConfigError", "missing numeric value for 't_max'"),
+        ("alpha-table", {"deltas": None}, None, "ConfigError", "'deltas' must be a non-empty array of numbers"),
+        ("alpha-table", {"grid_points": None}, None, "ConfigError", "'grid_points' must be an integer, got None"),
+        ("validity-sweep", {**SWEEP, "seed": None}, None, "ConfigError", "'seed' must be an integer, got None"),
+        ("validity-sweep", {**SWEEP, "isolated_fraction": None}, None, "ConfigError",
+         "missing numeric value for 'isolated_fraction'"),
+        # booleans and strings where numbers belong
+        ("refute-ml", {**REFUTE, "L": True}, None, "ConfigError", "'L' must hold finite numbers only, got True"),
+        ("refute-ml", {**REFUTE, "E": "1"}, None, "ConfigError", "'E' must hold finite numbers only, got '1'"),
+        ("refute-ml", {**REFUTE, "samples": True}, None, "ConfigError", "'samples' must be an integer, got True"),
+        ("refute-ml", {**REFUTE, "samples": 20.0}, None, "ConfigError", "'samples' must be an integer, got 20.0"),
+        ("bd-gap", {"delta": 0.0, "levels": [0.0, True, 2.0]}, None, "ConfigError",
+         "'levels' must hold finite numbers only, got True"),
+        ("bd-gap", {"delta": 0.0, "levels": 1.0}, None, "ConfigError",
+         "'levels' must be a non-empty array of numbers"),
+        ("trajectory", {**TRAJ, "frame": True}, None, "ConfigError", f"'frame' must be one of {FRAMES}, got True"),
+        ("alpha-table", {"grid_points": False}, None, "ConfigError", "'grid_points' must be an integer, got False"),
+        ("validity-sweep", {**SWEEP, "seed": False}, None, "ConfigError", "'seed' must be an integer, got False"),
+        ("validity-sweep", {**SWEEP, "isolated_fraction": True}, None, "ConfigError",
+         "'isolated_fraction' must hold finite numbers only, got True"),
+        ("validity-sweep", {**SWEEP, "deltas": [0.5, False]}, None, "ConfigError",
+         "'deltas' must hold finite numbers only, got False"),
+        # every bound
+        ("refute-ml", {**REFUTE, "samples": 1}, None, "ConfigError", "'samples' must be >= 2, got 1"),
+        ("bd-gap", {"delta": 0.0, "samples": 1}, None, "ConfigError", "'samples' must be >= 2, got 1"),
+        ("trajectory", {**TRAJ, "samples": 1}, None, "ConfigError", "'samples' must be >= 2, got 1"),
+        ("trajectory", {**TRAJ, "t_max": -1}, None, "ConfigError", "'t_max' must be >= 0.0, got -1.0"),
+        ("trajectory", {**TRAJ, "t_max": 0}, None, "ConfigError", "'t_max' must be positive"),
+        ("alpha-table", {"grid_points": 0}, None, "ConfigError", "'grid_points' must be >= 1, got 0"),
+        ("validity-sweep", {**SWEEP, "systems": 0}, None, "ConfigError", "'systems' must be >= 1, got 0"),
+        ("validity-sweep", {**SWEEP, "dim_min": 1}, None, "ConfigError", "'dim_min' must be >= 2, got 1"),
+        ("validity-sweep", {**SWEEP, "dim_min": 4, "dim_max": 3}, None, "ConfigError",
+         "'dim_max' must be >= 4, got 3"),
+        ("validity-sweep", {**SWEEP, "dim_min": 7}, None, "ConfigError", "'dim_max' must be >= 7, got 6"),
+        ("validity-sweep", {**SWEEP, "samples": 1}, None, "ConfigError", "'samples' must be >= 2, got 1"),
+        ("validity-sweep", {**SWEEP, "isolated_fraction": -0.1}, None, "ConfigError",
+         "'isolated_fraction' must be >= 0.0, got -0.1"),
+        ("validity-sweep", {**SWEEP, "isolated_fraction": 1.5}, None, "ConfigError",
+         "'isolated_fraction' must be <= 1.0, got 1.5"),
+        # key sets, the config file and the environment
+        ("refute-ml", {"delta": 0.0, "turbo": 1}, None, "ConfigError", "unknown config keys: ['turbo']"),
+        ("refute-ml", {"delta": 0.0}, None, "ConfigError", "missing required config keys: ['E', 'L']"),
+        ("refute-ml", {**REFUTE, "kind": "bd-gap", "turbo": 1}, None, "ConfigError",
+         "config kind 'bd-gap' does not match subcommand 'refute-ml'"),
+        ("refute-ml", [1.0], None, "ConfigError", "config must be a JSON object"),
+        ("validity-sweep", {"systems": 2}, None, "ConfigError", "missing required config keys: ['seed']"),
+        ("validity-sweep", SWEEP, "x", "ConfigError", "QSL_SEED must be an integer, got 'x'"),
+        ("alpha-table", {}, None, "ConfigError", "alpha-table needs 'deltas' or 'grid_points'"),
+        ("alpha-table", {"deltas": []}, None, "ConfigError", "'deltas' must be a non-empty array of numbers"),
+        ("bd-gap", {"delta": 0.0, "amplitudes": [1.0, 1.0]}, None, "ConfigError",
+         "'amplitudes' must have the same length as 'levels'"),
+        # several faults: the first check in order wins
+        ("bd-gap", {"delta": 0.0, "amplitudes": [1.0, 1.0], "samples": 1}, None, "ConfigError",
+         "'amplitudes' must have the same length as 'levels'"),
+        ("bd-gap", {"delta": None, "levels": []}, None, "ConfigError", "missing numeric value for 'delta'"),
+        ("bd-gap", {"delta": 0.0, "samples": 1, "t_max": None}, None, "ConfigError",
+         "'samples' must be >= 2, got 1"),
+        ("alpha-table", {"deltas": [], "grid_points": 5}, None, "ConfigError",
+         "give either 'deltas' or 'grid_points', not both"),
+        ("alpha-table", {"deltas": None, "grid_points": None}, None, "ConfigError",
+         "give either 'deltas' or 'grid_points', not both"),
+        ("trajectory", {**TRAJ, "frame": "lab", "t_max": -1}, None, "ConfigError",
+         f"'frame' must be one of {FRAMES}, got 'lab'"),
+        ("trajectory", {**TRAJ, "samples": 1, "frame": "lab"}, None, "ConfigError", "'samples' must be >= 2, got 1"),
+        ("trajectory", {"E": None, "theta_deg": None, "samples": 1}, None, "ConfigError",
+         "missing numeric value for 'E'"),
+        ("validity-sweep", {**SWEEP, "dim_min": 1, "dim_max": 0}, None, "ConfigError",
+         "'dim_min' must be >= 2, got 1"),
+        ("validity-sweep", {**SWEEP, "deltas": [0.5, 1.5], "samples": 1}, None, "ConfigError",
+         "'samples' must be >= 2, got 1"),
+        ("validity-sweep", {"seed": "1", "systems": 0}, None, "ConfigError", "'seed' must be an integer, got '1'"),
+        ("refute-ml", {**REFUTE, "out": 5, "delta": None}, None, "ConfigError", "'out' must be a string, got 5"),
+        ("refute-ml", {**REFUTE, "format": "xml", "samples": 1}, None, "ConfigError",
+         "'format' must be csv or json, got 'xml'"),
+        ("refute-ml", {"delta": 0.0, "L": 1.0}, "x", "ConfigError", "missing required config keys: ['E']"),
+        # library checks after the config checks
+        ("refute-ml", {**REFUTE, "delta": 1.0}, None, "DomainError", "delta must lie in [0, 1), got 1.0"),
+        ("alpha-table", {"deltas": [0.5, 1.5]}, None, "DomainError", "delta must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_config_error_message(kind, payload, env_seed, error, message, tmp_path, capsys, monkeypatch):
+    if env_seed is None:
+        monkeypatch.delenv("QSL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QSL_SEED", env_seed)
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    # a config's own `out` is read only when --out is not given
+    out = [] if "out" in payload else ["--out", str(tmp_path / "x")]
+    assert main([kind, "--config", cfg, *out]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": error, "message": message}}
+    assert not list(tmp_path.glob("x_*"))
+
+
 def _refutation_not_violated(*args, **kwargs):
     return dataclasses.replace(qsl.run_ml_refutation(*args, **kwargs), violated=False)
 
