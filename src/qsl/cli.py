@@ -7,7 +7,9 @@ Configs are flat JSON objects; the QSL_SEED environment variable overrides
 the config seed. Exit codes: 0 success or claim verified, 1 claim violated
 unexpectedly, 2 invalid input, 3 numerical failure.
 
-Each `cmd_*` handler is a function of the config alone: it returns a report
+`CONFIG`, below, is the one table of every subcommand's config keys, with
+their kinds, defaults and bounds; `_parse` checks a config against it. Each
+`cmd_*` handler is a function of the parsed config alone: it returns a report
 (a JSON object), a table name and a table that maps each column name to its
 column. `write_outputs` writes both, as `<prefix>_report.json` and
 `<prefix>_<name>.csv` (or `.json`), and `main` turns the report's
@@ -34,14 +36,7 @@ from .counterexamples import (
     run_bd_nonsaturation,
     run_ml_refutation,
 )
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    InsufficientLevels,
-    NonHermitian,
-    QslError,
-)
+from .errors import ConfigError, DimensionMismatch, DomainError, InsufficientLevels, NonHermitian, QslError
 from .evolution import RotatedHamiltonianSystem, Trajectory, sample_trajectory
 from .linalg import HermitianOperator, PureState
 from .sweeps import DEFAULT_DELTAS, validity_sweep
@@ -57,30 +52,60 @@ INVALID_INPUT_ERRORS = (ConfigError, DomainError, DimensionMismatch, NonHermitia
 # in the x-z plane. Used when a config asks for the off-equator start.
 OFF_EQUATOR_AMPLITUDES = (math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
 
-SCHEMAS = {
-    "refute-ml": {
-        "required": {"delta", "L", "E"},
-        "optional": {"margin", "samples"},
-    },
-    "bd-gap": {
-        "required": {"delta"},
-        "optional": {"levels", "amplitudes", "samples", "t_max"},
-    },
-    "trajectory": {
-        "required": {"E", "theta_deg"},
-        "optional": {"t_max", "samples", "frame", "initial"},
-    },
-    "alpha-table": {
-        "required": set(),
-        "optional": {"deltas", "grid_points"},
-    },
-    "validity-sweep": {
-        "required": {"seed"},
-        "optional": {"systems", "dim_min", "dim_max", "deltas", "samples", "isolated_fraction"},
-    },
-}
-
 COMMON_KEYS = {"kind", "out", "format", "seed"}
+
+REQUIRED = ...  # the default of a key that every config must give
+
+# Each subcommand's config keys, in parsing order, as (key, kind, default,
+# minimum, maximum); the bounds are optional. A kind is float, int, list (a
+# non-empty array of finite numbers) or a tuple of allowed strings. A None
+# default leaves an absent key None; a string minimum names an earlier key.
+# A (test, message) pair is a cross-key rule: it fails when test(cfg, params)
+# holds on the raw config and the keys parsed so far.
+CONFIG = {
+    "refute-ml": (
+        ("delta", float, REQUIRED),
+        ("L", float, REQUIRED),
+        ("E", float, REQUIRED),
+        ("margin", float, 0.1),
+        ("samples", int, 1000, 2),
+    ),
+    "bd-gap": (
+        ("delta", float, REQUIRED),
+        ("levels", list, [0.0, 1.0, 2.0]),
+        ("amplitudes", list, None),  # uniform over the levels when absent
+        (lambda cfg, p: p["amplitudes"] and len(p["amplitudes"]) != len(p["levels"]),
+         "'amplitudes' must have the same length as 'levels'"),
+        ("samples", int, 1000, 2),
+        ("t_max", float, None),
+    ),
+    "trajectory": (
+        ("E", float, REQUIRED),
+        ("theta_deg", float, REQUIRED),
+        ("samples", int, 1000, 2),
+        ("frame", ("schrodinger", "rotating"), "schrodinger"),
+        ("initial", ("equator", "off_equator"), "equator"),
+        ("t_max", float, 1.0, 0.0),
+        (lambda cfg, p: p["t_max"] <= 0, "'t_max' must be positive"),
+    ),
+    "alpha-table": (
+        (lambda cfg, p: "deltas" in cfg and "grid_points" in cfg,
+         "give either 'deltas' or 'grid_points', not both"),
+        (lambda cfg, p: "deltas" not in cfg and "grid_points" not in cfg,
+         "alpha-table needs 'deltas' or 'grid_points'"),
+        ("deltas", list, None),
+        ("grid_points", int, None, 1),
+    ),
+    "validity-sweep": (
+        ("seed", int, REQUIRED, 0),
+        ("systems", int, 200, 1),
+        ("dim_min", int, 2, 2),
+        ("dim_max", int, 6, "dim_min"),
+        ("deltas", list, list(DEFAULT_DELTAS)),
+        ("samples", int, 1000, 2),
+        ("isolated_fraction", float, 0.3, 0.0, 1.0),
+    ),
+}
 
 
 def _fmt(value) -> str:
@@ -111,12 +136,11 @@ def _load_config(path: str, kind: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if "kind" in cfg and cfg["kind"] != kind:
         raise ConfigError(f"config kind {cfg['kind']!r} does not match subcommand {kind!r}")
-    schema = SCHEMAS[kind]
-    allowed = schema["required"] | schema["optional"] | COMMON_KEYS
-    unknown = set(cfg) - allowed
+    specs = [entry for entry in CONFIG[kind] if not callable(entry[0])]
+    unknown = set(cfg) - {spec[0] for spec in specs} - COMMON_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = schema["required"] - set(cfg)
+    missing = {spec[0] for spec in specs if spec[2] is REQUIRED} - set(cfg)
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
     env_seed = os.environ.get("QSL_SEED")
@@ -139,39 +163,41 @@ def _finite(key: str, value) -> float:
     return float(value)
 
 
-def _number(cfg: dict, key: str, default=None, *, minimum=None, maximum=None) -> float:
-    value = cfg.get(key, default)
-    if value is None:
+def _checked(key: str, kind, value):
+    """`value` as `kind` asks: a float, an int, a list of floats or one of the allowed strings."""
+    if kind is float and value is None:
         raise ConfigError(f"missing numeric value for {key!r}")
-    value = _finite(key, value)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key!r} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{key!r} must be <= {maximum}, got {value}")
-    return value
-
-
-def _integer(cfg: dict, key: str, default=None, *, minimum=None) -> int:
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key!r} must be >= {minimum}, got {value}")
-    return value
-
-
-def _number_list(cfg: dict, key: str, default=None) -> list[float]:
-    values = cfg.get(key, default)
-    if not isinstance(values, list) or not values:
+    if kind is list and not (isinstance(value, list) and value):
         raise ConfigError(f"{key!r} must be a non-empty array of numbers")
-    return [_finite(key, v) for v in values]
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{key!r} must be one of {kind}, got {value!r}")
+    if kind is list:
+        return [_finite(key, v) for v in value]
+    return _finite(key, value) if kind is float else value
 
 
-def _choice(cfg: dict, key: str, options: tuple[str, ...], default: str) -> str:
-    value = cfg.get(key, default)
-    if value not in options:
-        raise ConfigError(f"{key!r} must be one of {options}, got {value!r}")
-    return value
+def _parse(command: str, cfg: dict) -> dict:
+    """Check `cfg` against `CONFIG[command]`, in order; return every key's value, defaults filled in."""
+    params = {}
+    for entry in CONFIG[command]:
+        if callable(entry[0]):
+            test, message = entry
+            if test(cfg, params):
+                raise ConfigError(message)
+            continue
+        key, kind, default, minimum, maximum = (*entry, None, None)[:5]
+        if key not in cfg and default is None:
+            params[key] = None
+            continue
+        value = params[key] = _checked(key, kind, cfg.get(key, default))
+        minimum = params[minimum] if isinstance(minimum, str) else minimum
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{key!r} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{key!r} must be <= {maximum}, got {value}")
+    return params
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -217,14 +243,8 @@ def _trajectory_table(traj: Trajectory) -> dict:
     }
 
 
-def cmd_refute_ml(cfg: dict) -> tuple[dict, str, dict]:
-    delta = _number(cfg, "delta")
-    big_l = _number(cfg, "L")
-    energy = _number(cfg, "E")
-    margin = _number(cfg, "margin", 0.1)
-    samples = _integer(cfg, "samples", 1000, minimum=2)
-
-    report = run_ml_refutation(delta, big_l, energy, margin, samples=samples)
+def cmd_refute_ml(p: dict) -> tuple[dict, str, dict]:
+    report = run_ml_refutation(p["delta"], p["L"], p["E"], p["margin"], samples=p["samples"])
     payload = {"kind": "refute-ml", **asdict(report)}
     del payload["trajectory"]
     payload["claim_verified"] = (
@@ -235,18 +255,11 @@ def cmd_refute_ml(cfg: dict) -> tuple[dict, str, dict]:
     return payload, "trajectory", _trajectory_table(report.trajectory)
 
 
-def cmd_bd_gap(cfg: dict) -> tuple[dict, str, dict]:
-    delta = _number(cfg, "delta")
-    levels = _number_list(cfg, "levels", [0.0, 1.0, 2.0])
-    amplitudes = _number_list(cfg, "amplitudes", [1.0] * len(levels))
-    if len(amplitudes) != len(levels):
-        raise ConfigError("'amplitudes' must have the same length as 'levels'")
-    samples = _integer(cfg, "samples", 1000, minimum=2)
-    t_max = _number(cfg, "t_max", None) if "t_max" in cfg else None
-
+def cmd_bd_gap(p: dict) -> tuple[dict, str, dict]:
+    levels, samples = p["levels"], p["samples"]
     hamiltonian = HermitianOperator.from_diagonal(levels)
-    state = PureState.normalized(amplitudes)
-    report = run_bd_nonsaturation(hamiltonian, state, delta, samples=samples, t_max=t_max)
+    state = PureState.normalized(p["amplitudes"] or [1.0] * len(levels))
+    report = run_bd_nonsaturation(hamiltonian, state, p["delta"], samples=samples, t_max=p["t_max"])
 
     sys_ = RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, state), state)
     traj = sample_trajectory(sys_, report.tau_actual, samples)
@@ -267,44 +280,27 @@ def cmd_bd_gap(cfg: dict) -> tuple[dict, str, dict]:
     return payload, "trajectory", _trajectory_table(traj)
 
 
-def cmd_trajectory(cfg: dict) -> tuple[dict, str, dict]:
-    energy = _number(cfg, "E")
-    theta = math.radians(_number(cfg, "theta_deg"))
-    samples = _integer(cfg, "samples", 1000, minimum=2)
-    frame = _choice(cfg, "frame", ("schrodinger", "rotating"), "schrodinger")
-    initial = _choice(cfg, "initial", ("equator", "off_equator"), "equator")
-    t_max = _number(cfg, "t_max", 1.0, minimum=0.0)
-    if t_max <= 0:
-        raise ConfigError("'t_max' must be positive")
-
-    sys_ = build_ml_family(energy, theta)
-    if initial == "off_equator":
+def cmd_trajectory(p: dict) -> tuple[dict, str, dict]:
+    theta = math.radians(p["theta_deg"])
+    sys_ = build_ml_family(p["E"], theta)
+    if p["initial"] == "off_equator":
         sys_ = RotatedHamiltonianSystem(sys_.H, sys_.A, PureState(OFF_EQUATOR_AMPLITUDES))
-    traj = sample_trajectory(sys_, t_max, samples, frame=frame)
+    traj = sample_trajectory(sys_, p["t_max"], p["samples"], frame=p["frame"])
     payload = {
         "kind": "trajectory",
-        "E": energy,
+        "E": p["E"],
         "theta": theta,
-        "frame": frame,
-        "initial": initial,
-        "t_max": t_max,
-        "samples": samples,
+        "frame": p["frame"],
+        "initial": p["initial"],
+        "t_max": p["t_max"],
+        "samples": p["samples"],
         "energy_uncertainty": float(traj.energy_uncertainty[0]),
     }
     return payload, "trajectory", _trajectory_table(traj)
 
 
-def cmd_alpha_table(cfg: dict) -> tuple[dict, str, dict]:
-    if "deltas" in cfg and "grid_points" in cfg:
-        raise ConfigError("give either 'deltas' or 'grid_points', not both")
-    if "deltas" in cfg:
-        deltas = _number_list(cfg, "deltas")
-    elif "grid_points" in cfg:
-        n = _integer(cfg, "grid_points", minimum=1)
-        deltas = list(np.linspace(0.0, 1.0, n))
-    else:
-        raise ConfigError("alpha-table needs 'deltas' or 'grid_points'")
-
+def cmd_alpha_table(p: dict) -> tuple[dict, str, dict]:
+    deltas = p["deltas"] or list(np.linspace(0.0, 1.0, p["grid_points"]))
     alphas = [alpha(delta) for delta in deltas]  # validates every delta first
     arccos = [math.acos(math.sqrt(delta)) for delta in deltas]
     endpoint = [(1.0 - math.sqrt(delta)) * math.pi / 2.0 for delta in deltas]
@@ -326,22 +322,10 @@ def cmd_alpha_table(cfg: dict) -> tuple[dict, str, dict]:
     return payload, "alpha", table
 
 
-def cmd_validity_sweep(cfg: dict) -> tuple[dict, str, dict]:
-    seed = _integer(cfg, "seed")
-    n_systems = _integer(cfg, "systems", 200, minimum=1)
-    dim_min = _integer(cfg, "dim_min", 2, minimum=2)
-    dim_max = _integer(cfg, "dim_max", 6, minimum=dim_min)
-    deltas = tuple(_number_list(cfg, "deltas", list(DEFAULT_DELTAS)))
-    samples = _integer(cfg, "samples", 1000, minimum=2)
-    isolated_fraction = _number(cfg, "isolated_fraction", 0.3, minimum=0.0, maximum=1.0)
-
+def cmd_validity_sweep(p: dict) -> tuple[dict, str, dict]:
     rows, violations = validity_sweep(
-        n_systems=n_systems,
-        dim_range=(dim_min, dim_max),
-        deltas=deltas,
-        seed=seed,
-        isolated_fraction=isolated_fraction,
-        samples=samples,
+        n_systems=p["systems"], dim_range=(p["dim_min"], p["dim_max"]), deltas=tuple(p["deltas"]),
+        seed=p["seed"], isolated_fraction=p["isolated_fraction"], samples=p["samples"],
     )
 
     def bound(name: str) -> list:
@@ -349,8 +333,8 @@ def cmd_validity_sweep(cfg: dict) -> tuple[dict, str, dict]:
 
     payload = {
         "kind": "validity-sweep",
-        "seed": seed,
-        "systems": n_systems,
+        "seed": p["seed"],
+        "systems": p["systems"],
         "cells": len(rows),
         "reached_cells": sum(1 for row in rows if row.reached),
         "violations": violations,
@@ -403,7 +387,7 @@ def main(argv=None) -> int:
         fmt = args.format or cfg.get("format") or "csv"
         if fmt not in ("csv", "json"):
             raise ConfigError(f"'format' must be csv or json, got {fmt!r}")
-        report, name, table = HANDLERS[args.command](cfg)
+        report, name, table = HANDLERS[args.command](_parse(args.command, cfg))
         write_outputs(prefix, fmt, report, name, table)
     except QslError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -231,7 +231,7 @@ class Trajectory:
     The energy observables refer to the instantaneous Hamiltonian H(t) and
     are identical in both pictures; `fidelity` and `bloch` describe the curve
     drawn by the states of the requested frame. `occupations[i, k]` is the
-    weight on level `levels[k]` at `times[i]`.
+    weight at `times[i]` on the k-th lowest level of H (degeneracies grouped).
     """
 
     times: np.ndarray
@@ -243,7 +243,6 @@ class Trajectory:
     eps_max: np.ndarray
     norm_energy: np.ndarray
     dual_norm_energy: np.ndarray
-    levels: np.ndarray
     occupations: np.ndarray
     bloch: np.ndarray | None
     frame: str = "schrodinger"
@@ -316,7 +315,6 @@ def sample_trajectory(
         eps_max=eps_max,
         norm_energy=norm_energy,
         dual_norm_energy=dual_norm_energy,
-        levels=levels,
         occupations=occupations,
         bloch=bloch,
         frame=frame,

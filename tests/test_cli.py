@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +275,25 @@ class TestValiditySweep:
         cfg = write_config(tmp_path, "sweep.json", {"systems": 2})
         assert main(["validity-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("seed, env_seed, shown", [(-1, None, -1), (11, "-3", -3)])
+    def test_negative_seed_rejected(self, seed, env_seed, shown, tmp_path, capsys, monkeypatch):
+        # numpy's default_rng refuses negative seeds; the config check must come first
+        if env_seed is None:
+            monkeypatch.delenv("QSL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QSL_SEED", env_seed)
+        cfg = write_config(tmp_path, "sweep.json", {"seed": seed, "systems": 2, "samples": 20})
+        assert main(["validity-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err == {"error": {"type": "ConfigError", "message": f"'seed' must be >= 0, got {shown}"}}
+        assert not list(tmp_path.glob("x_*"))
+
+    def test_seed_is_free_where_unused(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "refute.json", {"delta": 0.0, "L": 1.0, "E": 1.0, "samples": 20, "seed": -1})
+        assert main(["refute-ml", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setenv("QSL_SEED", "-3")
+        assert main(["refute-ml", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+
 
 @pytest.mark.parametrize(
     "kind, payload",
@@ -409,6 +429,28 @@ def test_config_error_message(kind, payload, env_seed, error, message, tmp_path,
     assert main([kind, "--config", cfg, *out]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": {"type": error, "message": message}}
     assert not list(tmp_path.glob("x_*"))
+
+
+def _readme_bullets():
+    """The README "Command line" section's subcommand bullets, by subcommand, each on one line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for chunk in section.split("\n* `")[1:]:
+        name, text = chunk.split("`:", 1)
+        bullets[name] = " ".join(text.split("\n\n", 1)[0].split())
+    return bullets
+
+
+@pytest.mark.parametrize("kind", list(cli.CONFIG))
+def test_readme_lists_every_config_key(kind):
+    text = _readme_bullets()[kind]
+    for key, _, default, *bounds in (e for e in cli.CONFIG[kind] if not callable(e[0])):
+        assert f"`{key}`" in text, key
+        if isinstance(default, (int, float)):
+            assert f"default {default}" in text, key
+        for op, bound in zip((">=", "<="), bounds):
+            assert (f"{op} `{bound}`" if isinstance(bound, str) else f"{op} {bound}") in text, key
 
 
 def _refutation_not_violated(*args, **kwargs):
