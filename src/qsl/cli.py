@@ -124,10 +124,19 @@ def _json_cell(value):
     return value if value is None or isinstance(value, str) else float(value)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ConfigError if it names a key twice, where json would keep the last."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"duplicate config keys: {repeated}")
+    return dict(pairs)
+
+
 def _load_config(path: str, kind: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:

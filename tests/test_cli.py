@@ -22,7 +22,7 @@ TRAJECTORY_COLUMNS = [
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -416,6 +416,9 @@ FRAMES = "('schrodinger', 'rotating')"
         # library checks after the config checks
         ("refute-ml", {**REFUTE, "delta": 1.0}, None, "DomainError", "delta must lie in [0, 1), got 1.0"),
         ("alpha-table", {"deltas": [0.5, 1.5]}, None, "DomainError", "delta must lie in [0, 1], got 1.5"),
+        # a repeated key is refused, not resolved to its last value (raw JSON text)
+        ("refute-ml", '{"delta": 0.9, "L": 1.0, "E": 1.0, "samples": 20, "delta": 0.0}', None, "ConfigError",
+         "duplicate config keys: ['delta']"),
     ],
 )
 def test_config_error_message(kind, payload, env_seed, error, message, tmp_path, capsys, monkeypatch):
