@@ -22,12 +22,7 @@ from .evolution import (
     fidelity_function,
     sample_trajectory,
 )
-from .linalg import (
-    DEFAULT_OCCUPATION_TOL,
-    expectation,
-    occupied_extrema,
-    variance,
-)
+from .linalg import _state_statistics
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -159,27 +154,14 @@ def _ml(delta: float, norm_energy: float) -> float:
     return _alpha_of(delta) / norm_energy
 
 
-@lru_cache(maxsize=16)
-def _initial_rates(H, state, tol: float) -> tuple[float, float, float]:
-    """Energy uncertainty, sqrt((eps_max - <H>)(<H> - eps_min)) and <H> - eps_min.
-
-    Operators and states are immutable and hash by identity, so the values
-    of one system are computed once however many deltas ask for them.
-    """
-    eps_min, eps_max, _ = occupied_extrema(H, state, tol)
-    mean = expectation(H, state)
-    factor = math.sqrt(max((eps_max - mean) * (mean - eps_min), 0.0))
-    return math.sqrt(variance(H, state)), factor, mean - eps_min
-
-
-def _bd_factor(traj: Trajectory) -> np.ndarray:
-    """Per-sample geometric mean of the two distances to the occupied extrema."""
-    return np.sqrt(np.maximum(traj.dual_norm_energy * traj.norm_energy, 0.0))
+def _bd_factor(stats):
+    """sqrt((eps_max - <H>)(<H> - eps_min)) per state or sample of an EnergyStatistics or a Trajectory."""
+    return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
 
 
 def mt_isolated(H, state, delta: float) -> float:
     """arccos(sqrt(delta)) / energy uncertainty; inf for a stationary state."""
-    return _over(_check_delta(delta), math.sqrt(variance(H, state)))
+    return _over(_check_delta(delta), float(_state_statistics(H, state).spread))
 
 
 def mt_closed(traj: Trajectory, delta: float) -> float:
@@ -187,14 +169,14 @@ def mt_closed(traj: Trajectory, delta: float) -> float:
     return _over(_check_delta(delta), time_average(traj.times, traj.energy_uncertainty))
 
 
-def ml_isolated(H, state, delta: float, tol: float = DEFAULT_OCCUPATION_TOL) -> float:
+def ml_isolated(H, state, delta: float) -> float:
     """alpha(delta) over the normalized expected energy; inf on a bottom eigenstate."""
-    return _ml(_check_delta(delta), _initial_rates(H, state, tol)[2])
+    return _ml(_check_delta(delta), float(_state_statistics(H, state).norm_energy))
 
 
-def bd_isolated(H, state, delta: float, tol: float = DEFAULT_OCCUPATION_TOL) -> float:
+def bd_isolated(H, state, delta: float) -> float:
     """arccos(sqrt(delta)) over the geometric mean of the two energy distances."""
-    return _over(_check_delta(delta), _initial_rates(H, state, tol)[1])
+    return _over(_check_delta(delta), float(_bd_factor(_state_statistics(H, state))))
 
 
 def bd_closed(traj: Trajectory, delta: float) -> float:
@@ -211,17 +193,18 @@ def first_passage(
 ) -> float:
     """Earliest t in [0, t_max] at which the fidelity to the initial state is delta.
 
-    Certified search: the Fubini-Study angle theta = arccos(sqrt(F)) moves
-    no faster than v, half the spectral width of H, which every H(t) shares
-    (Anandan-Aharonov, PRL 65, 1697, 1990). An interval [a, b] with
-    theta_a + theta_b + v (b - a) < 2 arccos(sqrt(delta)) (1 - 1e-14) thus
-    cannot hold the passage. Every scan interval not ruled out this way is
-    cut into 32 parts, in one batch of at most 2048 intervals (the time
-    beyond is scanned again if they all drop out), and the intervals after
-    the first one whose right end reaches delta are dropped. The midpoint of
-    the first open interval is returned once that is narrower than 1e-13 of
-    its right end, so the result is the same on every time scale and never
-    later than the first passage by more than half that width; a shallow
+    Certified search: the Fubini-Study angle theta = arccos(sqrt(F)) moves no
+    faster than the energy uncertainty of H(t) (Anandan-Aharonov, PRL 65,
+    1697, 1990). Its bound v is half the spectral width of H, which every H(t)
+    shares, or, when A is exactly zero, the conserved uncertainty itself. An
+    interval [a, b] with theta_a + theta_b + v (b - a) < 2 arccos(sqrt(delta))
+    (1 - 1e-14) thus cannot hold the passage. Every scan interval not ruled
+    out this way is cut into 32 parts, in one batch of at most 2048 intervals
+    (the time beyond is scanned again if they all drop out), and the intervals
+    after the first one whose right end reaches delta are dropped. The
+    midpoint of the first open interval is returned once that is narrower than
+    1e-13 of its right end, so the result is the same on every time scale and
+    never later than the first passage by more than half that width; a shallow
     crossing can come out a few widths early. The slack keeps rounding from
     ruling out an exact touch, so a dip within it counts as reached (the
     generic case for delta = 0).
@@ -235,7 +218,7 @@ def first_passage(
     fidelities = fidelity_function(sys)
     times, fids = sys.evaluator.scan(t_max, samples)
     target = 2.0 * math.acos(math.sqrt(delta)) * (1.0 - PASSAGE_SLACK)
-    speed = sys.H.spectral_width / 2.0
+    speed = sys.initial_statistics.spread if sys.evaluator.a_is_zero else sys.H.spectral_width / 2.0
     # Each row of t is one interval cut into equal parts; f holds the fidelities there.
     t, f, resume = times[None, :], fids[None, :], None
     while True:
@@ -295,12 +278,12 @@ class BoundReport:
             bounds["ml"] = self.ml
         return bounds
 
-    def violations(self, slack: float = VALIDITY_SLACK) -> dict[str, float]:
-        """Finite bounds exceeding the measured time by more than slack."""
+    def violations(self) -> dict[str, float]:
+        """Finite bounds exceeding the measured time by more than VALIDITY_SLACK."""
         return {
             name: value - self.tau_actual
             for name, value in self.present_bounds().items()
-            if math.isfinite(value) and value > self.tau_actual + slack
+            if math.isfinite(value) and value > self.tau_actual + VALIDITY_SLACK
         }
 
 
@@ -310,7 +293,6 @@ def evaluate_bounds(
     *,
     t_max: float | None = None,
     samples: int = 1000,
-    occupation_tol: float = DEFAULT_OCCUPATION_TOL,
     tau: float | None = None,
 ) -> BoundReport:
     """Measure the first-passage time to delta and evaluate every bound.
@@ -322,7 +304,8 @@ def evaluate_bounds(
     """
     delta = _check_delta(delta)
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
-    spread, factor, norm_energy = _initial_rates(sys.H, sys.initial, occupation_tol)
+    stats = sys.initial_statistics
+    spread, factor, norm_energy = float(stats.spread), float(_bd_factor(stats)), float(stats.norm_energy)
     if delta == 1.0:
         # tau = 0: averages over the one-point window are the initial values
         tau, avg_unc, avg_bdf, avg_norm = 0.0, spread, factor, norm_energy
@@ -333,7 +316,7 @@ def evaluate_bounds(
                     raise DomainError("provide t_max explicitly for a stationary initial state")
                 t_max = 4.0 * math.pi / spread
             tau = first_passage(sys, delta, t_max)
-        traj = sample_trajectory(sys, tau, samples, occupation_tol=occupation_tol)
+        traj = sample_trajectory(sys, tau, samples)
         avg_unc, avg_bdf, avg_norm = time_average(
             traj.times, np.stack([traj.energy_uncertainty, _bd_factor(traj), traj.norm_energy])
         )

@@ -21,18 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import VALIDITY_SLACK, BoundReport, _check_delta, evaluate_bounds, first_passage, mt_closed
-from .errors import DimensionMismatch, DomainError, InsufficientLevels
+from .errors import DomainError, InsufficientLevels
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
-from .linalg import (
-    DEFAULT_OCCUPATION_TOL,
-    HermitianOperator,
-    PureState,
-    _ensure_operator,
-    _ensure_state,
-    expectation,
-    occupied_extrema,
-    variance,
-)
+from .linalg import HermitianOperator, PureState, _operator_and_state, expectation
 
 
 def build_coupling(H, state) -> HermitianOperator:
@@ -42,10 +33,7 @@ def build_coupling(H, state) -> HermitianOperator:
     with rho = |u><u|, which makes the conjugated evolution a constant-speed
     geodesic through u while conserving all level occupations.
     """
-    operator = _ensure_operator(H)
-    u = _ensure_state(state)
-    if operator.dim != u.dim:
-        raise DimensionMismatch(f"operator dim {operator.dim} != state dim {u.dim}")
+    operator, u = _operator_and_state(H, state)
     vec = u.amplitudes
     mean = expectation(operator, u)
     shifted = operator.entries @ vec - mean * vec
@@ -176,7 +164,6 @@ def run_bd_nonsaturation(
     delta: float,
     *,
     samples: int = 1000,
-    occupation_tol: float = DEFAULT_OCCUPATION_TOL,
     t_max: float | None = None,
 ) -> BoundReport:
     """Saturate the time-averaged Mandelstam-Tamm bound but not Bhatia-Davies.
@@ -186,19 +173,10 @@ def run_bd_nonsaturation(
     inequality is strict at every sample.
     """
     delta = _check_delta(delta, below_one=True)
-    operator = _ensure_operator(H)
-    u = _ensure_state(state)
-    _, _, count = occupied_extrema(operator, u, occupation_tol)
-    if count < 3:
-        raise InsufficientLevels(
-            f"initial state occupies {count} levels; need at least 3"
-        )
+    operator, u = _operator_and_state(H, state)
     sys = RotatedHamiltonianSystem(operator, build_coupling(operator, u), u)
-    uncertainty = math.sqrt(variance(operator, u))
-    return evaluate_bounds(
-        sys,
-        delta,
-        t_max=math.pi / uncertainty if t_max is None else t_max,
-        samples=samples,
-        occupation_tol=occupation_tol,
-    )
+    stats = sys.initial_statistics
+    if stats.occupied.sum() < 3:
+        raise InsufficientLevels(f"initial state occupies {stats.occupied.sum()} levels; need at least 3")
+    t_max = math.pi / stats.spread if t_max is None else t_max
+    return evaluate_bounds(sys, delta, t_max=t_max, samples=samples)

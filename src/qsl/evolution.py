@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, StepTooLarge
 from .linalg import (
-    DEFAULT_OCCUPATION_TOL,
+    EnergyStatistics,
     HermitianOperator,
     PureState,
-    _level_groups,
+    _energy_statistics,
+    _state_statistics,
     unitary_exp,
 )
 
@@ -89,6 +90,11 @@ class RotatedHamiltonianSystem:
         )
 
     @cached_property
+    def initial_statistics(self) -> EnergyStatistics:
+        """<H>, Delta H, the level occupations and the occupied extrema of H in the initial state."""
+        return _state_statistics(self.H, self.initial)
+
+    @cached_property
     def evaluator(self) -> "_SpectralEvaluator":
         """The cached exact propagator of this system."""
         return _SpectralEvaluator(self)
@@ -102,9 +108,16 @@ class RotatedHamiltonianSystem:
         return f"RotatedHamiltonianSystem(dim={self.dim})"
 
 
+def _centred_eig(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of op - (tr op / d) I: a constant offset then costs the eigenvectors no precision."""
+    shift = np.trace(op.entries).real / op.dim
+    return HermitianOperator(op.entries - shift * np.eye(op.dim)).eig
+
+
 class _SpectralEvaluator:
     """exp(-iAt) exp(-i(H-A)t) u0 from the eigenpairs (mu, W) of H - A and (a, V) of A.
 
+    Both operators are centred on tr/d first: the states carry a global phase.
     Rotating frame: phi_t = W exp(-i mu t) c0 with c0 = W^dagger u0.
     Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t. Fidelities
     take <u0|psi_t> in the eigenbasis of A, as the product of (V^dagger u0)^dagger,
@@ -114,8 +127,8 @@ class _SpectralEvaluator:
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
-        self.mu, self.W = sys.effective.eig
-        self.a, self.V = sys.A.eig
+        self.mu, self.W = _centred_eig(sys.effective)
+        self.a, self.V = _centred_eig(sys.A)
         self.u0 = sys.initial.amplitudes
         self.c0 = self.W.conj().T @ self.u0
         self.a_is_zero = not np.any(sys.A.entries)
@@ -229,8 +242,9 @@ class Trajectory:
     """Uniformly sampled evolution record with per-sample observables.
 
     The energy observables refer to the instantaneous Hamiltonian H(t) and
-    are identical in both pictures; `fidelity` and `bloch` describe the curve
-    drawn by the states of the requested frame. `occupations[i, k]` is the
+    are identical in both pictures; `fidelity` and `bloch` (for two levels,
+    the expectations of the `bloch_operators` axes) describe the curve drawn
+    by the states of the requested frame. `occupations[i, k]` is the
     weight at `times[i]` on the k-th lowest level of H (degeneracies grouped).
     """
 
@@ -257,7 +271,6 @@ def sample_trajectory(
     t_max: float,
     n: int,
     *,
-    occupation_tol: float = DEFAULT_OCCUPATION_TOL,
     frame: str = "schrodinger",
 ) -> Trajectory:
     """Evaluate the evolution at n+1 uniform times from 0 to t_max inclusive."""
@@ -273,49 +286,28 @@ def sample_trajectory(
     # Spectral observables of H(t) in psi_t equal those of H in the
     # rotating-frame state phi_t, since both pictures differ by exp(-iAt).
     lam, U = sys.H.eig
-    weights = np.abs(phi @ U.conj()) ** 2
-    exp_energy = weights @ lam
-    # centered second moment: no cancellation noise for near-stationary states
-    centered = lam[None, :] - exp_energy[:, None]
-    energy_uncertainty = np.sqrt(np.maximum((weights * centered**2).sum(axis=1), 0.0))
-
-    groups = _level_groups(lam)
-    levels = np.array([lam[g].mean() for g in groups])
-    occupations = np.column_stack([weights[:, g].sum(axis=1) for g in groups])
-
-    occupied = occupations > occupation_tol
-    eps_min = np.where(occupied, levels, np.inf).min(axis=1)
-    eps_max = np.where(occupied, levels, -np.inf).max(axis=1)
-    norm_energy = exp_energy - eps_min
-    dual_norm_energy = eps_max - exp_energy
+    stats = _energy_statistics(lam, np.abs(phi @ U.conj()) ** 2)
 
     frame_states = psi if frame == "schrodinger" else phi
-    u0 = sys.initial.amplitudes
-    overlaps = frame_states @ u0.conj()
+    overlaps = frame_states @ sys.initial.amplitudes.conj()
     fid = overlaps.real**2 + overlaps.imag**2
 
     bloch = None
     if sys.dim == 2:
-        cross = frame_states[:, 0].conj() * frame_states[:, 1]
-        bloch = np.column_stack(
-            [
-                np.abs(frame_states[:, 0]) ** 2 - np.abs(frame_states[:, 1]) ** 2,
-                -2.0 * cross.imag,
-                2.0 * cross.real,
-            ]
-        )
+        axes = np.stack(bloch_operators())
+        bloch = np.einsum("ti,kij,tj->tk", frame_states.conj(), axes, frame_states).real.copy()
 
     return Trajectory(
         times=times,
         states=frame_states,
         fidelity=fid,
-        exp_energy=exp_energy,
-        energy_uncertainty=energy_uncertainty,
-        eps_min=eps_min,
-        eps_max=eps_max,
-        norm_energy=norm_energy,
-        dual_norm_energy=dual_norm_energy,
-        occupations=occupations,
+        exp_energy=stats.mean,
+        energy_uncertainty=stats.spread,
+        eps_min=stats.eps_min,
+        eps_max=stats.eps_max,
+        norm_energy=stats.norm_energy,
+        dual_norm_energy=stats.dual_norm_energy,
+        occupations=stats.occupations,
         bloch=bloch,
         frame=frame,
     )

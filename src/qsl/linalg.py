@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, DomainError, NoOccupation, NonHermitian
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
-DEFAULT_OCCUPATION_TOL = 1e-12
+OCCUPATION_THRESHOLD = 1e-12
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -133,9 +133,12 @@ def _ensure_state(state) -> PureState:
     return state if isinstance(state, PureState) else PureState(state)
 
 
-def _check_dims(op: HermitianOperator, state: PureState) -> None:
-    if op.dim != state.dim:
-        raise DimensionMismatch(f"operator dim {op.dim} != state dim {state.dim}")
+def _operator_and_state(op, state) -> tuple[HermitianOperator, PureState]:
+    """op and state as a HermitianOperator and a PureState of the same dimension."""
+    operator, s = _ensure_operator(op), _ensure_state(state)
+    if operator.dim != s.dim:
+        raise DimensionMismatch(f"operator dim {operator.dim} != state dim {s.dim}")
+    return operator, s
 
 
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
@@ -152,16 +155,14 @@ def unitary_exp(op, t: float) -> np.ndarray:
 
 
 def expectation(op, state) -> float:
-    operator, s = _ensure_operator(op), _ensure_state(state)
-    _check_dims(operator, s)
+    operator, s = _operator_and_state(op, state)
     vec = s.amplitudes
     return float(np.real(np.vdot(vec, operator.entries @ vec)))
 
 
 def variance(op, state) -> float:
     """Variance of op in state, computed as ||(op - <op>) psi||^2 (never negative)."""
-    operator, s = _ensure_operator(op), _ensure_state(state)
-    _check_dims(operator, s)
+    operator, s = _operator_and_state(op, state)
     vec = s.amplitudes
     mean = np.vdot(vec, operator.entries @ vec).real
     residual = operator.entries @ vec - mean * vec
@@ -204,16 +205,55 @@ def _level_groups(eigenvalues: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def level_occupations(op, state) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct level values (degeneracy-grouped) and their occupation weights."""
-    operator, s = _ensure_operator(op), _ensure_state(state)
-    _check_dims(operator, s)
-    values, vectors = operator.eig
-    weights = np.abs(vectors.conj().T @ s.amplitudes) ** 2
+class EnergyStatistics(NamedTuple):
+    """An operator's statistics in a batch of states (see `_energy_statistics`), one entry per state."""
+
+    mean: np.ndarray
+    spread: np.ndarray
+    levels: np.ndarray
+    occupations: np.ndarray
+    eps_min: np.ndarray
+    eps_max: np.ndarray
+    occupied: np.ndarray
+    norm_energy: np.ndarray
+    dual_norm_energy: np.ndarray
+
+
+def _energy_statistics(values, weights, tol: float = OCCUPATION_THRESHOLD) -> EnergyStatistics:
+    """Mean, spread, level occupations and occupied extrema, one row of weights per state.
+
+    `values` are an operator's ascending eigenvalues and `weights[..., k]` a
+    state's weight on the k-th eigenvector; a 1-d `weights` is one state.
+    Every state shares `levels`, the degeneracy-grouped eigenvalues. A level
+    is occupied when its weight exceeds tol, as `occupied` marks, and
+    eps_min/eps_max are the extreme ones (inf/-inf when none is).
+    """
+    mean = weights @ values
+    # centered second moment: no cancellation noise for near-stationary states
+    centered = values - mean[..., None]
+    spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
     groups = _level_groups(values)
     levels = np.array([values[g].mean() for g in groups])
-    occ = np.array([weights[g].sum() for g in groups])
-    return levels, occ
+    occupations = np.stack([weights[..., g].sum(axis=-1) for g in groups], axis=-1)
+    occupied = occupations > tol
+    eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
+    eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)
+    return EnergyStatistics(
+        mean, spread, levels, occupations, eps_min, eps_max, occupied, mean - eps_min, eps_max - mean
+    )
+
+
+def _state_statistics(op, state, tol: float = OCCUPATION_THRESHOLD) -> EnergyStatistics:
+    """The statistics of op in one state, from op's eigenbasis."""
+    operator, s = _operator_and_state(op, state)
+    values, vectors = operator.eig
+    return _energy_statistics(values, np.abs(s.amplitudes @ vectors.conj()) ** 2, tol)
+
+
+def level_occupations(op, state) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct level values (degeneracy-grouped) and their occupation weights."""
+    stats = _state_statistics(op, state)
+    return stats.levels, stats.occupations
 
 
 class OccupiedExtrema(NamedTuple):
@@ -222,7 +262,7 @@ class OccupiedExtrema(NamedTuple):
     occupied_count: int
 
 
-def occupied_extrema(op, state, tol: float = DEFAULT_OCCUPATION_TOL) -> OccupiedExtrema:
+def occupied_extrema(op, state, tol: float = OCCUPATION_THRESHOLD) -> OccupiedExtrema:
     """Smallest and largest occupied energy, and the occupied level count.
 
     A level counts as occupied when its eigenspace-projected weight exceeds
@@ -231,12 +271,10 @@ def occupied_extrema(op, state, tol: float = DEFAULT_OCCUPATION_TOL) -> Occupied
     """
     if tol <= 0:
         raise DomainError("occupation threshold must be positive")
-    levels, occ = level_occupations(op, state)
-    mask = occ > tol
-    if not mask.any():
+    stats = _state_statistics(op, state, tol)
+    if not stats.occupied.any():
         raise NoOccupation(f"all level weights <= {tol}; threshold too high")
-    occupied = levels[mask]
-    return OccupiedExtrema(float(occupied[0]), float(occupied[-1]), int(mask.sum()))
+    return OccupiedExtrema(float(stats.eps_min), float(stats.eps_max), int(stats.occupied.sum()))
 
 
 def _coerce_matrix(obj) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import VALIDITY_SLACK, BoundReport, _check_delta, evaluate_bounds, first_passage
+from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage
 from .counterexamples import build_coupling
 from .errors import DomainError, NotReached
 from .evolution import RotatedHamiltonianSystem
@@ -127,16 +127,15 @@ def validity_sweep(
     seed: int = 0,
     isolated_fraction: float = 0.3,
     samples: int = 1000,
-    slack: float = VALIDITY_SLACK,
 ) -> tuple[list[SweepRow], int]:
     """Check every bound against the measured time on seeded random systems.
 
     Returns the evaluated rows and the number of violations (cells where a
-    finite bound exceeds the measured first-passage time by more than
-    slack). Cells whose target fidelity is never reached are recorded with
-    reached=False and do not count as violations. Every delta, and
-    2 <= dim_range[0] <= dim_range[1], is checked before the first system
-    is built.
+    finite bound exceeds the measured first-passage time by more than the
+    validity slack). Cells whose target fidelity is never reached are
+    recorded with reached=False and do not count as violations. Every
+    delta, and 2 <= dim_range[0] <= dim_range[1], is checked before the
+    first system is built.
     """
     deltas = tuple(map(_check_delta, deltas))
     if not 2 <= dim_range[0] <= dim_range[1]:
@@ -163,6 +162,6 @@ def validity_sweep(
                 continue
             report = evaluate_bounds(sys, delta, samples=samples, tau=tau)
             rows.append(SweepRow(index, kind, dim, delta, True, report))
-            if report.violations(slack):
+            if report.violations():
                 violations += 1
     return rows, violations

@@ -34,7 +34,13 @@ from qsl import (
 )
 from qsl.bounds import _alpha_of
 from qsl.evolution import _SpectralEvaluator
-from qsl.sweeps import random_coupled_system, random_isolated_system, random_saturating_two_level, validity_sweep
+from qsl.sweeps import (
+    random_coupled_system,
+    random_isolated_system,
+    random_pure_state,
+    random_saturating_two_level,
+    validity_sweep,
+)
 
 # frozen from an independent 1e7-point grid scan with bounded refinement
 ALPHA_ORACLE = {
@@ -176,6 +182,21 @@ class TestFirstPassage:
         assert first_passage(sys_, 0.0, 1.5 * math.pi) == pytest.approx(math.pi, rel=1e-12, abs=0.0)
         assert first_passage(sys_, 0.5, 1.5 * math.pi) == pytest.approx(math.pi / 2, rel=1e-12, abs=0.0)
 
+    # An offset c*I of A leaves every H(t) unchanged. Centring the eigenproblems
+    # keeps c from costing the eigenvectors the precision of the delta = 0 touch.
+    def test_coupling_offset_leaves_the_passage_unchanged(self):
+        base = random_coupled_system(np.random.default_rng(3), 4)
+        shifted = RotatedHamiltonianSystem(base.H, HermitianOperator(base.A.entries + 1e4 * np.eye(4)), base.initial)
+        for sys_ in (base, shifted):
+            assert first_passage(sys_, 0.0, 3.0) == pytest.approx(0.79770098490840, rel=1e-12, abs=0.0)
+
+    # With A = 0 the certificate's speed is the conserved energy uncertainty, so an
+    # unoccupied far level must not make the passage come out early.
+    @pytest.mark.parametrize("top", [400.0, 1e4])
+    def test_unoccupied_far_level_leaves_the_passage_exact(self, top):
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1.0, top]), PureState.normalized([1.0, 1.0, 0.0]))
+        assert first_passage(sys_, 0.0, 2.0 * math.pi) == pytest.approx(math.pi, rel=0.0, abs=1e-12)
+
     # A window of many periods puts few scan points per period; the first crossing
     # must still be found, not a later one.
     @pytest.mark.parametrize("t_max", [1.0, 100.0, 2000.0, 5000.0])
@@ -255,7 +276,7 @@ class TestFirstPassage:
             return fidelities(self, times)
 
         monkeypatch.setattr(_SpectralEvaluator, "fidelities", counted)
-        monkeypatch.setattr(qsl.bounds, "PASSAGE_BATCH", 2)
+        monkeypatch.setattr(qsl.bounds, "PASSAGE_BATCH", 1)
         got = taus()
         assert rescans
         assert [tau is None for tau in got] == [tau is None for tau in expected]
@@ -317,6 +338,15 @@ class TestIsolatedBounds:
             mt = mt_isolated(sys_.H, sys_.initial, delta)
             bd = bd_isolated(sys_.H, sys_.initial, delta)
             assert abs(mt - bd) <= 1e-10
+
+    def test_raw_arrays_give_the_operator_values(self):
+        rng = np.random.default_rng(29)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        cases = [(np.diag([0.0, 1.0]), [2**-0.5, 2**-0.5]), ((g + g.conj().T) / 2, random_pure_state(rng, 4).amplitudes)]
+        for matrix, amplitudes in cases:
+            hamiltonian, state = HermitianOperator(matrix), PureState(amplitudes)
+            for bound, delta in itertools.product((mt_isolated, ml_isolated, bd_isolated), (0.0, 0.3)):
+                assert bound(matrix, amplitudes, delta) == bound(hamiltonian, state, delta)
 
     def test_bd_denominator_three_levels(self):
         hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0, 2.0])
