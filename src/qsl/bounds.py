@@ -22,10 +22,11 @@ from .evolution import (
     fidelity_function,
     sample_trajectory,
 )
-from .linalg import _state_statistics
+from .linalg import EnergyStatistics, _state_statistics
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+GOLDEN_TOL = 1e-12
 
 ZERO_DENOMINATOR = 1e-14
 PASSAGE_SLACK = 1e-14
@@ -57,15 +58,15 @@ def _ml_objective(z, delta: float):
     return (1.0 + z) / 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Shrink [a, b] around a local minimum of f; returns (x, f(x)) at the midpoint."""
+def golden_section_min(f, a: float, b: float) -> tuple[float, float]:
+    """Shrink [a, b] to GOLDEN_TOL around a local minimum of f; returns (x, f(x)) at the midpoint."""
     a, b = min(a, b), max(a, b)
     h = b - a
-    if h > tol:
+    if h > GOLDEN_TOL:
         c = a + INV_PHI_SQ * h
         d = a + INV_PHI * h
         yc, yd = f(c), f(d)
-        n = int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))
+        n = int(math.ceil(math.log(GOLDEN_TOL / h) / math.log(INV_PHI)))
         for _ in range(n - 1):
             h *= INV_PHI
             if yc < yd:
@@ -154,19 +155,19 @@ def _ml(delta: float, norm_energy: float) -> float:
     return _alpha_of(delta) / norm_energy
 
 
-def _bd_factor(stats):
-    """sqrt((eps_max - <H>)(<H> - eps_min)) per state or sample of an EnergyStatistics or a Trajectory."""
+def _bd_factor(stats: EnergyStatistics):
+    """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics."""
     return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
 
 
 def mt_isolated(H, state, delta: float) -> float:
     """arccos(sqrt(delta)) / energy uncertainty; inf for a stationary state."""
-    return _over(_check_delta(delta), float(_state_statistics(H, state).spread))
+    return _over(_check_delta(delta), float(_state_statistics(H, state).energy_uncertainty))
 
 
 def mt_closed(traj: Trajectory, delta: float) -> float:
     """arccos(sqrt(delta)) over the time-averaged energy uncertainty."""
-    return _over(_check_delta(delta), time_average(traj.times, traj.energy_uncertainty))
+    return _over(_check_delta(delta), time_average(traj.times, traj.stats.energy_uncertainty))
 
 
 def ml_isolated(H, state, delta: float) -> float:
@@ -181,7 +182,7 @@ def bd_isolated(H, state, delta: float) -> float:
 
 def bd_closed(traj: Trajectory, delta: float) -> float:
     """arccos(sqrt(delta)) over the time-averaged per-sample geometric mean."""
-    return _over(_check_delta(delta), time_average(traj.times, _bd_factor(traj)))
+    return _over(_check_delta(delta), time_average(traj.times, _bd_factor(traj.stats)))
 
 
 def first_passage(
@@ -218,7 +219,7 @@ def first_passage(
     fidelities = fidelity_function(sys)
     times, fids = sys.evaluator.scan(t_max, samples)
     target = 2.0 * math.acos(math.sqrt(delta)) * (1.0 - PASSAGE_SLACK)
-    speed = sys.initial_statistics.spread if sys.evaluator.a_is_zero else sys.H.spectral_width / 2.0
+    speed = sys.initial_statistics.energy_uncertainty if sys.evaluator.a_is_zero else sys.H.spectral_width / 2.0
     # Each row of t is one interval cut into equal parts; f holds the fidelities there.
     t, f, resume = times[None, :], fids[None, :], None
     while True:
@@ -305,7 +306,7 @@ def evaluate_bounds(
     delta = _check_delta(delta)
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
     stats = sys.initial_statistics
-    spread, factor, norm_energy = float(stats.spread), float(_bd_factor(stats)), float(stats.norm_energy)
+    spread, factor, norm_energy = map(float, (stats.energy_uncertainty, _bd_factor(stats), stats.norm_energy))
     if delta == 1.0:
         # tau = 0: averages over the one-point window are the initial values
         tau, avg_unc, avg_bdf, avg_norm = 0.0, spread, factor, norm_energy
@@ -317,9 +318,8 @@ def evaluate_bounds(
                 t_max = 4.0 * math.pi / spread
             tau = first_passage(sys, delta, t_max)
         traj = sample_trajectory(sys, tau, samples)
-        avg_unc, avg_bdf, avg_norm = time_average(
-            traj.times, np.stack([traj.energy_uncertainty, _bd_factor(traj), traj.norm_energy])
-        )
+        rates = traj.stats.energy_uncertainty, _bd_factor(traj.stats), traj.stats.norm_energy
+        avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(rates))
     return BoundReport(
         delta=delta,
         tau_actual=tau,

@@ -240,12 +240,12 @@ def _trajectory_table(traj: Trajectory) -> dict:
     return {
         "t": traj.times,
         "fidelity": traj.fidelity,
-        "exp_energy": traj.exp_energy,
-        "energy_uncertainty": traj.energy_uncertainty,
-        "eps_min": traj.eps_min,
-        "eps_max": traj.eps_max,
-        "norm_energy": traj.norm_energy,
-        "dual_norm_energy": traj.dual_norm_energy,
+        "exp_energy": traj.stats.exp_energy,
+        "energy_uncertainty": traj.stats.energy_uncertainty,
+        "eps_min": traj.stats.eps_min,
+        "eps_max": traj.stats.eps_max,
+        "norm_energy": traj.stats.norm_energy,
+        "dual_norm_energy": traj.stats.dual_norm_energy,
         "bloch_x": bloch[0],
         "bloch_y": bloch[1],
         "bloch_z": bloch[2],
@@ -303,7 +303,7 @@ def cmd_trajectory(p: dict) -> tuple[dict, str, dict]:
         "initial": p["initial"],
         "t_max": p["t_max"],
         "samples": p["samples"],
-        "energy_uncertainty": float(traj.energy_uncertainty[0]),
+        "energy_uncertainty": float(traj.stats.energy_uncertainty[0]),
     }
     return payload, "trajectory", _trajectory_table(traj)
 

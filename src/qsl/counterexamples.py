@@ -147,15 +147,15 @@ def run_ml_refutation(
         mt_closed=float(mt_bar),
         violated=bool(tau < hypothetical - VALIDITY_SLACK),
         margins=margins,
-        max_energy_drift=float(np.abs(traj.norm_energy - E).max()),
+        max_energy_drift=float(np.abs(traj.stats.norm_energy - E).max()),
         trajectory=traj,
     )
 
 
 def bd_pointwise_margin(traj: Trajectory) -> float:
     """Smallest per-sample gap between the Bhatia-Davies product and the variance."""
-    product = traj.dual_norm_energy * traj.norm_energy
-    return float((product - traj.energy_uncertainty**2).min())
+    stats = traj.stats
+    return float((stats.dual_norm_energy * stats.norm_energy - stats.energy_uncertainty**2).min())
 
 
 def run_bd_nonsaturation(
@@ -178,5 +178,5 @@ def run_bd_nonsaturation(
     stats = sys.initial_statistics
     if stats.occupied.sum() < 3:
         raise InsufficientLevels(f"initial state occupies {stats.occupied.sum()} levels; need at least 3")
-    t_max = math.pi / stats.spread if t_max is None else t_max
+    t_max = math.pi / stats.energy_uncertainty if t_max is None else t_max
     return evaluate_bounds(sys, delta, t_max=t_max, samples=samples)

@@ -241,23 +241,18 @@ def propagate_numeric(sys: RotatedHamiltonianSystem, t: float, step: float) -> P
 class Trajectory:
     """Uniformly sampled evolution record with per-sample observables.
 
-    The energy observables refer to the instantaneous Hamiltonian H(t) and
-    are identical in both pictures; `fidelity` and `bloch` (for two levels,
-    the expectations of the `bloch_operators` axes) describe the curve drawn
-    by the states of the requested frame. `occupations[i, k]` is the
-    weight at `times[i]` on the k-th lowest level of H (degeneracies grouped).
+    `stats` holds the energy statistics of the instantaneous Hamiltonian
+    H(t), one entry per sample, which are the same in both pictures;
+    `stats.occupations[i, k]` is the weight at `times[i]` on the k-th lowest
+    level of H (degeneracies grouped). `states`, `fidelity` and `bloch` (for
+    two levels, the expectations of the `bloch_operators` axes) describe
+    the curve drawn by the states of the requested frame.
     """
 
     times: np.ndarray
     states: np.ndarray
     fidelity: np.ndarray
-    exp_energy: np.ndarray
-    energy_uncertainty: np.ndarray
-    eps_min: np.ndarray
-    eps_max: np.ndarray
-    norm_energy: np.ndarray
-    dual_norm_energy: np.ndarray
-    occupations: np.ndarray
+    stats: EnergyStatistics
     bloch: np.ndarray | None
     frame: str = "schrodinger"
 
@@ -297,17 +292,4 @@ def sample_trajectory(
         axes = np.stack(bloch_operators())
         bloch = np.einsum("ti,kij,tj->tk", frame_states.conj(), axes, frame_states).real.copy()
 
-    return Trajectory(
-        times=times,
-        states=frame_states,
-        fidelity=fid,
-        exp_energy=stats.mean,
-        energy_uncertainty=stats.spread,
-        eps_min=stats.eps_min,
-        eps_max=stats.eps_max,
-        norm_energy=stats.norm_energy,
-        dual_norm_energy=stats.dual_norm_energy,
-        occupations=stats.occupations,
-        bloch=bloch,
-        frame=frame,
-    )
+    return Trajectory(times, frame_states, fid, stats, bloch, frame)

@@ -28,14 +28,10 @@ def _as_complex_matrix(entries) -> np.ndarray:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > 1e-9 * mags.max()))
-        pivot = col[idx]
-        out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    mags = np.abs(vectors)
+    pivots = vectors[np.argmax(mags > 1e-9 * mags.max(axis=0), axis=0), np.arange(vectors.shape[1])]
+    # np.hypot, not np.abs: numpy's vectorised complex abs can differ from hypot in the last bit
+    return vectors * (pivots.conjugate() / np.hypot(pivots.real, pivots.imag))
 
 
 class HermitianOperator:
@@ -193,23 +189,11 @@ def trace_distance(state1, state2) -> float:
     return float(np.linalg.norm(residual))
 
 
-def _level_groups(eigenvalues: np.ndarray) -> list[np.ndarray]:
-    """Partition ascending eigenvalues into near-degenerate groups."""
-    gap_tol = 1e-9 * (float(eigenvalues[-1] - eigenvalues[0]) + 1.0)
-    groups: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(eigenvalues) + 1):
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > gap_tol:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
-
-
 class EnergyStatistics(NamedTuple):
     """An operator's statistics in a batch of states (see `_energy_statistics`), one entry per state."""
 
-    mean: np.ndarray
-    spread: np.ndarray
+    exp_energy: np.ndarray
+    energy_uncertainty: np.ndarray
     levels: np.ndarray
     occupations: np.ndarray
     eps_min: np.ndarray
@@ -232,9 +216,11 @@ def _energy_statistics(values, weights, tol: float = OCCUPATION_THRESHOLD) -> En
     # centered second moment: no cancellation noise for near-stationary states
     centered = values - mean[..., None]
     spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
-    groups = _level_groups(values)
-    levels = np.array([values[g].mean() for g in groups])
-    occupations = np.stack([weights[..., g].sum(axis=-1) for g in groups], axis=-1)
+    # a level starts wherever the gap to the eigenvalue below exceeds gap_tol
+    gap_tol = 1e-9 * (float(values[-1] - values[0]) + 1.0)
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap_tol)
+    levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
+    occupations = np.add.reduceat(weights, starts, axis=-1)
     occupied = occupations > tol
     eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
     eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)

@@ -35,24 +35,19 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
     return PureState.normalized(vec)
 
 
-def random_coupled_system(
-    rng: np.random.Generator,
-    dim: int,
-    *,
-    uncertainty_range: tuple[float, float] = (0.5, 2.5),
-) -> RotatedHamiltonianSystem:
+def random_coupled_system(rng: np.random.Generator, dim: int) -> RotatedHamiltonianSystem:
     """Random Hamiltonian and state with the geodesic coupling operator.
 
     The Hamiltonian is rescaled so the initial energy uncertainty hits a
-    target drawn from uncertainty_range, which keeps first-passage times
-    O(1) and tangential crossings well conditioned; draws are rejected if
-    the rescaled spectral radius would exceed 5. A single level has no
-    energy uncertainty to rescale, so dim must be at least 2.
+    target drawn from [0.5, 2.5], which keeps first-passage times O(1) and
+    tangential crossings well conditioned; draws are rejected if the
+    rescaled spectral radius would exceed 5. A single level has no energy
+    uncertainty to rescale, so dim must be at least 2.
     """
     if dim < 2:
         raise DomainError(f"a coupled system needs dim >= 2, got {dim!r}")
     state = random_pure_state(rng, dim)
-    target = rng.uniform(*uncertainty_range)
+    target = rng.uniform(0.5, 2.5)
     while True:
         radius = rng.uniform(1.0, 5.0)
         hamiltonian = random_hermitian(rng, dim, spectral_radius=radius)
@@ -63,13 +58,9 @@ def random_coupled_system(
     return RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, state), state)
 
 
-def random_isolated_system(
-    rng: np.random.Generator,
-    dim: int,
-    *,
-    spectral_radius_range: tuple[float, float] = (1.0, 5.0),
-) -> RotatedHamiltonianSystem:
-    hamiltonian = random_hermitian(rng, dim, spectral_radius=rng.uniform(*spectral_radius_range))
+def random_isolated_system(rng: np.random.Generator, dim: int) -> RotatedHamiltonianSystem:
+    """Random Hamiltonian of spectral radius drawn from [1, 5] and random state, with A = 0."""
+    hamiltonian = random_hermitian(rng, dim, spectral_radius=rng.uniform(1.0, 5.0))
     state = random_pure_state(rng, dim)
     zero = HermitianOperator(np.zeros((dim, dim)))
     return RotatedHamiltonianSystem(hamiltonian, zero, state)

@@ -186,7 +186,7 @@ def test_criterion_6_propagator_cross_check():
         numeric = propagate_numeric(sys_, t, 1e-3)
         worst_distance = max(worst_distance, trace_distance(exact, numeric))
         traj = sample_trajectory(sys_, t, 400)
-        worst_drift = max(worst_drift, float(np.abs(traj.occupations - traj.occupations[0]).max()))
+        worst_drift = max(worst_drift, float(np.abs(traj.stats.occupations - traj.stats.occupations[0]).max()))
     ok = worst_distance <= 1e-8 and worst_drift <= 1e-9
     report_line(
         ok,

@@ -108,7 +108,7 @@ class TestTimeAverage:
         theta, energy = math.pi / 3, 1.0
         sys_ = build_ml_family(energy, theta)
         traj = sample_trajectory(sys_, 0.5, 1000)
-        avg = time_average(traj.times, traj.energy_uncertainty)
+        avg = time_average(traj.times, traj.stats.energy_uncertainty)
         assert abs(avg - energy / math.tan(theta / 2)) <= 1e-9
 
     def test_rows_are_averaged_from_one_check_of_the_times(self):

@@ -166,7 +166,7 @@ class TestRunMlRefutation:
 
     def test_energy_conserved_along_trajectory(self):
         report = run_ml_refutation(0.3, 1.0, 0.5)
-        np.testing.assert_allclose(report.trajectory.norm_energy, 0.5, atol=1e-9)
+        np.testing.assert_allclose(report.trajectory.stats.norm_energy, 0.5, atol=1e-9)
 
     def test_grid_of_hypotheses(self):
         for delta in (0.0, 0.4, 0.8):
@@ -175,6 +175,18 @@ class TestRunMlRefutation:
                     report = run_ml_refutation(delta, big_l, energy)
                     assert report.violated
                     assert report.margins["mt_saturation"] <= 1e-8
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FOUND in CHANGES.md, src/qsl/bounds.py first_passage: for A != 0 the certificate "
+        "uses half the full spectral width, so tau comes out early by about 1e-13 * v/dH",
+    )
+    def test_mt_saturation_at_a_large_hypothesis(self):
+        # v/dH is about 5.8e3 here and tau is 1.2e-10 relative early; mt_closed is exact to 2e-16
+        report = run_ml_refutation(0.5, 1e4, 1.0)
+        assert report.margins["mt_saturation"] <= 1e-8
 
 
 class TestRunBdNonsaturation:

@@ -15,6 +15,7 @@ from qsl import (
     evaluate_bounds,
     expectation,
     fidelity,
+    level_occupations,
     propagate_exact,
     propagate_numeric,
     rotating_frame,
@@ -22,7 +23,7 @@ from qsl import (
     trace_distance,
     variance,
 )
-from qsl.sweeps import random_coupled_system, random_isolated_system
+from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
 
 
 def isolated(hamiltonian, state):
@@ -176,7 +177,7 @@ class TestPropagateNumeric:
 
     def test_step_too_large(self):
         rng = np.random.default_rng(25)
-        sys_ = random_isolated_system(rng, 3, spectral_radius_range=(8.0, 10.0))
+        sys_ = isolated(random_hermitian(rng, 3, spectral_radius=9.0), random_pure_state(rng, 3))
         with pytest.raises(StepTooLarge):
             propagate_numeric(sys_, 5.0, 0.5)
 
@@ -269,7 +270,7 @@ class TestSampleTrajectory:
         for _ in range(10):
             sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
             traj = sample_trajectory(sys_, 4.0, 400)
-            drift = np.abs(traj.occupations - traj.occupations[0]).max()
+            drift = np.abs(traj.stats.occupations - traj.stats.occupations[0]).max()
             assert drift <= 1e-9
 
     def test_conserved_energy_observables(self):
@@ -278,10 +279,10 @@ class TestSampleTrajectory:
             sys_ = maker(rng, 4)
             traj = sample_trajectory(sys_, 5.0, 500)
             for column in (
-                traj.exp_energy,
-                traj.energy_uncertainty,
-                traj.norm_energy,
-                traj.dual_norm_energy,
+                traj.stats.exp_energy,
+                traj.stats.energy_uncertainty,
+                traj.stats.norm_energy,
+                traj.stats.dual_norm_energy,
             ):
                 assert np.std(column) <= 1e-9
 
@@ -290,8 +291,22 @@ class TestSampleTrajectory:
         state = PureState.normalized([1.0, 1.0, 1.0])
         sys_ = RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, state), state)
         traj = sample_trajectory(sys_, 2.0, 200)
-        occupied_counts = (traj.occupations > 1e-12).sum(axis=1)
+        occupied_counts = (traj.stats.occupations > 1e-12).sum(axis=1)
         assert np.all(occupied_counts == 3)
+
+    def test_degenerate_levels_are_grouped_at_every_sample(self):
+        hamiltonian = HermitianOperator.from_diagonal([0.0, 0.0, 1.0, 2.0, 2.0])
+        state = PureState.normalized([1.0, 1.0, 1.0, 1.0, 1.0])
+        sys_ = RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, state), state)
+        n = 200
+        stats = sample_trajectory(sys_, 2.0, n).stats
+        np.testing.assert_array_equal(stats.levels, [0.0, 1.0, 2.0])
+        assert stats.occupations.shape == (n + 1, 3)
+        np.testing.assert_allclose(
+            stats.occupations - level_occupations(hamiltonian, state)[1], 0.0, atol=1e-12
+        )
+        np.testing.assert_array_equal(stats.eps_min, 0.0)
+        np.testing.assert_array_equal(stats.eps_max, 2.0)
 
     def test_bloch_columns_match_axis_operator_expectations(self):
         from qsl import bloch_operators
@@ -312,8 +327,8 @@ class TestSampleTrajectory:
             t = traj.times[i]
             h_t = sys_.hamiltonian_at(t)
             state = PureState(traj.states[i])
-            assert abs(expectation(h_t, state) - traj.exp_energy[i]) <= 1e-9
-            assert abs(math.sqrt(variance(h_t, state)) - traj.energy_uncertainty[i]) <= 1e-9
+            assert abs(expectation(h_t, state) - traj.stats.exp_energy[i]) <= 1e-9
+            assert abs(math.sqrt(variance(h_t, state)) - traj.stats.energy_uncertainty[i]) <= 1e-9
 
     def test_geodesic_speed_equals_energy_uncertainty(self):
         # with the coupling conditions satisfied, the Fubini-Study speed
@@ -327,5 +342,5 @@ class TestSampleTrajectory:
             distance = np.arccos(np.sqrt(np.clip(traj.fidelity, 0.0, 1.0)))
             inner = slice(100, 1900)
             speed = np.gradient(distance, traj.times)[inner]
-            assert np.abs(speed - traj.energy_uncertainty[inner]).max() <= 1e-6
+            assert np.abs(speed - traj.stats.energy_uncertainty[inner]).max() <= 1e-6
             assert np.ptp(speed) <= 1e-6
