@@ -268,24 +268,16 @@ class BoundReport:
     avg_bd_factor: float
     avg_norm_energy: float
 
-    def present_bounds(self) -> dict[str, float]:
-        bounds = {
-            "mt": self.mt,
-            "bd": self.bd,
-            "mt_closed": self.mt_closed,
-            "bd_closed": self.bd_closed,
-        }
+    def margins(self) -> dict[str, float]:
+        """bound - tau for every finite bound; ml only where it is reported."""
+        bounds = {"mt": self.mt, "bd": self.bd, "mt_closed": self.mt_closed, "bd_closed": self.bd_closed}
         if self.ml is not None:
             bounds["ml"] = self.ml
-        return bounds
+        return {name: value - self.tau_actual for name, value in bounds.items() if math.isfinite(value)}
 
     def violations(self) -> dict[str, float]:
-        """Finite bounds exceeding the measured time by more than VALIDITY_SLACK."""
-        return {
-            name: value - self.tau_actual
-            for name, value in self.present_bounds().items()
-            if math.isfinite(value) and value > self.tau_actual + VALIDITY_SLACK
-        }
+        """Margins above VALIDITY_SLACK: the bounds the measured time refutes."""
+        return {name: margin for name, margin in self.margins().items() if margin > VALIDITY_SLACK}
 
 
 def evaluate_bounds(

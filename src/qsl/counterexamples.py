@@ -145,7 +145,7 @@ def run_ml_refutation(
         tau=float(tau),
         hypothetical_bound=hypothetical,
         mt_closed=float(mt_bar),
-        violated=bool(tau < hypothetical - VALIDITY_SLACK),
+        violated=margins["violation"] > VALIDITY_SLACK,
         margins=margins,
         max_energy_drift=float(np.abs(traj.stats.norm_energy - E).max()),
         trajectory=traj,

@@ -100,14 +100,7 @@ class SweepRow:
     @property
     def worst_margin(self) -> float | None:
         """Largest (bound - tau) among finite bounds; negative means all valid."""
-        if self.report is None:
-            return None
-        finite = [
-            value - self.report.tau_actual
-            for value in self.report.present_bounds().values()
-            if math.isfinite(value)
-        ]
-        return max(finite) if finite else None
+        return None if self.report is None else max(self.report.margins().values(), default=None)
 
 
 def validity_sweep(

@@ -251,6 +251,13 @@ class TestValiditySweep:
         header, rows = read_csv(tmp_path / "sw_sweep.csv")
         assert header[:5] == ["system", "kind", "dim", "delta", "reached"]
 
+    def test_one_violating_cell_exits_one(self, tmp_path, first_cell_violates):
+        cfg = write_config(tmp_path, "sweep.json", {"seed": 1, "systems": 2, "deltas": [0.5], "samples": 20})
+        assert main(["validity-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        report = json.loads((tmp_path / "x_report.json").read_text())
+        assert report["violations"] == 1
+        assert report["claim_verified"] is False
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = write_config(
             tmp_path, "sweep.json", {"seed": 11, "systems": 3, "samples": 200, "deltas": [0.5]}

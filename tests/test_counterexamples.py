@@ -133,6 +133,14 @@ class TestRefutationSpec:
     def test_angle_condition_enforced(self):
         with pytest.raises(DomainError):
             RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=2.5, mu=1.0 / (1 - math.cos(2.5)))
+        for theta in (0.0, math.pi, -1.0):
+            with pytest.raises(DomainError):
+                RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=theta, mu=2.0)
+
+    def test_nonpositive_numerator_rejected(self):
+        for big_l in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                RefutationSpec(delta=0.0, L=big_l, E=1.0, theta=math.pi / 3, mu=2.0)
 
     def test_mu_consistency_enforced(self):
         with pytest.raises(DomainError):
@@ -163,6 +171,13 @@ class TestRunMlRefutation:
         report = run_ml_refutation(0.0, 0.1, 1.0)
         assert report.violated
         assert report.spec.theta < 0.2  # small numerator forces a small angle
+
+    @pytest.mark.parametrize("margin, violated", [(1e-10, False), (1e-8, True)])
+    def test_hypothesis_must_be_beaten_by_more_than_the_slack(self, margin, violated):
+        # L/E - tau = margin / (1 + margin) by construction
+        report = run_ml_refutation(0.5, 1.0, 1.0, margin)
+        assert report.margins["violation"] == pytest.approx(margin, rel=1e-3)
+        assert report.violated is violated
 
     def test_energy_conserved_along_trajectory(self):
         report = run_ml_refutation(0.3, 1.0, 0.5)

@@ -42,6 +42,8 @@ class TestSystemConstruction:
                 HermitianOperator(np.zeros((3, 3))),
                 PureState([1.0, 0.0]),
             )
+        with pytest.raises(DimensionMismatch):
+            rotating_frame(build_ml_family(1.0, 0.8), 0.0, PureState([1.0, 0.0, 0.0]))
 
     def test_hamiltonian_at_zero_equals_h(self):
         sys_ = build_ml_family(1.0, 0.9)

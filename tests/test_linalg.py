@@ -16,6 +16,7 @@ from qsl import (
     fidelity,
     level_occupations,
     occupied_extrema,
+    trace_distance,
     unitary_exp,
     variance,
 )
@@ -198,6 +199,11 @@ class TestFidelity:
             assert fidelity(s1, s2) == fidelity(s2, s1)
             phased = PureState(s1.amplitudes * np.exp(1j * rng.uniform(0, 2 * math.pi)))
             assert abs(fidelity(phased, s2) - fidelity(s1, s2)) <= 1e-12
+
+    def test_dimension_mismatch(self):
+        for measure in (fidelity, trace_distance):
+            with pytest.raises(DimensionMismatch):
+                measure(UNIFORM3, PureState([1.0, 0.0]))
 
 
 class TestOccupiedExtrema:
