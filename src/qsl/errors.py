@@ -14,7 +14,7 @@ class DimensionMismatch(QslError):
 
 
 class DomainError(QslError):
-    """Scalar argument outside its allowed range."""
+    """Argument outside its allowed range: a bad scalar, or a non-finite matrix or state entry."""
 
 
 class NoOccupation(QslError):

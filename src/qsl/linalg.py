@@ -19,11 +19,18 @@ NORM_TOL = 1e-12
 OCCUPATION_THRESHOLD = 1e-12
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or DomainError if any entry is NaN or infinite (NaN fails every later comparison)."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} has non-finite entries")
+    return values
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     mat = np.array(entries, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    return mat
+    return _finite(mat, "matrix")
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -88,7 +95,7 @@ class PureState:
     """A unit-norm complex vector, viewable as a rank-1 density operator."""
 
     def __init__(self, amplitudes):
-        vec = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+        vec = _finite(np.array(amplitudes, dtype=np.complex128).reshape(-1), "state")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > NORM_TOL:
             raise DomainError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
@@ -99,7 +106,7 @@ class PureState:
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
         """Build a state from an unnormalized vector."""
-        vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        vec = _finite(np.asarray(amplitudes, dtype=np.complex128).reshape(-1), "state")
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise DomainError("cannot normalize the zero vector")

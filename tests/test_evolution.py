@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,12 +24,42 @@ from qsl import (
     trace_distance,
     variance,
 )
+from qsl.evolution import NORM_DRIFT_TOL
 from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
 
 
 def isolated(hamiltonian, state):
     zero = HermitianOperator(np.zeros((hamiltonian.dim, hamiltonian.dim)))
     return RotatedHamiltonianSystem(hamiltonian, zero, state)
+
+
+def rk4_reference(sys_, t, step):
+    """The classical RK4 loop, one step at a time, with H(t) from `hamiltonian_at`.
+
+    Renormalizes after every step and raises StepTooLarge, with
+    `propagate_numeric`'s message, at the first step whose drift is not within
+    NORM_DRIFT_TOL. Returns the amplitudes.
+    """
+    n_full = int(t // step)
+    tail = t - n_full * step
+    psi, time = sys_.initial.amplitudes.copy(), 0.0
+    h_here = sys_.hamiltonian_at(0.0).entries
+    for h in [step] * n_full + ([tail] if tail > 1e-15 else []):
+        h_mid = sys_.hamiltonian_at(time + h / 2).entries
+        h_next = sys_.hamiltonian_at(time + h).entries
+        k1 = -1j * (h_here @ psi)
+        k2 = -1j * (h_mid @ (psi + h / 2 * k1))
+        k3 = -1j * (h_mid @ (psi + h / 2 * k2))
+        k4 = -1j * (h_next @ (psi + h * k3))
+        psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        if not drift <= NORM_DRIFT_TOL:
+            raise StepTooLarge(
+                f"norm drift {drift:.3e} at t={time + h:.6g} exceeds {NORM_DRIFT_TOL}; reduce the step"
+            )
+        psi = psi / np.linalg.norm(psi)
+        time, h_here = time + h, h_next
+    return psi
 
 
 OFF_EQUATOR = PureState([math.cos(math.pi / 6), math.sin(math.pi / 6)])
@@ -138,6 +169,31 @@ class TestPropagateNumeric:
         sys_ = build_ml_family(1.0, 0.8)
         out = propagate_numeric(sys_, 0.0, 1e-3)
         assert fidelity(out, sys_.initial) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(out.amplitudes, sys_.initial.amplitudes)
+
+    def test_matches_the_step_by_step_reference(self):
+        # several 64-step blocks with a tail step, t < step, and a coarse step with a tail
+        rng = np.random.default_rng(29)
+        for dim in (2, 3, 4):
+            sys_ = random_coupled_system(rng, dim)
+            for t, step in [(0.7, 1e-3), (4e-4, 1e-3), (0.1234, 0.01)]:
+                numeric = propagate_numeric(sys_, t, step)
+                assert np.linalg.norm(numeric.amplitudes - rk4_reference(sys_, t, step)) <= 1e-12
+
+    def test_halving_the_step_shrinks_the_error_sixteenfold(self):
+        # fourth order: a lower-order scheme would shrink it 8x or less
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            sys_ = random_coupled_system(rng, int(rng.integers(2, 6)))
+            exact = propagate_exact(sys_, 1.3)
+            coarse, fine = (trace_distance(exact, propagate_numeric(sys_, 1.3, h)) for h in (0.02, 0.01))
+            assert 14.0 <= coarse / fine <= 18.0
+
+    def test_several_blocks_ending_in_a_tail_step(self):
+        rng = np.random.default_rng(33)
+        sys_ = random_coupled_system(rng, 4)
+        numeric = propagate_numeric(sys_, 5.0003, 1e-3)
+        assert trace_distance(numeric, propagate_exact(sys_, 5.0003)) <= 1e-8
 
     def test_matches_exact_on_family(self):
         sys_ = build_ml_family(1.0, math.radians(30.0))
@@ -180,8 +236,30 @@ class TestPropagateNumeric:
     def test_step_too_large(self):
         rng = np.random.default_rng(25)
         sys_ = isolated(random_hermitian(rng, 3, spectral_radius=9.0), random_pure_state(rng, 3))
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepTooLarge, match=re.escape("norm drift 5.265e+00 at t=0.5 exceeds")):
             propagate_numeric(sys_, 5.0, 0.5)
+
+    def test_first_drift_in_a_later_block_is_reported_as_the_loop_reports_it(self):
+        # the weight on the level at 3000 grows 2.27x a step (|R(-3i)| = 1.5), so drift
+        # first passes 1e-6 at step 98: the second 64-step block
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 3000.0]), PureState.normalized([1.0, 1e-20]))
+        with pytest.raises(StepTooLarge) as expected:
+            rk4_reference(sys_, 0.2, 1e-3)
+        with pytest.raises(StepTooLarge, match=re.escape("norm drift 1.797e-06 at t=0.098 exceeds")) as got:
+            propagate_numeric(sys_, 0.2, 1e-3)
+        assert str(got.value) == str(expected.value)
+
+    def test_nan_drift_raises(self):
+        # the step matrix overflows to NaN; NaN compares False with the tolerance
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1e300]), PureState.normalized([1.0, 1.0]))
+        with pytest.raises(StepTooLarge, match=re.escape("norm drift nan at t=0.001 exceeds")):
+            propagate_numeric(sys_, 1e-3, 1e-3)
+
+    def test_overflow_later_in_the_block_keeps_the_first_offending_step(self):
+        # steps from the fourth on overflow to inf and NaN; the second step already drifts
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1e23]), PureState.normalized([1.0, 1e-150]))
+        with pytest.raises(StepTooLarge, match=re.escape("norm drift 1.736e+07 at t=0.002 exceeds")):
+            propagate_numeric(sys_, 1.0, 1e-3)
 
     def test_bad_arguments(self):
         sys_ = build_ml_family(1.0, 0.8)

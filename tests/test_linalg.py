@@ -49,6 +49,16 @@ class TestHermitianOperator:
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN passes the Hermiticity comparison, and inf - inf would warn before it
+        off = complex(1.0, bad)
+        for entries in (np.diag([bad, 1.0]), [[0.0, bad], [bad, 0.0]], [[0.0, off], [off.conjugate(), 0.0]]):
+            with pytest.raises(DomainError, match="non-finite"):
+                HermitianOperator(entries)
+        with pytest.raises(DomainError, match="non-finite"):
+            HermitianOperator.from_diagonal([0.0, bad])
+
     def test_diagonal_matrix_eigensystem(self):
         values, vectors = eigh(DIAG012)
         np.testing.assert_allclose(values, [0.0, 1.0, 2.0], atol=1e-14)
@@ -108,6 +118,16 @@ class TestPureState:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             PureState.normalized([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0), complex(0.0, -math.inf)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # a NaN norm passes the unit-norm comparison
+        with pytest.raises(DomainError, match="non-finite"):
+            PureState([bad, bad])
+        with pytest.raises(DomainError, match="non-finite"):
+            PureState([1.0, bad])
+        with pytest.raises(DomainError, match="non-finite"):
+            PureState.normalized([1.0, bad])
 
 
 class TestUnitaryExp:
