@@ -9,7 +9,6 @@ Mandelstam-Tamm without saturating Bhatia-Davies.
 from .bounds import (
     BoundReport,
     alpha,
-    alpha_grid_oracle,
     bd_closed,
     bd_isolated,
     evaluate_bounds,
@@ -47,21 +46,15 @@ from .evolution import (
     bloch_operators,
     propagate_exact,
     propagate_numeric,
-    rotating_frame,
     sample_trajectory,
 )
 from .linalg import (
     HermitianOperator,
     OccupiedExtrema,
     PureState,
-    commutator_norm,
-    eigh,
     expectation,
-    fidelity,
-    level_occupations,
     occupied_extrema,
     trace_distance,
-    unitary_exp,
     variance,
 )
 from .sweeps import (
@@ -70,7 +63,6 @@ from .sweeps import (
     random_hermitian,
     random_isolated_system,
     random_pure_state,
-    random_saturating_two_level,
     validity_sweep,
 )
 

@@ -104,18 +104,6 @@ def alpha(delta: float) -> float:
     return min(interior, left, right)
 
 
-def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
-    """Independent dense-grid scan of the same objective (no refinement)."""
-    delta = _check_delta(delta)
-    if delta == 0.0:
-        return math.pi / 2.0
-    if delta == 1.0:
-        return 0.0
-    z_max = math.sqrt(delta)
-    grid = np.linspace(-z_max, z_max, points + 1)
-    return float(_ml_objective(grid, delta).min())
-
-
 def time_average(times, values) -> float | list[float]:
     """Trapezoidal quadrature divided by the window length.
 
@@ -127,7 +115,7 @@ def time_average(times, values) -> float | list[float]:
     if t.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1:] != t.shape or t.size < 2:
         raise DomainError("need matching 1-d arrays with at least 2 samples")
     steps = np.diff(t)
-    if np.any(steps < 0):
+    if not np.all(steps >= 0):
         raise DomainError("times must be ascending")
     span = float(t[-1] - t[0])
     if span == 0.0:

@@ -52,7 +52,7 @@ def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     """
     if not (0.0 < theta < math.pi):
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta!r}")
-    if E <= 0.0:
+    if not E > 0.0:
         raise DomainError(f"E must be positive, got {E!r}")
     mu = E / (1.0 - math.cos(theta))
     x, _, z = bloch_operators()
@@ -68,9 +68,9 @@ def choose_theta(delta: float, L: float, margin: float = 0.1) -> float:
     the strict inequality holds by the factor (1+margin).
     """
     delta = _check_delta(delta, below_one=True)
-    if L <= 0.0:
+    if not L > 0.0:
         raise DomainError(f"L must be positive, got {L!r}")
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise DomainError(f"margin must be positive, got {margin!r}")
     c = math.acos(math.sqrt(delta)) / L
     return 2.0 * math.atan(1.0 / (c * (1.0 + margin)))
@@ -88,13 +88,13 @@ class RefutationSpec:
 
     def __post_init__(self):
         _check_delta(self.delta, below_one=True)
-        if self.L <= 0.0 or self.E <= 0.0:
+        if not (self.L > 0.0 and self.E > 0.0):
             raise DomainError("L and E must be positive")
         if not (0.0 < self.theta < math.pi):
             raise DomainError(f"theta must lie strictly inside (0, pi), got {self.theta!r}")
-        if 1.0 / math.tan(self.theta / 2.0) <= math.acos(math.sqrt(self.delta)) / self.L:
+        if not 1.0 / math.tan(self.theta / 2.0) > math.acos(math.sqrt(self.delta)) / self.L:
             raise DomainError("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")
-        if abs(self.mu * (1.0 - math.cos(self.theta)) - self.E) > 1e-12 * max(1.0, self.E):
+        if not abs(self.mu * (1.0 - math.cos(self.theta)) - self.E) <= 1e-12 * max(1.0, self.E):
             raise DomainError("mu * (1 - cos(theta)) must equal E")
 
 

@@ -92,7 +92,7 @@ class HermitianOperator:
 
 
 class PureState:
-    """A unit-norm complex vector, viewable as a rank-1 density operator."""
+    """A unit-norm complex vector."""
 
     def __init__(self, amplitudes):
         vec = _finite(np.array(amplitudes, dtype=np.complex128).reshape(-1), "state")
@@ -120,10 +120,6 @@ class PureState:
     def amplitudes(self) -> np.ndarray:
         return self._amplitudes
 
-    @property
-    def density(self) -> np.ndarray:
-        return np.outer(self._amplitudes, self._amplitudes.conj())
-
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
 
@@ -144,19 +140,6 @@ def _operator_and_state(op, state) -> tuple[HermitianOperator, PureState]:
     return operator, s
 
 
-def eigh(op) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic eigendecomposition; raises NonHermitian on asymmetric input."""
-    return _ensure_operator(op).eig
-
-
-def unitary_exp(op, t: float) -> np.ndarray:
-    """exp(-i * op * t) via the eigendecomposition."""
-    operator = _ensure_operator(op)
-    values, vectors = operator.eig
-    phases = np.exp(-1j * values * float(t))
-    return (vectors * phases) @ vectors.conj().T
-
-
 def expectation(op, state) -> float:
     operator, s = _operator_and_state(op, state)
     vec = s.amplitudes
@@ -170,15 +153,6 @@ def variance(op, state) -> float:
     mean = np.vdot(vec, operator.entries @ vec).real
     residual = operator.entries @ vec - mean * vec
     return float(np.real(np.vdot(residual, residual)))
-
-
-def fidelity(state1, state2) -> float:
-    """|<u1|u2>|^2 for pure states; 1 for equal states up to a global phase."""
-    s1, s2 = _ensure_state(state1), _ensure_state(state2)
-    if s1.dim != s2.dim:
-        raise DimensionMismatch(f"state dims differ: {s1.dim} != {s2.dim}")
-    overlap = np.vdot(s1.amplitudes, s2.amplitudes)
-    return float(overlap.real**2 + overlap.imag**2)
 
 
 def trace_distance(state1, state2) -> float:
@@ -243,12 +217,6 @@ def _state_statistics(op, state, tol: float = OCCUPATION_THRESHOLD) -> EnergySta
     return _energy_statistics(values, np.abs(s.amplitudes @ vectors.conj()) ** 2, tol)
 
 
-def level_occupations(op, state) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct level values (degeneracy-grouped) and their occupation weights."""
-    stats = _state_statistics(op, state)
-    return stats.levels, stats.occupations
-
-
 class OccupiedExtrema(NamedTuple):
     eps_min: float
     eps_max: float
@@ -262,25 +230,9 @@ def occupied_extrema(op, state, tol: float = OCCUPATION_THRESHOLD) -> OccupiedEx
     tol. Raises NoOccupation if every weight is at or below tol, which for a
     valid state can only mean the threshold was set too high.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("occupation threshold must be positive")
     stats = _state_statistics(op, state, tol)
     if not stats.occupied.any():
         raise NoOccupation(f"all level weights <= {tol}; threshold too high")
     return OccupiedExtrema(float(stats.eps_min), float(stats.eps_max), int(stats.occupied.sum()))
-
-
-def _coerce_matrix(obj) -> np.ndarray:
-    if isinstance(obj, HermitianOperator):
-        return obj.entries
-    if isinstance(obj, PureState):
-        return obj.density
-    return _as_complex_matrix(obj)
-
-
-def commutator_norm(a, b) -> float:
-    """Frobenius norm of the commutator ab - ba; zero iff the operands commute."""
-    ma, mb = _coerce_matrix(a), _coerce_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shapes differ: {ma.shape} != {mb.shape}")
-    return float(np.linalg.norm(ma @ mb - mb @ ma))

@@ -66,26 +66,6 @@ def random_isolated_system(rng: np.random.Generator, dim: int) -> RotatedHamilto
     return RotatedHamiltonianSystem(hamiltonian, zero, state)
 
 
-def random_saturating_two_level(rng: np.random.Generator) -> RotatedHamiltonianSystem:
-    """Isolated two-level system whose evolution saturates both bounds.
-
-    Saturation of the Mandelstam-Tamm bound for an isolated system requires
-    an equal-weight superposition of two energy eigenstates, so the initial
-    state is built that way with a random relative phase. The level gap is
-    drawn from [1, 5] directly (random basis and offset) so the evolution
-    speed never degenerates.
-    """
-    _, vectors = random_hermitian(rng, 2).eig
-    gap = rng.uniform(1.0, 5.0)
-    offset = rng.uniform(-2.0, 2.0)
-    values = np.array([offset - gap / 2.0, offset + gap / 2.0])
-    hamiltonian = HermitianOperator((vectors * values) @ vectors.conj().T)
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    state = PureState.normalized(vectors[:, 0] + phase * vectors[:, 1])
-    zero = HermitianOperator(np.zeros((2, 2)))
-    return RotatedHamiltonianSystem(hamiltonian, zero, state)
-
-
 @dataclass
 class SweepRow:
     """One (system, delta) cell of a validity sweep."""

@@ -1,0 +1,104 @@
+"""Reference implementations and fixtures that only the tests use.
+
+The tests check qsl against the references and build systems with a known
+answer from the fixtures. Nothing under src/qsl imports this module, so no
+product path can come to depend on them.
+"""
+
+import math
+
+import numpy as np
+
+from qsl import DimensionMismatch, HermitianOperator, PureState, RotatedHamiltonianSystem
+from qsl.bounds import _check_delta, _ml_objective
+from qsl.linalg import _as_complex_matrix, _ensure_operator, _ensure_state, _state_statistics
+from qsl.sweeps import random_hermitian
+
+
+def unitary_exp(op, t: float) -> np.ndarray:
+    """exp(-i * op * t) via the eigendecomposition."""
+    operator = _ensure_operator(op)
+    values, vectors = operator.eig
+    phases = np.exp(-1j * values * float(t))
+    return (vectors * phases) @ vectors.conj().T
+
+
+def density(state: PureState) -> np.ndarray:
+    """The rank-1 density operator |u><u|."""
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+def hamiltonian_at(sys: RotatedHamiltonianSystem, t: float) -> HermitianOperator:
+    """The instantaneous Hamiltonian exp(-iAt) H exp(+iAt)."""
+    rot = unitary_exp(sys.A, t)
+    return HermitianOperator(rot @ sys.H.entries @ rot.conj().T)
+
+
+def rotating_frame(sys: RotatedHamiltonianSystem, t: float, state_at_t: PureState) -> PureState:
+    """Apply exp(+iAt); the result evolves under the time-independent H - A."""
+    if state_at_t.dim != sys.dim:
+        raise DimensionMismatch(f"state dim {state_at_t.dim} != system dim {sys.dim}")
+    return PureState.normalized(unitary_exp(sys.A, -t) @ state_at_t.amplitudes)
+
+
+def fidelity(state1, state2) -> float:
+    """|<u1|u2>|^2 for pure states; 1 for equal states up to a global phase."""
+    s1, s2 = _ensure_state(state1), _ensure_state(state2)
+    if s1.dim != s2.dim:
+        raise DimensionMismatch(f"state dims differ: {s1.dim} != {s2.dim}")
+    overlap = np.vdot(s1.amplitudes, s2.amplitudes)
+    return float(overlap.real**2 + overlap.imag**2)
+
+
+def level_occupations(op, state) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct level values (degeneracy-grouped) and their occupation weights."""
+    stats = _state_statistics(op, state)
+    return stats.levels, stats.occupations
+
+
+def _coerce_matrix(obj) -> np.ndarray:
+    if isinstance(obj, HermitianOperator):
+        return obj.entries
+    if isinstance(obj, PureState):
+        return density(obj)
+    return _as_complex_matrix(obj)
+
+
+def commutator_norm(a, b) -> float:
+    """Frobenius norm of the commutator ab - ba; zero iff the operands commute."""
+    ma, mb = _coerce_matrix(a), _coerce_matrix(b)
+    if ma.shape != mb.shape:
+        raise DimensionMismatch(f"shapes differ: {ma.shape} != {mb.shape}")
+    return float(np.linalg.norm(ma @ mb - mb @ ma))
+
+
+def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
+    """Independent dense-grid scan of the same objective (no refinement)."""
+    delta = _check_delta(delta)
+    if delta == 0.0:
+        return math.pi / 2.0
+    if delta == 1.0:
+        return 0.0
+    z_max = math.sqrt(delta)
+    grid = np.linspace(-z_max, z_max, points + 1)
+    return float(_ml_objective(grid, delta).min())
+
+
+def random_saturating_two_level(rng: np.random.Generator) -> RotatedHamiltonianSystem:
+    """Isolated two-level system whose evolution saturates both bounds.
+
+    Saturation of the Mandelstam-Tamm bound for an isolated system requires
+    an equal-weight superposition of two energy eigenstates, so the initial
+    state is built that way with a random relative phase. The level gap is
+    drawn from [1, 5] directly (random basis and offset) so the evolution
+    speed never degenerates.
+    """
+    _, vectors = random_hermitian(rng, 2).eig
+    gap = rng.uniform(1.0, 5.0)
+    offset = rng.uniform(-2.0, 2.0)
+    values = np.array([offset - gap / 2.0, offset + gap / 2.0])
+    hamiltonian = HermitianOperator((vectors * values) @ vectors.conj().T)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    state = PureState.normalized(vectors[:, 0] + phase * vectors[:, 1])
+    zero = HermitianOperator(np.zeros((2, 2)))
+    return RotatedHamiltonianSystem(hamiltonian, zero, state)

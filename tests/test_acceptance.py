@@ -14,13 +14,11 @@ from qsl import (
     PureState,
     RotatedHamiltonianSystem,
     alpha,
-    alpha_grid_oracle,
     bd_isolated,
     bd_pointwise_margin,
     build_coupling,
     build_ml_family,
     expectation,
-    fidelity,
     first_passage,
     mt_isolated,
     occupied_extrema,
@@ -38,9 +36,10 @@ from qsl.sweeps import (
     random_isolated_system,
     random_pure_state,
     random_hermitian,
-    random_saturating_two_level,
     validity_sweep,
 )
+
+from oracles import alpha_grid_oracle, density, random_saturating_two_level
 
 DELTAS = tuple(round(0.1 * k, 1) for k in range(10))
 ENERGIES = (0.5, 1.0, 2.0)
@@ -206,7 +205,7 @@ def test_criterion_7_coupling_construction():
         hamiltonian = random_hermitian(rng, dim, spectral_radius=rng.uniform(0.5, 5.0))
         state = random_pure_state(rng, dim)
         coupling = build_coupling(hamiltonian, state)
-        rho = state.density
+        rho = density(state)
         anticomm_residual = coupling.entries @ rho + rho @ coupling.entries - coupling.entries
         worst_anticomm = max(worst_anticomm, float(np.linalg.norm(anticomm_residual)))
         effective = hamiltonian.entries - coupling.entries

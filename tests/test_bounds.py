@@ -16,7 +16,6 @@ from qsl import (
     PureState,
     RotatedHamiltonianSystem,
     alpha,
-    alpha_grid_oracle,
     bd_closed,
     bd_isolated,
     build_coupling,
@@ -38,9 +37,10 @@ from qsl.sweeps import (
     random_coupled_system,
     random_isolated_system,
     random_pure_state,
-    random_saturating_two_level,
     validity_sweep,
 )
+
+from oracles import alpha_grid_oracle, random_saturating_two_level
 
 # frozen from an independent 1e7-point grid scan with bounded refinement
 ALPHA_ORACLE = {

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -461,6 +462,33 @@ def test_readme_lists_every_config_key(kind):
             assert f"default {default}" in text, key
         for op, bound in zip((">=", "<="), bounds):
             assert (f"{op} `{bound}`" if isinstance(bound, str) else f"{op} {bound}") in text, key
+
+
+def test_readme_entry_points_are_public():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library entry points", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = re.findall(r"\bqsl\.(\w+)", block)
+    assert names
+    assert set(names) <= set(qsl.__all__), sorted(set(names) - set(qsl.__all__))
+
+
+# What the CLI and the documented entry points run; test-only references live in tests/oracles.py.
+PUBLIC_NAMES = [
+    "BoundReport", "ConfigError", "DegenerateInterval", "DimensionMismatch", "DomainError",
+    "HermitianOperator", "InsufficientLevels", "NoOccupation", "NonHermitian", "NotReached",
+    "OccupiedExtrema", "PureState", "QslError", "RefutationReport", "RefutationSpec",
+    "RotatedHamiltonianSystem", "StepTooLarge", "SweepRow", "Trajectory", "alpha", "bd_closed",
+    "bd_isolated", "bd_pointwise_margin", "bloch_operators", "build_coupling", "build_ml_family",
+    "choose_theta", "evaluate_bounds", "expectation", "first_passage", "ml_isolated", "mt_closed",
+    "mt_isolated", "occupied_extrema", "propagate_exact", "propagate_numeric", "random_coupled_system",
+    "random_hermitian", "random_isolated_system", "random_pure_state", "run_bd_nonsaturation",
+    "run_ml_refutation", "sample_trajectory", "time_average", "trace_distance", "validity_sweep",
+    "variance",
+]
+
+
+def test_public_surface():
+    assert qsl.__all__ == PUBLIC_NAMES
 
 
 def _refutation_not_violated(*args, **kwargs):

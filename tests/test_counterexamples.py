@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from qsl import (
     build_coupling,
     build_ml_family,
     choose_theta,
-    commutator_norm,
+    occupied_extrema,
     run_bd_nonsaturation,
     run_ml_refutation,
     sample_trajectory,
+    time_average,
     variance,
 )
 from qsl.sweeps import random_hermitian, random_pure_state
+
+from oracles import commutator_norm, density
 
 
 class TestBuildCoupling:
@@ -32,7 +36,7 @@ class TestBuildCoupling:
             hamiltonian = random_hermitian(rng, dim, spectral_radius=rng.uniform(0.5, 5.0))
             state = random_pure_state(rng, dim)
             coupling = build_coupling(hamiltonian, state)
-            rho = state.density
+            rho = density(state)
             anticomm = coupling.entries @ rho + rho @ coupling.entries - coupling.entries
             worst_anticomm = max(worst_anticomm, float(np.linalg.norm(anticomm)))
             effective = hamiltonian.entries - coupling.entries
@@ -55,7 +59,7 @@ class TestBuildCoupling:
         hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0, 2.0])
         state = PureState.normalized([1.0, 1.0, 1.0])
         coupling = build_coupling(hamiltonian, state)
-        rho = state.density
+        rho = density(state)
         assert np.linalg.norm(coupling.entries @ rho + rho @ coupling.entries - coupling.entries) <= 1e-10
         assert commutator_norm(hamiltonian.entries - coupling.entries, state) <= 1e-10
         # the effective Hamiltonian fixes the initial state with eigenvalue <H>
@@ -145,6 +149,28 @@ class TestRefutationSpec:
     def test_mu_consistency_enforced(self):
         with pytest.raises(DomainError):
             RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=math.pi / 3, mu=3.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: choose_theta(0.5, math.nan), "L must be positive, got nan"),
+        (lambda: choose_theta(0.5, 1.0, math.nan), "margin must be positive, got nan"),
+        (lambda: build_ml_family(math.nan, 0.8), "E must be positive, got nan"),
+        (lambda: RefutationSpec(0.5, math.nan, 1.0, 0.8, 1.0 / (1.0 - math.cos(0.8))), "L and E must be positive"),
+        (lambda: RefutationSpec(0.5, 1.0, math.nan, 0.8, 1.0 / (1.0 - math.cos(0.8))), "L and E must be positive"),
+        (lambda: RefutationSpec(0.5, 1.0, 1.0, 0.8, math.nan), "must equal E"),
+        (lambda: occupied_extrema(HermitianOperator.from_diagonal([0.0, 1.0]), PureState([1.0, 0.0]), math.nan),
+         "occupation threshold must be positive"),
+        (lambda: time_average([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]), "times must be ascending"),
+    ],
+    ids=["choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "spec-mu",
+         "occupied_extrema-tol", "time_average-times"],
+)
+def test_nan_fails_the_positive_checks(call, message):
+    # NaN compares False with everything: each check must be written to fail on it
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
 class TestRunMlRefutation:

