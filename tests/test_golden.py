@@ -27,9 +27,12 @@ CASES = {
     "refute_ml": "trajectory",
     "bd_gap_csv": "trajectory",
     "bd_gap_5level": "trajectory",
+    "bd_gap_t_max": "trajectory",
     "trajectory_rotating": "trajectory",
+    "trajectory_schrodinger": "trajectory",
     "alpha_table": "alpha",
     "alpha_table_json": "alpha",
+    "alpha_table_grid": "alpha",
     "validity_sweep": "sweep",
     "validity_sweep_full": "sweep",
     "validity_sweep_json": "sweep",
