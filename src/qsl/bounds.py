@@ -123,11 +123,16 @@ def time_average(times, values) -> float | list[float]:
     return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * steps, axis=-1) / span).tolist()
 
 
+def _angle(delta: float) -> float:
+    """Fubini-Study distance arccos(sqrt(delta)) from a state to fidelity delta."""
+    return math.acos(math.sqrt(delta))
+
+
 def _over(delta: float, rate: float) -> float:
     """Fubini-Study distance arccos(sqrt(delta)) over rate; inf when the rate vanishes."""
     if rate <= ZERO_DENOMINATOR:
         return math.inf
-    return math.acos(math.sqrt(delta)) / rate
+    return _angle(delta) / rate
 
 
 @lru_cache(maxsize=64)
@@ -206,8 +211,8 @@ def first_passage(
         return 0.0
     fidelities = fidelity_function(sys)
     times, fids = sys.evaluator.scan(t_max, samples)
-    target = 2.0 * math.acos(math.sqrt(delta)) * (1.0 - PASSAGE_SLACK)
-    speed = sys.initial_statistics.energy_uncertainty if sys.evaluator.a_is_zero else sys.H.spectral_width / 2.0
+    target = 2.0 * _angle(delta) * (1.0 - PASSAGE_SLACK)
+    speed = sys.initial_statistics.energy_uncertainty if sys.is_isolated else sys.H.spectral_width / 2.0
     # Each row of t is one interval cut into equal parts; f holds the fidelities there.
     t, f, resume = times[None, :], fids[None, :], None
     while True:
@@ -272,37 +277,32 @@ def evaluate_bounds(
     sys: RotatedHamiltonianSystem,
     delta: float,
     *,
-    t_max: float | None = None,
+    tau: float,
     samples: int = 1000,
-    tau: float | None = None,
 ) -> BoundReport:
-    """Measure the first-passage time to delta and evaluate every bound.
+    """Evaluate every bound at fidelity delta against the measured time tau.
 
-    Time averages run over [0, tau], the window the bounds are compared
-    against. The Margolus-Levitin bound is reported only for isolated
-    systems (A = 0), where it is known to hold. Pass tau to reuse an
-    already measured first-passage time.
+    tau is the first-passage time that `first_passage` measured. Time
+    averages run over [0, tau], the window the bounds are compared against.
+    The Margolus-Levitin bound is reported only for isolated systems
+    (`is_isolated`: A exactly zero), where it is known to hold.
     """
     delta = _check_delta(delta)
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
+    if not 0.0 <= tau < math.inf:
+        raise DomainError(f"tau must be nonnegative and finite, got {tau!r}")
     stats = sys.initial_statistics
     spread, factor, norm_energy = map(float, (stats.energy_uncertainty, _bd_factor(stats), stats.norm_energy))
-    if delta == 1.0:
-        # tau = 0: averages over the one-point window are the initial values
-        tau, avg_unc, avg_bdf, avg_norm = 0.0, spread, factor, norm_energy
+    if tau == 0.0:
+        # averages over the one-point window are the initial values
+        avg_unc, avg_bdf, avg_norm = spread, factor, norm_energy
     else:
-        if tau is None:
-            if t_max is None:
-                if spread <= ZERO_DENOMINATOR:
-                    raise DomainError("provide t_max explicitly for a stationary initial state")
-                t_max = 4.0 * math.pi / spread
-            tau = first_passage(sys, delta, t_max)
         traj = sample_trajectory(sys, tau, samples)
         rates = traj.stats.energy_uncertainty, _bd_factor(traj.stats), traj.stats.norm_energy
         avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(rates))
     return BoundReport(
         delta=delta,
-        tau_actual=tau,
+        tau_actual=float(tau),
         mt=_over(delta, spread),
         ml=_ml(delta, norm_energy) if sys.is_isolated else None,
         bd=_over(delta, factor),

@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import alpha
+from .bounds import _angle, alpha
 from .counterexamples import (
     bd_pointwise_margin,
     build_coupling,
@@ -311,7 +311,7 @@ def cmd_trajectory(p: dict) -> tuple[dict, str, dict]:
 def cmd_alpha_table(p: dict) -> tuple[dict, str, dict]:
     deltas = p["deltas"] or list(np.linspace(0.0, 1.0, p["grid_points"]))
     alphas = [alpha(delta) for delta in deltas]  # validates every delta first
-    arccos = [math.acos(math.sqrt(delta)) for delta in deltas]
+    arccos = [_angle(delta) for delta in deltas]
     endpoint = [(1.0 - math.sqrt(delta)) * math.pi / 2.0 for delta in deltas]
     by_delta = [value for _, value in sorted(zip(deltas, alphas), key=lambda pair: pair[0])]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(by_delta, by_delta[1:]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import VALIDITY_SLACK, BoundReport, _check_delta, evaluate_bounds, first_passage, mt_closed
+from .bounds import VALIDITY_SLACK, BoundReport, _angle, _check_delta, evaluate_bounds, first_passage, mt_closed
 from .errors import DomainError, InsufficientLevels
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
 from .linalg import HermitianOperator, PureState, _operator_and_state, expectation
@@ -72,7 +72,7 @@ def choose_theta(delta: float, L: float, margin: float = 0.1) -> float:
         raise DomainError(f"L must be positive, got {L!r}")
     if not margin > 0.0:
         raise DomainError(f"margin must be positive, got {margin!r}")
-    c = math.acos(math.sqrt(delta)) / L
+    c = _angle(delta) / L
     return 2.0 * math.atan(1.0 / (c * (1.0 + margin)))
 
 
@@ -92,7 +92,7 @@ class RefutationSpec:
             raise DomainError("L and E must be positive")
         if not (0.0 < self.theta < math.pi):
             raise DomainError(f"theta must lie strictly inside (0, pi), got {self.theta!r}")
-        if not 1.0 / math.tan(self.theta / 2.0) > math.acos(math.sqrt(self.delta)) / self.L:
+        if not 1.0 / math.tan(self.theta / 2.0) > _angle(self.delta) / self.L:
             raise DomainError("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")
         if not abs(self.mu * (1.0 - math.cos(self.theta)) - self.E) <= 1e-12 * max(1.0, self.E):
             raise DomainError("mu * (1 - cos(theta)) must equal E")
@@ -138,7 +138,7 @@ def run_ml_refutation(
     margins = {
         "violation": float(hypothetical - tau),
         "mt_saturation": float(abs(tau - mt_bar)),
-        "angle_condition": 1.0 / math.tan(theta / 2.0) - math.acos(math.sqrt(delta)) / L,
+        "angle_condition": 1.0 / math.tan(theta / 2.0) - _angle(delta) / L,
     }
     return RefutationReport(
         spec=spec,
@@ -170,7 +170,7 @@ def run_bd_nonsaturation(
 
     Requires an initial state occupying at least three distinct levels of H;
     the coupling construction then drives a geodesic whose Bhatia-Davies
-    inequality is strict at every sample.
+    inequality is strict at every sample. tau is searched on [0, t_max] (default pi/dH).
     """
     delta = _check_delta(delta, below_one=True)
     operator, u = _operator_and_state(H, state)
@@ -178,5 +178,5 @@ def run_bd_nonsaturation(
     stats = sys.initial_statistics
     if stats.occupied.sum() < 3:
         raise InsufficientLevels(f"initial state occupies {stats.occupied.sum()} levels; need at least 3")
-    t_max = math.pi / stats.energy_uncertainty if t_max is None else t_max
-    return evaluate_bounds(sys, delta, t_max=t_max, samples=samples)
+    tau = first_passage(sys, delta, math.pi / stats.energy_uncertainty if t_max is None else t_max)
+    return evaluate_bounds(sys, delta, tau=tau, samples=samples)

@@ -101,9 +101,8 @@ class RotatedHamiltonianSystem:
 
     @cached_property
     def is_isolated(self) -> bool:
-        return float(np.linalg.norm(self.A.entries)) <= 1e-14 * (
-            1.0 + float(np.linalg.norm(self.H.entries))
-        )
+        """A is exactly zero: the one test of isolation, for ML, the certificate and the propagator."""
+        return not np.any(self.A.entries)
 
     @cached_property
     def initial_statistics(self) -> EnergyStatistics:
@@ -132,8 +131,8 @@ class _SpectralEvaluator:
     Rotating frame: phi_t = W exp(-i mu t) c0 with c0 = W^dagger u0.
     Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t. Fidelities
     take <u0|psi_t> in the eigenbasis of A, as the product of (V^dagger u0)^dagger,
-    exp(-i a t), V^dagger W and exp(-i mu t) c0, without forming psi_t. When A
-    is exactly zero, a = 0 and V = I: both maps skip exp(-i a t), and the
+    exp(-i a t), V^dagger W and exp(-i mu t) c0, without forming psi_t. For an
+    isolated system, a = 0 and V = I: both maps skip exp(-i a t), and the
     general formula would reproduce their numbers bit for bit. The skip is for
     speed: isolated systems are 30% of the default sweep, and a 100-system
     all-isolated `validity_sweep` on one BLAS thread took 1.10-1.41 s with it
@@ -145,7 +144,7 @@ class _SpectralEvaluator:
         self.a, self.V = _centred_eig(sys.A)
         self.u0 = sys.initial.amplitudes
         self.c0 = self.W.conj().T @ self.u0
-        self.a_is_zero = not np.any(sys.A.entries)
+        self._isolated = sys.is_isolated
         self._mix = self.W.T @ self.V.conj()
         self._probe = self.V.T @ self.u0.conj()
         # A global phase of either factor drops out of fidelities: phases about the
@@ -158,7 +157,7 @@ class _SpectralEvaluator:
         """Rotating-frame and Schroedinger states at the given times, one per row."""
         times = np.asarray(times, dtype=float)
         phi = (np.exp(np.outer(times, -1j * self.mu)) * self.c0) @ self.W.T
-        if self.a_is_zero:
+        if self._isolated:
             return phi, phi
         d = phi @ self.V.conj()
         psi = (np.exp(np.outer(times, -1j * self.a)) * d) @ self.V.T
@@ -168,7 +167,7 @@ class _SpectralEvaluator:
         """|<u0|psi_t>|^2 at each of the given times, without forming the states."""
         times = np.asarray(times, dtype=float)
         mixed = (np.exp(times[:, None] * self._rate_mu) * self.c0) @ self._mix
-        if not self.a_is_zero:
+        if not self._isolated:
             mixed *= np.exp(times[:, None] * self._rate_a)
         overlaps = mixed @ self._probe
         return overlaps.real**2 + overlaps.imag**2

@@ -105,12 +105,17 @@ class PureState:
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
-        """Build a state from an unnormalized vector."""
-        vec = _finite(np.asarray(amplitudes, dtype=np.complex128).reshape(-1), "state")
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        """Build a state from an unnormalized vector.
+
+        Dividing first by the power of two of the largest real or imaginary part
+        is exact, and keeps the norm's squares from underflowing or overflowing.
+        """
+        parts = _finite(np.array(amplitudes, dtype=np.complex128).reshape(-1), "state").view(np.float64)
+        peak = np.abs(parts).max(initial=0.0)
+        if peak == 0.0:
             raise DomainError("cannot normalize the zero vector")
-        return cls(vec / norm)
+        vec = np.ldexp(parts, -np.frexp(peak)[1]).view(np.complex128)
+        return cls(vec / np.linalg.norm(vec))
 
     @property
     def dim(self) -> int:

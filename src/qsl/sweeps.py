@@ -98,12 +98,14 @@ def validity_sweep(
     finite bound exceeds the measured first-passage time by more than the
     validity slack). Cells whose target fidelity is never reached are
     recorded with reached=False and do not count as violations. Every
-    delta, and 2 <= dim_range[0] <= dim_range[1], is checked before the
-    first system is built.
+    delta, 2 <= dim_range[0] <= dim_range[1] and 0 <= isolated_fraction <= 1
+    are checked before the first system is built.
     """
     deltas = tuple(map(_check_delta, deltas))
     if not 2 <= dim_range[0] <= dim_range[1]:
         raise DomainError(f"dim_range must satisfy 2 <= low <= high, got {dim_range!r}")
+    if not 0.0 <= isolated_fraction <= 1.0:
+        raise DomainError(f"isolated_fraction must lie in [0, 1], got {isolated_fraction!r}")
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     violations = 0

@@ -386,8 +386,10 @@ class TestClosedBounds:
         )
         traj = sample_trajectory(sys_, 1.0, 100)
         assert mt_closed(traj, 0.5) == math.inf
-        with pytest.raises(DomainError):
-            evaluate_bounds(sys_, 0.5)  # no t_max can be derived from a zero uncertainty
+        report = evaluate_bounds(sys_, 0.5, tau=1.0)
+        assert report.mt == report.mt_closed == math.inf
+        with pytest.raises(NotReached):
+            first_passage(sys_, 0.5, 100.0)
 
     def test_closed_bounds_are_the_report_fields(self):
         rng = np.random.default_rng(41)
@@ -404,7 +406,7 @@ class TestClosedBounds:
         hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0, 2.0])
         state = PureState.normalized([1.0, 1.0, 1.0])
         sys_ = RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, state), state)
-        report = evaluate_bounds(sys_, 0.3)
+        report = evaluate_bounds(sys_, 0.3, tau=first_passage(sys_, 0.3, 10.0))
         assert report.mt_closed >= report.bd_closed - 1e-12
         assert not report.violations()
         assert report.ml is None
@@ -413,17 +415,39 @@ class TestClosedBounds:
         sys_ = isolated(
             HermitianOperator.from_diagonal([0.0, 1.0]), PureState.normalized([1.0, 1.0])
         )
-        report = evaluate_bounds(sys_, 0.4, t_max=10.0)
+        report = evaluate_bounds(sys_, 0.4, tau=first_passage(sys_, 0.4, 10.0))
         assert report.ml is not None
         assert not report.violations()
 
     def test_delta_one_report(self):
         sys_ = build_ml_family(1.0, 0.9)
-        report = evaluate_bounds(sys_, 1.0)
+        report = evaluate_bounds(sys_, 1.0, tau=first_passage(sys_, 1.0, 1.0))
         assert report.tau_actual == 0.0
         assert report.mt == 0.0
         assert report.mt_closed == 0.0
         assert not report.violations()
+
+    def test_tau_zero_is_the_one_point_window(self):
+        sys_ = build_ml_family(1.0, 0.9)
+        report = evaluate_bounds(sys_, 0.5, tau=0.0)
+        stats = sys_.initial_statistics
+        assert report.tau_actual == 0.0
+        assert report.avg_uncertainty == float(stats.energy_uncertainty)
+        assert report.mt_closed == report.mt
+        assert report.bd_closed == report.bd
+        assert report.violations()  # any positive bound refutes a zero time
+
+    def test_tau_is_a_required_measured_time(self):
+        sys_ = build_ml_family(1.0, 0.9)
+        with pytest.raises(TypeError):
+            evaluate_bounds(sys_, 0.5)
+        with pytest.raises(TypeError):
+            evaluate_bounds(sys_, 0.5, t_max=2.0)
+        with pytest.raises(TypeError):
+            evaluate_bounds(sys_, 0.5, tau=1.0, t_max=2.0)
+        for tau in (-1e-300, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="tau must be nonnegative and finite"):
+                evaluate_bounds(sys_, 0.5, tau=tau)
 
 
 class TestBoundReport:
@@ -473,6 +497,15 @@ class TestValiditySweep:
         monkeypatch.setattr(qsl.sweeps, "first_passage", counted)
         with pytest.raises(DomainError):
             validity_sweep(n_systems=3, deltas=(0.1, 1.5))
+        assert calls == []
+
+    @pytest.mark.parametrize("fraction", [math.nan, -0.1, 7.0])
+    def test_isolated_fraction_checked_before_the_first_system(self, fraction, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qsl.sweeps, "random_isolated_system", lambda *args: calls.append(args))
+        monkeypatch.setattr(qsl.sweeps, "random_coupled_system", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="isolated_fraction must lie in"):
+            validity_sweep(n_systems=3, deltas=(0.5,), isolated_fraction=fraction)
         assert calls == []
 
     def test_one_scan_per_system(self, monkeypatch):

@@ -142,7 +142,7 @@ class TestSpectralEvaluator:
         for dim in (2, 3, 6):
             sys_ = random_isolated_system(np.random.default_rng(dim), dim)
             ev = sys_.evaluator
-            assert ev.a_is_zero
+            assert sys_.is_isolated
             phi, psi, fids = general_formula(ev, self.TIMES, np.zeros(dim), np.eye(dim, dtype=complex))
             got_phi, got_psi = ev.states(self.TIMES)
             assert np.array_equal(got_phi, phi)
@@ -155,12 +155,14 @@ class TestSpectralEvaluator:
         tiny = HermitianOperator(1e-20 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         sys_ = RotatedHamiltonianSystem(base.H, tiny, base.initial)
         ev = sys_.evaluator
-        assert sys_.is_isolated and not ev.a_is_zero
+        assert not sys_.is_isolated
         phi, psi, fids = general_formula(ev, self.TIMES, ev.a, ev.V)
         got_phi, got_psi = ev.states(self.TIMES)
         assert np.array_equal(got_phi, phi)
         assert np.array_equal(got_psi, psi)
         assert np.array_equal(ev.fidelities(self.TIMES), fids)
+        # the same exact test decides the bounds: no ML bound for a coupled system
+        assert evaluate_bounds(sys_, 0.5, tau=1.0).ml is None
 
 
 class TestPropagateNumeric:
@@ -323,9 +325,9 @@ class TestSampleTrajectory:
             with pytest.raises(DomainError, match="need at least 2 sampling intervals"):
                 sample_trajectory(sys_, 1.0, n)
         for samples in (2.5, -4, True):
-            for delta in (0.5, 1.0):
+            for delta, tau in ((0.5, 1.0), (1.0, 0.0)):
                 with pytest.raises(DomainError, match="need at least 2 sampling intervals"):
-                    evaluate_bounds(sys_, delta, samples=samples)
+                    evaluate_bounds(sys_, delta, tau=tau, samples=samples)
         assert sample_trajectory(sys_, 1.0, np.int64(4)).n_samples == 5
         with pytest.raises(DomainError):
             sample_trajectory(sys_, 1.0, 10, frame="interaction")

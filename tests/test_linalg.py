@@ -112,6 +112,23 @@ class TestPureState:
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert abs(np.trace(rho @ rho) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("amplitudes, unit", [
+        ([1e-200, 1e-200], [1.0, 1.0]),
+        ([1e200, 1e200], [1.0, 1.0]),
+        ([1e-160, 1e-161], [10.0, 1.0]),
+        ([1e-310j, 0.0], [1j, 0.0]),
+    ])
+    def test_normalized_at_extreme_scales(self, amplitudes, unit):
+        # squared entries under- or overflow unless the vector is scaled first
+        expected = np.array(unit) / np.linalg.norm(unit)
+        np.testing.assert_allclose(PureState.normalized(amplitudes).amplitudes, expected, rtol=1e-15, atol=0.0)
+
+    def test_normalized_scaling_is_exact(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+            assert np.array_equal(PureState.normalized(vec).amplitudes, PureState(vec / np.linalg.norm(vec)).amplitudes)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             PureState.normalized([0.0, 0.0])
