@@ -443,8 +443,6 @@ class TestClosedBounds:
             evaluate_bounds(sys_, 0.5)
         with pytest.raises(TypeError):
             evaluate_bounds(sys_, 0.5, t_max=2.0)
-        with pytest.raises(TypeError):
-            evaluate_bounds(sys_, 0.5, tau=1.0, t_max=2.0)
         for tau in (-1e-300, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="tau must be nonnegative and finite"):
                 evaluate_bounds(sys_, 0.5, tau=tau)
