@@ -9,13 +9,8 @@ Mandelstam-Tamm without saturating Bhatia-Davies.
 from .bounds import (
     BoundReport,
     alpha,
-    bd_closed,
-    bd_isolated,
     evaluate_bounds,
     first_passage,
-    ml_isolated,
-    mt_closed,
-    mt_isolated,
     time_average,
 )
 from .counterexamples import (
@@ -34,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InsufficientLevels,
-    NoOccupation,
     NonHermitian,
     NotReached,
     QslError,
@@ -50,10 +44,8 @@ from .evolution import (
 )
 from .linalg import (
     HermitianOperator,
-    OccupiedExtrema,
     PureState,
     expectation,
-    occupied_extrema,
     trace_distance,
     variance,
 )

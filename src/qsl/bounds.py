@@ -1,9 +1,10 @@
 """Speed-limit bounds, time averages, and first-passage times.
 
-Five bounds are evaluated: the Mandelstam-Tamm and Bhatia-Davies bounds in
-their instantaneous (isolated) and time-averaged (closed) forms, and the
-Margolus-Levitin bound for isolated systems. Infinite bounds (stationary or
-single-level states) are returned as math.inf rather than raised.
+`evaluate_bounds` evaluates five bounds into one `BoundReport`: the
+Mandelstam-Tamm and Bhatia-Davies bounds in their instantaneous (isolated)
+and time-averaged (closed) forms, and the Margolus-Levitin bound for isolated
+systems. Infinite bounds (stationary or single-level states) are returned as
+math.inf rather than raised.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInterval, DomainError, NotReached
-from .evolution import (
-    RotatedHamiltonianSystem,
-    Trajectory,
-    _check_count,
-    fidelity_function,
-    sample_trajectory,
-)
-from .linalg import EnergyStatistics, _state_statistics
+from .evolution import RotatedHamiltonianSystem, _check_count, fidelity_function, sample_trajectory
+from .linalg import EnergyStatistics
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -151,31 +146,6 @@ def _ml(delta: float, norm_energy: float) -> float:
 def _bd_factor(stats: EnergyStatistics):
     """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics."""
     return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
-
-
-def mt_isolated(H, state, delta: float) -> float:
-    """arccos(sqrt(delta)) / energy uncertainty; inf for a stationary state."""
-    return _over(_check_delta(delta), float(_state_statistics(H, state).energy_uncertainty))
-
-
-def mt_closed(traj: Trajectory, delta: float) -> float:
-    """arccos(sqrt(delta)) over the time-averaged energy uncertainty."""
-    return _over(_check_delta(delta), time_average(traj.times, traj.stats.energy_uncertainty))
-
-
-def ml_isolated(H, state, delta: float) -> float:
-    """alpha(delta) over the normalized expected energy; inf on a bottom eigenstate."""
-    return _ml(_check_delta(delta), float(_state_statistics(H, state).norm_energy))
-
-
-def bd_isolated(H, state, delta: float) -> float:
-    """arccos(sqrt(delta)) over the geometric mean of the two energy distances."""
-    return _over(_check_delta(delta), float(_bd_factor(_state_statistics(H, state))))
-
-
-def bd_closed(traj: Trajectory, delta: float) -> float:
-    """arccos(sqrt(delta)) over the time-averaged per-sample geometric mean."""
-    return _over(_check_delta(delta), time_average(traj.times, _bd_factor(traj.stats)))
 
 
 def first_passage(

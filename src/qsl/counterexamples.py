@@ -20,7 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import VALIDITY_SLACK, BoundReport, _angle, _check_delta, evaluate_bounds, first_passage, mt_closed
+from .bounds import (
+    VALIDITY_SLACK,
+    BoundReport,
+    _angle,
+    _check_delta,
+    _over,
+    evaluate_bounds,
+    first_passage,
+    time_average,
+)
 from .errors import DomainError, InsufficientLevels
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
 from .linalg import HermitianOperator, PureState, _operator_and_state, expectation
@@ -132,7 +141,8 @@ def run_ml_refutation(
     uncertainty = E / math.tan(theta / 2.0)
     tau = first_passage(sys, delta, math.pi / uncertainty)
     traj = sample_trajectory(sys, tau, samples)
-    mt_bar = mt_closed(traj, delta)
+    # evaluate_bounds' mt_closed, from the trajectory sampled here rather than a second one
+    mt_bar = _over(_check_delta(delta), time_average(traj.times, traj.stats.energy_uncertainty))
     hypothetical = L / E
     spec = RefutationSpec(delta=delta, L=L, E=E, theta=theta, mu=E / (1.0 - math.cos(theta)))
     margins = {

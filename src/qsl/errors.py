@@ -17,10 +17,6 @@ class DomainError(QslError):
     """Argument outside its allowed range: a bad scalar, or a non-finite matrix or state entry."""
 
 
-class NoOccupation(QslError):
-    """No energy level carries weight above the occupation threshold."""
-
-
 class StepTooLarge(QslError):
     """Integrator norm drift exceeded the allowed tolerance before renormalization."""
 

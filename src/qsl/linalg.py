@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NoOccupation, NonHermitian
+from .errors import DimensionMismatch, DomainError, NonHermitian
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -75,16 +75,8 @@ class HermitianOperator:
         return values, _fix_phases(vectors)
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eig[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.eig[1]
-
-    @property
     def spectral_width(self) -> float:
-        values = self.eigenvalues
+        values = self.eig[0]
         return float(values[-1] - values[0])
 
     def __repr__(self) -> str:
@@ -189,14 +181,14 @@ class EnergyStatistics(NamedTuple):
     dual_norm_energy: np.ndarray
 
 
-def _energy_statistics(values, weights, tol: float = OCCUPATION_THRESHOLD) -> EnergyStatistics:
+def _energy_statistics(values, weights) -> EnergyStatistics:
     """Mean, spread, level occupations and occupied extrema, one row of weights per state.
 
     `values` are an operator's ascending eigenvalues and `weights[..., k]` a
     state's weight on the k-th eigenvector; a 1-d `weights` is one state.
     Every state shares `levels`, the degeneracy-grouped eigenvalues. A level
-    is occupied when its weight exceeds tol, as `occupied` marks, and
-    eps_min/eps_max are the extreme ones (inf/-inf when none is).
+    is occupied when its weight exceeds OCCUPATION_THRESHOLD, as `occupied`
+    marks, and eps_min/eps_max are the extreme ones (inf/-inf when none is).
     """
     mean = weights @ values
     # centered second moment: no cancellation noise for near-stationary states
@@ -207,7 +199,7 @@ def _energy_statistics(values, weights, tol: float = OCCUPATION_THRESHOLD) -> En
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap_tol)
     levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
     occupations = np.add.reduceat(weights, starts, axis=-1)
-    occupied = occupations > tol
+    occupied = occupations > OCCUPATION_THRESHOLD
     eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
     eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)
     return EnergyStatistics(
@@ -215,29 +207,8 @@ def _energy_statistics(values, weights, tol: float = OCCUPATION_THRESHOLD) -> En
     )
 
 
-def _state_statistics(op, state, tol: float = OCCUPATION_THRESHOLD) -> EnergyStatistics:
+def _state_statistics(op, state) -> EnergyStatistics:
     """The statistics of op in one state, from op's eigenbasis."""
     operator, s = _operator_and_state(op, state)
     values, vectors = operator.eig
-    return _energy_statistics(values, np.abs(s.amplitudes @ vectors.conj()) ** 2, tol)
-
-
-class OccupiedExtrema(NamedTuple):
-    eps_min: float
-    eps_max: float
-    occupied_count: int
-
-
-def occupied_extrema(op, state, tol: float = OCCUPATION_THRESHOLD) -> OccupiedExtrema:
-    """Smallest and largest occupied energy, and the occupied level count.
-
-    A level counts as occupied when its eigenspace-projected weight exceeds
-    tol. Raises NoOccupation if every weight is at or below tol, which for a
-    valid state can only mean the threshold was set too high.
-    """
-    if not tol > 0:
-        raise DomainError("occupation threshold must be positive")
-    stats = _state_statistics(op, state, tol)
-    if not stats.occupied.any():
-        raise NoOccupation(f"all level weights <= {tol}; threshold too high")
-    return OccupiedExtrema(float(stats.eps_min), float(stats.eps_max), int(stats.occupied.sum()))
+    return _energy_statistics(values, np.abs(s.amplitudes @ vectors.conj()) ** 2)

@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage
 from .counterexamples import build_coupling
 from .errors import DomainError, NotReached
-from .evolution import RotatedHamiltonianSystem
+from .evolution import RotatedHamiltonianSystem, _check_count
 from .linalg import HermitianOperator, PureState, variance
 
 DEFAULT_DELTAS = tuple(round(0.1 * k, 1) for k in range(10))
@@ -98,19 +98,23 @@ def validity_sweep(
     finite bound exceeds the measured first-passage time by more than the
     validity slack). Cells whose target fidelity is never reached are
     recorded with reached=False and do not count as violations. Every
-    delta, 2 <= dim_range[0] <= dim_range[1] and 0 <= isolated_fraction <= 1
-    are checked before the first system is built.
+    delta, n_systems (an integer >= 1), dim_range (integers with
+    2 <= low <= high), samples (an integer >= 2) and 0 <= isolated_fraction
+    <= 1 are checked before the first system is built.
     """
     deltas = tuple(map(_check_delta, deltas))
-    if not 2 <= dim_range[0] <= dim_range[1]:
+    n_systems = _check_count(n_systems, 1, "n_systems must be an integer >= 1, got {!r}")
+    low, high = (_check_count(d, 2, "dim_range entries must be integers >= 2, got {!r}") for d in dim_range)
+    if not low <= high:
         raise DomainError(f"dim_range must satisfy 2 <= low <= high, got {dim_range!r}")
+    samples = _check_count(samples, 2, "need at least 2 sampling intervals")
     if not 0.0 <= isolated_fraction <= 1.0:
         raise DomainError(f"isolated_fraction must lie in [0, 1], got {isolated_fraction!r}")
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     violations = 0
     for index in range(n_systems):
-        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        dim = int(rng.integers(low, high + 1))
         isolated = rng.uniform() < isolated_fraction
         if isolated:
             sys = random_isolated_system(rng, dim)

@@ -14,14 +14,12 @@ from qsl import (
     PureState,
     RotatedHamiltonianSystem,
     alpha,
-    bd_isolated,
     bd_pointwise_margin,
     build_coupling,
     build_ml_family,
+    evaluate_bounds,
     expectation,
     first_passage,
-    mt_isolated,
-    occupied_extrema,
     propagate_exact,
     propagate_numeric,
     run_bd_nonsaturation,
@@ -124,11 +122,11 @@ def test_criterion_4_simultaneous_saturation_isolated():
     for k in range(100):
         sys_ = random_saturating_two_level(rng)
         delta = DELTAS[k % len(DELTAS)]
-        mt = mt_isolated(sys_.H, sys_.initial, delta)
-        bd = bd_isolated(sys_.H, sys_.initial, delta)
-        worst_pair = max(worst_pair, abs(mt - bd))
         spread = math.sqrt(variance(sys_.H, sys_.initial))
         tau = first_passage(sys_, delta, 1.05 * math.pi / spread)
+        report = evaluate_bounds(sys_, delta, tau=tau)
+        mt, bd = report.mt, report.bd
+        worst_pair = max(worst_pair, abs(mt - bd))
         worst_tau = max(worst_tau, abs(mt - tau), abs(bd - tau))
     ok = worst_pair <= 1e-10 and worst_tau <= 1e-8
     report_line(
@@ -232,7 +230,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
             worst_uncertainty = max(
                 worst_uncertainty, abs(spread - energy / math.tan(theta / 2.0))
             )
-            eps_min, _, _ = occupied_extrema(sys_.H, sys_.initial)
+            eps_min = sys_.initial_statistics.eps_min
             worst_energy = max(
                 worst_energy, abs(expectation(sys_.H, sys_.initial) - eps_min - energy)
             )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import signal
 
 import numpy as np
@@ -16,22 +17,18 @@ from qsl import (
     PureState,
     RotatedHamiltonianSystem,
     alpha,
-    bd_closed,
-    bd_isolated,
     build_coupling,
     build_ml_family,
     choose_theta,
     evaluate_bounds,
     expectation,
     first_passage,
-    ml_isolated,
-    mt_closed,
-    mt_isolated,
     sample_trajectory,
     time_average,
     variance,
 )
-from qsl.bounds import _alpha_of
+from qsl.bounds import _alpha_of, _bd_factor, _over
+from qsl.linalg import _state_statistics
 from qsl.evolution import _SpectralEvaluator
 from qsl.sweeps import (
     random_coupled_system,
@@ -316,67 +313,64 @@ class TestFirstPassage:
 
 
 class TestIsolatedBounds:
+    # mt, ml and bd are evaluated from the initial state alone, so tau = 0 reads them without a trajectory
     def test_alpha_memo_is_alpha(self):
         for delta in (0.0, 0.1, 0.25, 0.7, 0.1, 1.0):
             assert _alpha_of(delta) == alpha(delta)
         sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1.0, 3.0]), PureState.normalized([1.0, 1.0, 1.0]))
         # eps_min = 0, so the normalized energy is <H>
         norm_energy = expectation(sys_.H, sys_.initial)
-        assert ml_isolated(sys_.H, sys_.initial, 0.3) == alpha(0.3) / norm_energy
+        assert evaluate_bounds(sys_, 0.3, tau=0.0).ml == alpha(0.3) / norm_energy
 
     def test_ml_equal_superposition_saturates(self):
-        hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0])
-        state = PureState.normalized([1.0, 1.0])
-        bound = ml_isolated(hamiltonian, state, 0.0)
-        assert abs(bound - math.pi) <= 1e-12
-        sys_ = isolated(hamiltonian, state)
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1.0]), PureState.normalized([1.0, 1.0]))
         tau = first_passage(sys_, 0.0, 4.0)
         assert abs(tau - math.pi) <= 1e-8
+        report = evaluate_bounds(sys_, 0.0, tau=tau)
+        assert abs(report.ml - math.pi) <= 1e-12
 
     def test_ml_family_normalized_energy(self):
-        sys_ = build_ml_family(2.0, 0.9)
-        assert abs(ml_isolated(sys_.H, sys_.initial, 0.0) - (math.pi / 2) / 2.0) <= 1e-10
+        family = build_ml_family(2.0, 0.9)
+        report = evaluate_bounds(isolated(family.H, family.initial), 0.0, tau=0.0)
+        assert abs(report.ml - (math.pi / 2) / 2.0) <= 1e-10
 
     def test_eigenstate_bounds_infinite(self):
-        hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0])
-        state = PureState([1.0, 0.0])
-        assert mt_isolated(hamiltonian, state, 0.0) == math.inf
-        assert ml_isolated(hamiltonian, state, 0.0) == math.inf
-        assert bd_isolated(hamiltonian, state, 0.0) == math.inf
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1.0]), PureState([1.0, 0.0]))
+        report = evaluate_bounds(sys_, 0.0, tau=1.0)
+        assert report.mt == report.ml == report.bd == math.inf
+        assert report.mt_closed == report.bd_closed == math.inf
+        assert report.margins() == {}
 
     def test_bd_equals_mt_for_two_levels(self):
         rng = np.random.default_rng(47)
         for _ in range(25):
             sys_ = random_saturating_two_level(rng)
-            delta = float(rng.uniform(0.0, 0.95))
-            mt = mt_isolated(sys_.H, sys_.initial, delta)
-            bd = bd_isolated(sys_.H, sys_.initial, delta)
-            assert abs(mt - bd) <= 1e-10
+            report = evaluate_bounds(sys_, float(rng.uniform(0.0, 0.95)), tau=0.0)
+            assert abs(report.mt - report.bd) <= 1e-10
 
     def test_raw_arrays_give_the_operator_values(self):
+        # the statistics behind the bounds coerce raw arrays as the operator and state would
         rng = np.random.default_rng(29)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         cases = [(np.diag([0.0, 1.0]), [2**-0.5, 2**-0.5]), ((g + g.conj().T) / 2, random_pure_state(rng, 4).amplitudes)]
         for matrix, amplitudes in cases:
-            hamiltonian, state = HermitianOperator(matrix), PureState(amplitudes)
-            for bound, delta in itertools.product((mt_isolated, ml_isolated, bd_isolated), (0.0, 0.3)):
-                assert bound(matrix, amplitudes, delta) == bound(hamiltonian, state, delta)
+            raw = _state_statistics(matrix, amplitudes)
+            typed = isolated(HermitianOperator(matrix), PureState(amplitudes)).initial_statistics
+            for field, value in raw._asdict().items():
+                np.testing.assert_array_equal(value, getattr(typed, field), err_msg=field)
 
     def test_bd_denominator_three_levels(self):
-        hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0, 2.0])
-        state = PureState.normalized([1.0, 1.0, 1.0])
-        bd = bd_isolated(hamiltonian, state, 0.0)
-        assert abs(bd - math.pi / 2) <= 1e-12  # geometric mean is exactly 1
-        mt = mt_isolated(hamiltonian, state, 0.0)
-        assert bd < mt
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1.0, 2.0]), PureState.normalized([1.0, 1.0, 1.0]))
+        report = evaluate_bounds(sys_, 0.0, tau=0.0)
+        assert abs(report.bd - math.pi / 2) <= 1e-12  # geometric mean is exactly 1
+        assert report.bd < report.mt
 
 
 class TestClosedBounds:
     def test_mt_closed_geodesic_value(self):
         sys_ = build_ml_family(1.0, math.pi / 3)
         tau = first_passage(sys_, 0.0, 2.0)
-        traj = sample_trajectory(sys_, tau, 1000)
-        value = mt_closed(traj, 0.0)
+        value = evaluate_bounds(sys_, 0.0, tau=tau, samples=1000).mt_closed
         assert abs(value - math.pi / (2 * math.sqrt(3.0))) <= 1e-8
         assert abs(value - tau) <= 1e-8
 
@@ -384,14 +378,13 @@ class TestClosedBounds:
         sys_ = isolated(
             HermitianOperator.from_diagonal([0.0, 1.0, 2.0]), PureState([0.0, 1.0, 0.0])
         )
-        traj = sample_trajectory(sys_, 1.0, 100)
-        assert mt_closed(traj, 0.5) == math.inf
         report = evaluate_bounds(sys_, 0.5, tau=1.0)
         assert report.mt == report.mt_closed == math.inf
         with pytest.raises(NotReached):
             first_passage(sys_, 0.5, 100.0)
 
     def test_closed_bounds_are_the_report_fields(self):
+        # the closed bounds average the statistics of the trajectory on [0, tau]
         rng = np.random.default_rng(41)
         for _ in range(17):
             sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
@@ -399,8 +392,8 @@ class TestClosedBounds:
             tau = first_passage(sys_, delta, 1.05 * math.pi / math.sqrt(variance(sys_.H, sys_.initial)))
             report = evaluate_bounds(sys_, delta, tau=tau, samples=samples)
             traj = sample_trajectory(sys_, tau, samples)
-            assert mt_closed(traj, delta) == report.mt_closed
-            assert bd_closed(traj, delta) == report.bd_closed
+            assert _over(delta, time_average(traj.times, traj.stats.energy_uncertainty)) == report.mt_closed
+            assert _over(delta, time_average(traj.times, _bd_factor(traj.stats))) == report.bd_closed
 
     def test_report_orderings(self):
         hamiltonian = HermitianOperator.from_diagonal([0.0, 1.0, 2.0])
@@ -470,6 +463,38 @@ class TestBoundReport:
         assert list(report.violations()) == ["ml"]
 
 
+def slow_two_level(g):
+    """Isolated diag(0, g) with the state (1, 1)/sqrt 2, whose bounds at delta 0.5 are all pi/(2g) but ml."""
+    hamiltonian = HermitianOperator.from_diagonal([0.0, g])
+    return isolated(hamiltonian, PureState.normalized([1.0, 1.0]))
+
+
+class TestEnergyScale:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FOUND in CHANGES.md, src/qsl/bounds.py VALIDITY_SLACK: the slack is an absolute 1e-9, "
+        "so at tau = 1.6e13 rounding alone reports the saturated mt and mt_closed as violated",
+    )
+    def test_absolute_slack_on_a_slow_system(self):
+        sys_ = slow_two_level(1e-13)
+        report = evaluate_bounds(sys_, 0.5, tau=first_passage(sys_, 0.5, 4 * math.pi / 1e-13))
+        assert report.violations() == {}
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FOUND in CHANGES.md, src/qsl/linalg.py gap_tol and bounds.ZERO_DENOMINATOR: both are absolute, "
+        "so at g = 1e-13 ml and bd are inf, and at g = 1e-15 every bound is",
+    )
+    def test_absolute_thresholds_on_a_small_energy_scale(self):
+        for g in (1e-13, 1e-15):
+            sys_ = slow_two_level(g)
+            report = evaluate_bounds(sys_, 0.5, tau=first_passage(sys_, 0.5, 4 * math.pi / g))
+            bounds = report.mt, report.ml, report.bd, report.mt_closed, report.bd_closed
+            assert all(map(math.isfinite, bounds)), (g, bounds)
+
+
 class TestValiditySweep:
     def test_one_violating_cell_is_counted(self, first_cell_violates):
         rows, violations = validity_sweep(n_systems=2, seed=1, deltas=(0.5,), samples=20)
@@ -504,6 +529,24 @@ class TestValiditySweep:
         monkeypatch.setattr(qsl.sweeps, "random_coupled_system", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="isolated_fraction must lie in"):
             validity_sweep(n_systems=3, deltas=(0.5,), isolated_fraction=fraction)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_systems": -5}, "n_systems must be an integer >= 1, got -5"),
+            ({"n_systems": 2.5}, "n_systems must be an integer >= 1, got 2.5"),
+            ({"dim_range": (2.5, 3.5)}, "dim_range entries must be integers >= 2, got 2.5"),
+            ({"samples": 1}, "need at least 2 sampling intervals"),
+        ],
+        ids=["negative-systems", "fractional-systems", "fractional-dims", "one-sample"],
+    )
+    def test_counts_checked_before_the_first_system(self, kwargs, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qsl.sweeps, "random_isolated_system", lambda *args: calls.append(args))
+        monkeypatch.setattr(qsl.sweeps, "random_coupled_system", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            validity_sweep(deltas=(0.5,), **kwargs)
         assert calls == []
 
     def test_one_scan_per_system(self, monkeypatch):

@@ -464,6 +464,17 @@ def test_readme_lists_every_config_key(kind):
             assert (f"{op} `{bound}`" if isinstance(bound, str) else f"{op} {bound}") in text, key
 
 
+def test_readme_bounds_table_names_the_report_margins():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Bounds", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+    # an isolated two-level superposition has all five bounds finite
+    hamiltonian, zero = qsl.HermitianOperator.from_diagonal([0.0, 1.0]), qsl.HermitianOperator(np.zeros((2, 2)))
+    sys_ = qsl.RotatedHamiltonianSystem(hamiltonian, zero, qsl.PureState.normalized([1.0, 2.0]))
+    report = qsl.evaluate_bounds(sys_, 0.5, tau=qsl.first_passage(sys_, 0.5, 10.0))
+    assert sorted(names) == sorted(report.margins()) == ["bd", "bd_closed", "ml", "mt", "mt_closed"]
+
+
 def test_readme_entry_points_are_public():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library entry points", 1)[1].split("```python", 1)[1].split("```", 1)[0]
@@ -475,15 +486,13 @@ def test_readme_entry_points_are_public():
 # What the CLI and the documented entry points run; test-only references live in tests/oracles.py.
 PUBLIC_NAMES = [
     "BoundReport", "ConfigError", "DegenerateInterval", "DimensionMismatch", "DomainError",
-    "HermitianOperator", "InsufficientLevels", "NoOccupation", "NonHermitian", "NotReached",
-    "OccupiedExtrema", "PureState", "QslError", "RefutationReport", "RefutationSpec",
-    "RotatedHamiltonianSystem", "StepTooLarge", "SweepRow", "Trajectory", "alpha", "bd_closed",
-    "bd_isolated", "bd_pointwise_margin", "bloch_operators", "build_coupling", "build_ml_family",
-    "choose_theta", "evaluate_bounds", "expectation", "first_passage", "ml_isolated", "mt_closed",
-    "mt_isolated", "occupied_extrema", "propagate_exact", "propagate_numeric", "random_coupled_system",
-    "random_hermitian", "random_isolated_system", "random_pure_state", "run_bd_nonsaturation",
-    "run_ml_refutation", "sample_trajectory", "time_average", "trace_distance", "validity_sweep",
-    "variance",
+    "HermitianOperator", "InsufficientLevels", "NonHermitian", "NotReached", "PureState", "QslError",
+    "RefutationReport", "RefutationSpec", "RotatedHamiltonianSystem", "StepTooLarge", "SweepRow",
+    "Trajectory", "alpha", "bd_pointwise_margin", "bloch_operators", "build_coupling", "build_ml_family",
+    "choose_theta", "evaluate_bounds", "expectation", "first_passage", "propagate_exact",
+    "propagate_numeric", "random_coupled_system", "random_hermitian", "random_isolated_system",
+    "random_pure_state", "run_bd_nonsaturation", "run_ml_refutation", "sample_trajectory",
+    "time_average", "trace_distance", "validity_sweep", "variance",
 ]
 
 

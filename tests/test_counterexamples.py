@@ -15,7 +15,7 @@ from qsl import (
     build_coupling,
     build_ml_family,
     choose_theta,
-    occupied_extrema,
+    evaluate_bounds,
     run_bd_nonsaturation,
     run_ml_refutation,
     sample_trajectory,
@@ -77,12 +77,12 @@ class TestBuildCoupling:
 class TestBuildMlFamily:
     def test_right_angle_case(self):
         sys_ = build_ml_family(1.0, math.pi / 2)
-        np.testing.assert_allclose(sys_.H.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(sys_.H.eig[0], [-1.0, 1.0], atol=1e-12)
         assert math.sqrt(variance(sys_.H, sys_.initial)) == pytest.approx(1.0, abs=1e-12)
 
     def test_sixty_degree_case(self):
         sys_ = build_ml_family(1.0, math.pi / 3)
-        np.testing.assert_allclose(sys_.H.eigenvalues, [-2.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(sys_.H.eig[0], [-2.0, 2.0], atol=1e-12)
         assert math.sqrt(variance(sys_.H, sys_.initial)) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_boundaries_rejected(self):
@@ -160,12 +160,9 @@ class TestRefutationSpec:
         (lambda: RefutationSpec(0.5, math.nan, 1.0, 0.8, 1.0 / (1.0 - math.cos(0.8))), "L and E must be positive"),
         (lambda: RefutationSpec(0.5, 1.0, math.nan, 0.8, 1.0 / (1.0 - math.cos(0.8))), "L and E must be positive"),
         (lambda: RefutationSpec(0.5, 1.0, 1.0, 0.8, math.nan), "must equal E"),
-        (lambda: occupied_extrema(HermitianOperator.from_diagonal([0.0, 1.0]), PureState([1.0, 0.0]), math.nan),
-         "occupation threshold must be positive"),
         (lambda: time_average([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]), "times must be ascending"),
     ],
-    ids=["choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "spec-mu",
-         "occupied_extrema-tol", "time_average-times"],
+    ids=["choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "spec-mu", "time_average-times"],
 )
 def test_nan_fails_the_positive_checks(call, message):
     # NaN compares False with everything: each check must be written to fail on it
@@ -204,6 +201,12 @@ class TestRunMlRefutation:
         report = run_ml_refutation(0.5, 1.0, 1.0, margin)
         assert report.margins["violation"] == pytest.approx(margin, rel=1e-3)
         assert report.violated is violated
+
+    def test_mt_closed_is_the_evaluate_bounds_value(self):
+        # run_ml_refutation averages its own trajectory; evaluate_bounds samples the same one
+        report = run_ml_refutation(0.3, 1.0, 0.5, samples=300)
+        sys_ = build_ml_family(report.spec.E, report.spec.theta)
+        assert report.mt_closed == evaluate_bounds(sys_, 0.3, tau=report.tau, samples=300).mt_closed
 
     def test_energy_conserved_along_trajectory(self):
         report = run_ml_refutation(0.3, 1.0, 0.5)

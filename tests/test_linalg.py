@@ -7,11 +7,10 @@ from qsl import (
     DimensionMismatch,
     DomainError,
     HermitianOperator,
-    NoOccupation,
     NonHermitian,
     PureState,
+    RotatedHamiltonianSystem,
     expectation,
-    occupied_extrema,
     trace_distance,
     variance,
 )
@@ -27,6 +26,12 @@ def random_hermitian_matrix(rng, dim):
 
 def random_state(rng, dim):
     return PureState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def initial_statistics(op, state):
+    """The statistics the bounds read: those of op in state, as an isolated system caches them."""
+    zero = HermitianOperator(np.zeros((op.dim, op.dim)))
+    return RotatedHamiltonianSystem(op, zero, state).initial_statistics
 
 
 UNIFORM3 = PureState.normalized([1.0, 1.0, 1.0])
@@ -70,7 +75,7 @@ class TestHermitianOperator:
         for theta in np.linspace(0.05, math.pi - 0.05, 17):
             sys_ = build_ml_family(1.0, theta)
             mu = 1.0 / (1.0 - math.cos(theta))
-            np.testing.assert_allclose(sys_.H.eigenvalues, [-mu, mu], rtol=1e-12)
+            np.testing.assert_allclose(sys_.H.eig[0], [-mu, mu], rtol=1e-12)
 
     def test_reconstruction_and_unitarity_sweep(self):
         rng = np.random.default_rng(7)
@@ -90,8 +95,8 @@ class TestHermitianOperator:
     def test_eigenvector_phases_deterministic(self):
         rng = np.random.default_rng(3)
         mat = random_hermitian_matrix(rng, 4)
-        first = HermitianOperator(mat).eigenvectors
-        second = HermitianOperator(mat.copy()).eigenvectors
+        _, first = HermitianOperator(mat).eig
+        _, second = HermitianOperator(mat.copy()).eig
         np.testing.assert_array_equal(first, second)
         for k in range(4):
             col = first[:, k]
@@ -196,8 +201,8 @@ class TestExpectationVariance:
             dim = int(rng.integers(2, 7))
             op = HermitianOperator(random_hermitian_matrix(rng, dim))
             s = random_state(rng, dim)
-            value = expectation(op, s)
-            assert op.eigenvalues[0] - 1e-12 <= value <= op.eigenvalues[-1] + 1e-12
+            values, _ = op.eig
+            assert values[0] - 1e-12 <= expectation(op, s) <= values[-1] + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -236,35 +241,36 @@ class TestFidelity:
 
 class TestOccupiedExtrema:
     def test_uniform_three_level(self):
-        result = occupied_extrema(DIAG012, UNIFORM3, 1e-12)
-        assert result == pytest.approx((0.0, 2.0, 3))
+        stats = initial_statistics(DIAG012, UNIFORM3)
+        assert (stats.eps_min, stats.eps_max, stats.occupied.sum()) == pytest.approx((0.0, 2.0, 3))
 
     def test_single_level(self):
-        result = occupied_extrema(DIAG012, PureState([1.0, 0.0, 0.0]), 1e-12)
-        assert result.eps_min == result.eps_max == 0.0
-        assert result.occupied_count == 1
+        # the zero weights on the other two levels are not occupations
+        stats = initial_statistics(DIAG012, PureState([1.0, 0.0, 0.0]))
+        assert stats.eps_min == stats.eps_max == 0.0
+        assert stats.occupied.tolist() == [True, False, False]
 
     def test_family_state_occupies_both_levels(self):
         sys_ = build_ml_family(1.0, 1.1)
         mu = 1.0 / (1.0 - math.cos(1.1))
-        result = occupied_extrema(sys_.H, sys_.initial, 1e-12)
-        assert result.eps_min == pytest.approx(-mu, rel=1e-12)
-        assert result.eps_max == pytest.approx(mu, rel=1e-12)
-        assert result.occupied_count == 2
-
-    def test_bad_threshold_raises(self):
-        with pytest.raises(NoOccupation):
-            occupied_extrema(DIAG012, UNIFORM3, 0.5)
-        with pytest.raises(DomainError):
-            occupied_extrema(DIAG012, UNIFORM3, 0.0)
+        stats = sys_.initial_statistics
+        assert stats.eps_min == pytest.approx(-mu, rel=1e-12)
+        assert stats.eps_max == pytest.approx(mu, rel=1e-12)
+        assert stats.occupied.sum() == 2
 
     def test_degenerate_levels_grouped(self):
         op = HermitianOperator.from_diagonal([0.0, 1e-15, 1.0])
         levels, occ = level_occupations(op, UNIFORM3)
         assert len(levels) == 2
         np.testing.assert_allclose(occ, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-        result = occupied_extrema(op, UNIFORM3, 1e-12)
-        assert result.occupied_count == 2
+        assert initial_statistics(op, UNIFORM3).occupied.sum() == 2
+
+    def test_weight_below_the_threshold_is_not_occupied(self):
+        # a level counts only above 1e-12: 1e-13 is not, 1e-11 is
+        for weight, eps_max in ((1e-13, 1.0), (1e-11, 2.0)):
+            state = PureState.normalized(np.sqrt([0.5, 0.5, weight]))
+            stats = initial_statistics(DIAG012, state)
+            assert stats.eps_max == eps_max
 
 
 class TestCommutatorNorm:
@@ -295,7 +301,8 @@ class TestBhatiaDaviesInequality:
             dim = int(rng.integers(2, 7))
             op = HermitianOperator(random_hermitian_matrix(rng, dim))
             s = random_state(rng, dim)
-            eps_min, eps_max, _ = occupied_extrema(op, s, 1e-12)
+            stats = initial_statistics(op, s)
+            eps_min, eps_max = stats.eps_min, stats.eps_max
             mean = expectation(op, s)
             assert variance(op, s) <= (eps_max - mean) * (mean - eps_min) + 1e-10
 
@@ -311,8 +318,9 @@ class TestBhatiaDaviesInequality:
                 1j * rng.uniform(0, 2 * math.pi)
             ) * vectors[:, j]
             s = PureState.normalized(vec)
-            eps_min, eps_max, count = occupied_extrema(op, s, 1e-12)
-            assert count == 2
+            stats = initial_statistics(op, s)
+            eps_min, eps_max = stats.eps_min, stats.eps_max
+            assert stats.occupied.sum() == 2
             mean = expectation(op, s)
             gap = (eps_max - mean) * (mean - eps_min) - variance(op, s)
             assert abs(gap) <= 1e-10
@@ -320,8 +328,9 @@ class TestBhatiaDaviesInequality:
     def test_strict_on_three_levels(self):
         op = HermitianOperator.from_diagonal([0.0, 1.0, 3.0])
         s = PureState.normalized(np.sqrt([0.5, 0.3, 0.2]))
-        eps_min, eps_max, count = occupied_extrema(op, s, 1e-12)
-        assert count == 3
+        stats = initial_statistics(op, s)
+        eps_min, eps_max = stats.eps_min, stats.eps_max
+        assert stats.occupied.sum() == 3
         mean = expectation(op, s)
         margin = (eps_max - mean) * (mean - eps_min) - variance(op, s)
         assert margin > 1e-12
