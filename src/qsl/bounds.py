@@ -29,6 +29,7 @@ PASSAGE_WIDTH = 1e-13
 PASSAGE_SPLIT = 32
 PASSAGE_FRACTIONS = np.arange(PASSAGE_SPLIT + 1) / PASSAGE_SPLIT
 PASSAGE_BATCH = 2048
+PASSAGE_SCAN = 2048
 VALIDITY_SLACK = 1e-9
 
 
@@ -83,10 +84,6 @@ def alpha(delta: float) -> float:
     bracket, then comparison against both endpoint values.
     """
     delta = _check_delta(delta)
-    if delta == 0.0:
-        return math.pi / 2.0
-    if delta == 1.0:
-        return 0.0
     z_max = math.sqrt(delta)
     grid = np.linspace(-z_max, z_max, 2048)
     values = _ml_objective(grid, delta)
@@ -152,8 +149,6 @@ def first_passage(
     sys: RotatedHamiltonianSystem,
     delta: float,
     t_max: float,
-    *,
-    samples: int = 2048,
 ) -> float:
     """Earliest t in [0, t_max] at which the fidelity to the initial state is delta.
 
@@ -162,27 +157,27 @@ def first_passage(
     1697, 1990). Its bound v is half the spectral width of H, which every H(t)
     shares, or, when A is exactly zero, the conserved uncertainty itself. An
     interval [a, b] with theta_a + theta_b + v (b - a) < 2 arccos(sqrt(delta))
-    (1 - 1e-14) thus cannot hold the passage. Every scan interval not ruled
-    out this way is cut into 32 parts, in one batch of at most 2048 intervals
-    (the time beyond is scanned again if they all drop out), and the intervals
-    after the first one whose right end reaches delta are dropped. The
-    midpoint of the first open interval is returned once that is narrower than
-    1e-13 of its right end, so the result is the same on every time scale and
-    never later than the first passage by more than half that width; a shallow
-    crossing can come out a few widths early. The slack keeps rounding from
-    ruling out an exact touch, so a dip within it counts as reached (the
-    generic case for delta = 0).
+    (1 - 1e-14) thus cannot hold the passage. The window is scanned at
+    PASSAGE_SCAN uniform intervals. Every interval not ruled out this way is
+    cut into 32 parts, in one batch of at most PASSAGE_BATCH intervals (the
+    time beyond is scanned again, at PASSAGE_SCAN intervals, if they all
+    drop out), and the intervals after the first one whose right end reaches
+    delta are dropped. The midpoint of the first open interval is returned
+    once that is narrower than 1e-13 of its right end, so the result is the
+    same on every time scale and never later than the first passage by more
+    than half that width; a shallow crossing can come out a few widths
+    early. The slack keeps rounding from ruling out an exact touch, so a dip
+    within it counts as reached (the generic case for delta = 0).
     """
     delta = _check_delta(delta)
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
-    samples = _check_count(samples, 1, "samples must be an integer >= 1, got {!r}")
     if delta == 1.0:
         return 0.0
     fidelities = fidelity_function(sys)
-    times, fids = sys.evaluator.scan(t_max, samples)
+    times, fids = sys.evaluator.scan(t_max, PASSAGE_SCAN)
     target = 2.0 * _angle(delta) * (1.0 - PASSAGE_SLACK)
-    speed = sys.initial_statistics.energy_uncertainty if sys.is_isolated else sys.H.spectral_width / 2.0
+    speed = sys.initial_statistics.energy_uncertainty if sys.is_isolated else np.ptp(sys.H.eig[0]) / 2.0
     # Each row of t is one interval cut into equal parts; f holds the fidelities there.
     t, f, resume = times[None, :], fids[None, :], None
     while True:
@@ -202,7 +197,7 @@ def first_passage(
         if not index.size:
             if resume is None:
                 raise NotReached(f"fidelity never reached {delta} within t_max={times[-1]:.6g}")
-            t = np.linspace(resume, times[-1], samples + 1)
+            t = np.linspace(resume, times[-1], PASSAGE_SCAN + 1)
             t, f, resume = t[None, :], fidelities(t)[None, :], None
             continue
         lo, hi = t[index], t[index + 1]

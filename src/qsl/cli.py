@@ -236,7 +236,7 @@ def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -
 
 
 def _trajectory_table(traj: Trajectory) -> dict:
-    bloch = traj.bloch.T if traj.bloch is not None else [[None] * traj.n_samples] * 3
+    bloch = traj.bloch.T if traj.bloch is not None else [[None] * len(traj.times)] * 3
     return {
         "t": traj.times,
         "fidelity": traj.fidelity,

@@ -61,8 +61,8 @@ def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     """
     if not (0.0 < theta < math.pi):
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta!r}")
-    if not E > 0.0:
-        raise DomainError(f"E must be positive, got {E!r}")
+    if not 0.0 < E < math.inf:
+        raise DomainError(f"E must be positive and finite, got {E!r}")
     mu = E / (1.0 - math.cos(theta))
     x, _, z = bloch_operators()
     hamiltonian = HermitianOperator(mu * (math.sin(theta) * z - math.cos(theta) * x))
@@ -77,10 +77,10 @@ def choose_theta(delta: float, L: float, margin: float = 0.1) -> float:
     the strict inequality holds by the factor (1+margin).
     """
     delta = _check_delta(delta, below_one=True)
-    if not L > 0.0:
-        raise DomainError(f"L must be positive, got {L!r}")
-    if not margin > 0.0:
-        raise DomainError(f"margin must be positive, got {margin!r}")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"L must be positive and finite, got {L!r}")
+    if not 0.0 < margin < math.inf:
+        raise DomainError(f"margin must be positive and finite, got {margin!r}")
     c = _angle(delta) / L
     return 2.0 * math.atan(1.0 / (c * (1.0 + margin)))
 
@@ -97,8 +97,8 @@ class RefutationSpec:
 
     def __post_init__(self):
         _check_delta(self.delta, below_one=True)
-        if not (self.L > 0.0 and self.E > 0.0):
-            raise DomainError("L and E must be positive")
+        if not (0.0 < self.L < math.inf and 0.0 < self.E < math.inf):
+            raise DomainError("L and E must be positive and finite")
         if not (0.0 < self.theta < math.pi):
             raise DomainError(f"theta must lie strictly inside (0, pi), got {self.theta!r}")
         if not 1.0 / math.tan(self.theta / 2.0) > _angle(self.delta) / self.L:

@@ -95,11 +95,6 @@ class RotatedHamiltonianSystem:
         return self.H.dim
 
     @cached_property
-    def effective(self) -> HermitianOperator:
-        """The rotating-frame generator H - A."""
-        return HermitianOperator(self.H.entries - self.A.entries)
-
-    @cached_property
     def is_isolated(self) -> bool:
         """A is exactly zero: the one test of isolation, for ML, the certificate and the propagator."""
         return not np.any(self.A.entries)
@@ -118,10 +113,10 @@ class RotatedHamiltonianSystem:
         return f"RotatedHamiltonianSystem(dim={self.dim})"
 
 
-def _centred_eig(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of op - (tr op / d) I: a constant offset then costs the eigenvectors no precision."""
-    shift = np.trace(op.entries).real / op.dim
-    return HermitianOperator(op.entries - shift * np.eye(op.dim)).eig
+def _centred_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian matrix mat - (tr mat / d) I: an offset costs the eigenvectors no precision."""
+    shift = np.trace(mat).real / len(mat)
+    return HermitianOperator(mat - shift * np.eye(len(mat))).eig
 
 
 class _SpectralEvaluator:
@@ -140,8 +135,8 @@ class _SpectralEvaluator:
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
-        self.mu, self.W = _centred_eig(sys.effective)
-        self.a, self.V = _centred_eig(sys.A)
+        self.mu, self.W = _centred_eig(sys.H.entries - sys.A.entries)
+        self.a, self.V = _centred_eig(sys.A.entries)
         self.u0 = sys.initial.amplitudes
         self.c0 = self.W.conj().T @ self.u0
         self._isolated = sys.is_isolated
@@ -260,10 +255,6 @@ class Trajectory:
     fidelity: np.ndarray
     stats: EnergyStatistics
     bloch: np.ndarray | None
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
 
 
 def sample_trajectory(

@@ -74,11 +74,6 @@ class HermitianOperator:
         values, vectors = np.linalg.eigh(self._entries)
         return values, _fix_phases(vectors)
 
-    @property
-    def spectral_width(self) -> float:
-        values = self.eig[0]
-        return float(values[-1] - values[0])
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
 

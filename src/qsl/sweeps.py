@@ -97,19 +97,24 @@ def validity_sweep(
     Returns the evaluated rows and the number of violations (cells where a
     finite bound exceeds the measured first-passage time by more than the
     validity slack). Cells whose target fidelity is never reached are
-    recorded with reached=False and do not count as violations. Every
-    delta, n_systems (an integer >= 1), dim_range (integers with
-    2 <= low <= high), samples (an integer >= 2) and 0 <= isolated_fraction
-    <= 1 are checked before the first system is built.
+    recorded with reached=False and do not count as violations. deltas (at
+    least one, each in [0, 1]), n_systems (an integer >= 1), dim_range (two
+    integers with 2 <= low <= high), samples (an integer >= 2),
+    0 <= isolated_fraction <= 1 and seed (an integer >= 0) are all checked
+    before the first system is built.
     """
     deltas = tuple(map(_check_delta, deltas))
+    if not deltas:
+        raise DomainError("deltas must name at least one delta")
     n_systems = _check_count(n_systems, 1, "n_systems must be an integer >= 1, got {!r}")
-    low, high = (_check_count(d, 2, "dim_range entries must be integers >= 2, got {!r}") for d in dim_range)
-    if not low <= high:
-        raise DomainError(f"dim_range must satisfy 2 <= low <= high, got {dim_range!r}")
+    dims = [_check_count(d, 2, "dim_range entries must be integers >= 2, got {!r}") for d in dim_range]
+    if len(dims) != 2 or not dims[0] <= dims[1]:
+        raise DomainError(f"dim_range must be two integers with 2 <= low <= high, got {dim_range!r}")
+    low, high = dims
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
     if not 0.0 <= isolated_fraction <= 1.0:
         raise DomainError(f"isolated_fraction must lie in [0, 1], got {isolated_fraction!r}")
+    seed = _check_count(seed, 0, "seed must be an integer >= 0, got {!r}")
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     violations = 0

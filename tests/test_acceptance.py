@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` (or -rA) to see the lines.
 """
 
+import csv
+import hashlib
 import json
 import math
 
@@ -34,7 +36,6 @@ from qsl.sweeps import (
     random_isolated_system,
     random_pure_state,
     random_hermitian,
-    validity_sweep,
 )
 
 from oracles import alpha_grid_oracle, density, random_saturating_two_level
@@ -268,18 +269,30 @@ def test_criterion_8_figure_reproduction(tmp_path):
     assert ok
 
 
-def test_criterion_9_global_validity_sweep():
-    rows, violations = validity_sweep(n_systems=200, seed=20260810, samples=1000)
-    reached = sum(1 for row in rows if row.reached)
-    worst = max(
-        (row.worst_margin for row in rows if row.reached and row.worst_margin is not None),
-        default=-math.inf,
-    )
-    ok = violations == 0 and reached > 1000
+# sha256 of the default sweep's outputs; tests/test_golden.py says how to regenerate them
+SWEEP_DIGESTS = {
+    "report.json": "078460af5d5f9ef695122411476e530c8ec32e42ec2bbde0ccb8e58424eee2d1",
+    "sweep.csv": "4371a756933852cd72be6a5bb882ccc15cae38f5330c83b171db7c3ab758340c",
+}
+
+
+def test_criterion_9_global_validity_sweep(tmp_path, monkeypatch):
+    monkeypatch.delenv("QSL_SEED", raising=False)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"seed": 20260810}))
+    prefix = tmp_path / "sweep"
+    code = cli_main(["validity-sweep", "--config", str(cfg), "--out", str(prefix)])
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    with open(tmp_path / "sweep_sweep.csv", newline="") as fh:
+        margins = [float(row["worst_margin"]) for row in csv.DictReader(fh) if row["worst_margin"]]
+    digests = {name: hashlib.sha256((tmp_path / f"sweep_{name}").read_bytes()).hexdigest() for name in SWEEP_DIGESTS}
+    violations, reached = report["violations"], report["reached_cells"]
+    ok = code == 0 and violations == 0 and reached > 1000 and digests == SWEEP_DIGESTS
     report_line(
         ok,
         "criterion 9 (global validity sweep)",
         f"{violations} violations over {reached} reached cells "
-        f"({len(rows)} total), worst bound margin {worst:.3e}",
+        f"({report['cells']} total), worst bound margin {max(margins):.3e}, "
+        f"output digests {'match' if digests == SWEEP_DIGESTS else f'differ: {digests}'}",
     )
     assert ok

@@ -209,10 +209,6 @@ class TestFirstPassage:
         for t_max in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 first_passage(sys_, 0.5, t_max)
-        for samples in (0, -3, 2.5, True):
-            for delta in (0.5, 1.0):
-                with pytest.raises(DomainError):
-                    first_passage(sys_, delta, 1.0, samples=samples)
 
     @pytest.mark.xfail(
         strict=True,
@@ -236,7 +232,7 @@ class TestFirstPassage:
             cold = RotatedHamiltonianSystem(shared.H, shared.A, shared.initial)
             assert first_passage(shared, delta, t_max) == first_passage(cold, delta, t_max)
 
-    def test_never_later_than_the_first_dense_sample_at_delta(self):
+    def test_never_later_than_the_first_dense_sample_at_delta(self, monkeypatch):
         rng = np.random.default_rng(17)
         systems = [random_coupled_system(rng, dim) for dim in (2, 3, 5)]
         systems += [random_isolated_system(rng, dim) for dim in (2, 4, 6)]
@@ -250,8 +246,9 @@ class TestFirstPassage:
             fids = sys_.evaluator.fidelities(dense)
             for delta, samples in itertools.product((0.0, 0.05, 0.3, 0.75, 0.9, 0.999), (16, 2048)):
                 hits = np.flatnonzero(fids <= delta)
+                monkeypatch.setattr(qsl.bounds, "PASSAGE_SCAN", samples)
                 try:
-                    tau = first_passage(sys_, delta, t_max, samples=samples)
+                    tau = first_passage(sys_, delta, t_max)
                 except NotReached:
                     assert not hits.size
                     continue
@@ -538,15 +535,24 @@ class TestValiditySweep:
             ({"n_systems": 2.5}, "n_systems must be an integer >= 1, got 2.5"),
             ({"dim_range": (2.5, 3.5)}, "dim_range entries must be integers >= 2, got 2.5"),
             ({"samples": 1}, "need at least 2 sampling intervals"),
+            ({"deltas": ()}, "deltas must name at least one delta"),
+            ({"dim_range": (2, 3, 4)}, "dim_range must be two integers with 2 <= low <= high, got (2, 3, 4)"),
+            ({"dim_range": (3,)}, "dim_range must be two integers with 2 <= low <= high, got (3,)"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"seed": None}, "seed must be an integer >= 0, got None"),
         ],
-        ids=["negative-systems", "fractional-systems", "fractional-dims", "one-sample"],
+        ids=[
+            "negative-systems", "fractional-systems", "fractional-dims", "one-sample",
+            "no-deltas", "three-dims", "one-dim", "negative-seed", "fractional-seed", "no-seed",
+        ],
     )
     def test_counts_checked_before_the_first_system(self, kwargs, message, monkeypatch):
         calls = []
         monkeypatch.setattr(qsl.sweeps, "random_isolated_system", lambda *args: calls.append(args))
         monkeypatch.setattr(qsl.sweeps, "random_coupled_system", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match=re.escape(message)):
-            validity_sweep(deltas=(0.5,), **kwargs)
+            validity_sweep(**{"deltas": (0.5,), **kwargs})
         assert calls == []
 
     def test_one_scan_per_system(self, monkeypatch):

@@ -151,21 +151,32 @@ class TestRefutationSpec:
             RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=math.pi / 3, mu=3.0)
 
 
+MU = 1.0 / (1.0 - math.cos(0.8))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: choose_theta(0.5, math.nan), "L must be positive, got nan"),
-        (lambda: choose_theta(0.5, 1.0, math.nan), "margin must be positive, got nan"),
-        (lambda: build_ml_family(math.nan, 0.8), "E must be positive, got nan"),
-        (lambda: RefutationSpec(0.5, math.nan, 1.0, 0.8, 1.0 / (1.0 - math.cos(0.8))), "L and E must be positive"),
-        (lambda: RefutationSpec(0.5, 1.0, math.nan, 0.8, 1.0 / (1.0 - math.cos(0.8))), "L and E must be positive"),
+        (lambda: choose_theta(0.5, math.nan), "L must be positive and finite, got nan"),
+        (lambda: choose_theta(0.5, 1.0, math.nan), "margin must be positive and finite, got nan"),
+        (lambda: build_ml_family(math.nan, 0.8), "E must be positive and finite, got nan"),
+        (lambda: RefutationSpec(0.5, math.nan, 1.0, 0.8, MU), "L and E must be positive and finite"),
+        (lambda: RefutationSpec(0.5, 1.0, math.nan, 0.8, MU), "L and E must be positive and finite"),
         (lambda: RefutationSpec(0.5, 1.0, 1.0, 0.8, math.nan), "must equal E"),
         (lambda: time_average([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]), "times must be ascending"),
+        (lambda: choose_theta(0.5, math.inf), "L must be positive and finite, got inf"),
+        (lambda: choose_theta(0.5, 1.0, math.inf), "margin must be positive and finite, got inf"),
+        (lambda: build_ml_family(math.inf, 0.8), "E must be positive and finite, got inf"),
+        (lambda: RefutationSpec(0.5, math.inf, 1.0, 0.8, MU), "L and E must be positive and finite"),
+        (lambda: RefutationSpec(0.5, 1.0, math.inf, 0.8, MU), "L and E must be positive and finite"),
     ],
-    ids=["choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "spec-mu", "time_average-times"],
+    ids=[
+        "choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "spec-mu", "time_average-times",
+        "choose_theta-L-inf", "choose_theta-margin-inf", "family-E-inf", "spec-L-inf", "spec-E-inf",
+    ],
 )
 def test_nan_fails_the_positive_checks(call, message):
-    # NaN compares False with everything: each check must be written to fail on it
+    # NaN compares False with everything, and inf passes a bare > 0: each check must fail on both
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
 

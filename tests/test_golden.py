@@ -12,6 +12,14 @@ root with
 (`qsl <kind> --config tests/golden/<name>.json --out tests/golden/<name>`
 once the package is installed), with QSL_SEED unset, and record the
 regeneration and its reason in CHANGES.md.
+
+The default 200-system sweep is pinned by the sha256 digests in
+`SWEEP_DIGESTS` of tests/test_acceptance.py (criterion 9) rather than by
+files here. Regenerate them the same way, from a config holding only
+`{"seed": 20260810}`:
+
+    PYTHONPATH=src python3 -m qsl.cli validity-sweep --config sweep.json --out sweep
+    sha256sum sweep_report.json sweep_sweep.csv
 """
 
 import json
