@@ -25,7 +25,6 @@ from .counterexamples import (
 )
 from .errors import (
     ConfigError,
-    DegenerateInterval,
     DimensionMismatch,
     DomainError,
     InsufficientLevels,

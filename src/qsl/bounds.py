@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateInterval, DomainError, NotReached
-from .evolution import RotatedHamiltonianSystem, _check_count, fidelity_function, sample_trajectory
+from .errors import DomainError, NotReached
+from .evolution import RotatedHamiltonianSystem, Trajectory, _check_count, fidelity_function, sample_trajectory
 from .linalg import EnergyStatistics
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -81,7 +81,8 @@ def alpha(delta: float) -> float:
     """Minimum of the Margolus-Levitin objective over z in [-sqrt(delta), sqrt(delta)].
 
     Bracketing grid of 2048 points, golden-section refinement of the best
-    bracket, then comparison against both endpoint values.
+    bracket, then comparison against the value at z = -sqrt(delta); the one
+    at z = +sqrt(delta), (1+sqrt(delta))pi/2, is never below it.
     """
     delta = _check_delta(delta)
     z_max = math.sqrt(delta)
@@ -92,8 +93,7 @@ def alpha(delta: float) -> float:
     hi = grid[min(i + 1, len(grid) - 1)]
     _, interior = golden_section_min(lambda z: float(_ml_objective(z, delta)), lo, hi)
     left = (1.0 - z_max) * math.pi / 2.0   # arccos evaluates to pi at z = -sqrt(delta)
-    right = (1.0 + z_max) * math.pi / 2.0
-    return min(interior, left, right)
+    return min(interior, left)
 
 
 def time_average(times, values) -> float | list[float]:
@@ -111,7 +111,7 @@ def time_average(times, values) -> float | list[float]:
         raise DomainError("times must be ascending")
     span = float(t[-1] - t[0])
     if span == 0.0:
-        raise DegenerateInterval("time window has zero length")
+        raise DomainError("time window has zero length")
     return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * steps, axis=-1) / span).tolist()
 
 
@@ -120,24 +120,17 @@ def _angle(delta: float) -> float:
     return math.acos(math.sqrt(delta))
 
 
-def _over(delta: float, rate: float) -> float:
-    """Fubini-Study distance arccos(sqrt(delta)) over rate; inf when the rate vanishes."""
+def _over(distance: float, rate: float) -> float:
+    """A distance, arccos(sqrt(delta)) or alpha(delta), over an energy rate; inf when the rate vanishes."""
     if rate <= ZERO_DENOMINATOR:
         return math.inf
-    return _angle(delta) / rate
+    return distance / rate
 
 
 @lru_cache(maxsize=64)
 def _alpha_of(delta: float) -> float:
     """alpha(delta), computed once per delta."""
     return alpha(delta)
-
-
-def _ml(delta: float, norm_energy: float) -> float:
-    """alpha(delta) over the normalized expected energy; inf when it vanishes."""
-    if norm_energy <= ZERO_DENOMINATOR:
-        return math.inf
-    return _alpha_of(delta) / norm_energy
 
 
 def _bd_factor(stats: EnergyStatistics):
@@ -256,23 +249,32 @@ def evaluate_bounds(
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
     if not 0.0 <= tau < math.inf:
         raise DomainError(f"tau must be nonnegative and finite, got {tau!r}")
+    return _evaluate(sys, delta, tau, sample_trajectory(sys, tau, samples) if tau else None)
+
+
+def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Trajectory | None) -> BoundReport:
+    """Every bound from the initial statistics and the trajectory's times and statistics on [0, tau].
+
+    The one place the bounds are computed: `evaluate_bounds` samples traj,
+    and `run_ml_refutation` passes the one it already holds. traj is None for
+    tau = 0, the one-point window, whose averages are the initial values.
+    """
     stats = sys.initial_statistics
     spread, factor, norm_energy = map(float, (stats.energy_uncertainty, _bd_factor(stats), stats.norm_energy))
-    if tau == 0.0:
-        # averages over the one-point window are the initial values
+    if traj is None:
         avg_unc, avg_bdf, avg_norm = spread, factor, norm_energy
     else:
-        traj = sample_trajectory(sys, tau, samples)
         rates = traj.stats.energy_uncertainty, _bd_factor(traj.stats), traj.stats.norm_energy
         avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(rates))
+    distance = _angle(delta)
     return BoundReport(
         delta=delta,
         tau_actual=float(tau),
-        mt=_over(delta, spread),
-        ml=_ml(delta, norm_energy) if sys.is_isolated else None,
-        bd=_over(delta, factor),
-        mt_closed=_over(delta, avg_unc),
-        bd_closed=_over(delta, avg_bdf),
+        mt=_over(distance, spread),
+        ml=_over(_alpha_of(delta), norm_energy) if sys.is_isolated else None,
+        bd=_over(distance, factor),
+        mt_closed=_over(distance, avg_unc),
+        bd_closed=_over(distance, avg_bdf),
         avg_uncertainty=avg_unc,
         avg_bd_factor=avg_bdf,
         avg_norm_energy=avg_norm,

@@ -390,14 +390,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.command)
-        prefix = args.out or cfg.get("out") or "qsl_out"
+        # a config's out and format are checked whenever present; a flag wins over them
+        prefix, fmt = cfg.get("out", "qsl_out"), cfg.get("format", "csv")
         if not isinstance(prefix, str):
             raise ConfigError(f"'out' must be a string, got {prefix!r}")
-        fmt = args.format or cfg.get("format") or "csv"
+        if "" in (prefix, args.out):
+            raise ConfigError("'out' must be a non-empty string, got ''")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"'format' must be csv or json, got {fmt!r}")
+        prefix, fmt = args.out or prefix, args.format or fmt
         report, name, table = HANDLERS[args.command](_parse(args.command, cfg))
-        write_outputs(prefix, fmt, report, name, table)
+        try:
+            write_outputs(prefix, fmt, report, name, table)
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs: {exc}") from exc
     except QslError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_INVALID_INPUT if isinstance(exc, INVALID_INPUT_ERRORS) else EXIT_NUMERICAL

@@ -20,16 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    VALIDITY_SLACK,
-    BoundReport,
-    _angle,
-    _check_delta,
-    _over,
-    evaluate_bounds,
-    first_passage,
-    time_average,
-)
+from .bounds import VALIDITY_SLACK, BoundReport, _angle, _check_delta, _evaluate, evaluate_bounds, first_passage
 from .errors import DomainError, InsufficientLevels
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
 from .linalg import HermitianOperator, PureState, _operator_and_state, expectation
@@ -101,10 +92,15 @@ class RefutationSpec:
             raise DomainError("L and E must be positive and finite")
         if not (0.0 < self.theta < math.pi):
             raise DomainError(f"theta must lie strictly inside (0, pi), got {self.theta!r}")
-        if not 1.0 / math.tan(self.theta / 2.0) > _angle(self.delta) / self.L:
+        if not self.angle_condition > 0.0:
             raise DomainError("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")
         if not abs(self.mu * (1.0 - math.cos(self.theta)) - self.E) <= 1e-12 * max(1.0, self.E):
             raise DomainError("mu * (1 - cos(theta)) must equal E")
+
+    @property
+    def angle_condition(self) -> float:
+        """cot(theta/2) - arccos(sqrt(delta))/L, positive when the family beats L/E."""
+        return 1.0 / math.tan(self.theta / 2.0) - _angle(self.delta) / self.L
 
 
 @dataclass
@@ -138,17 +134,16 @@ def run_ml_refutation(
     """
     theta = choose_theta(delta, L, margin)
     sys = build_ml_family(E, theta)
+    spec = RefutationSpec(delta=delta, L=L, E=E, theta=theta, mu=E / (1.0 - math.cos(theta)))
     uncertainty = E / math.tan(theta / 2.0)
     tau = first_passage(sys, delta, math.pi / uncertainty)
     traj = sample_trajectory(sys, tau, samples)
-    # evaluate_bounds' mt_closed, from the trajectory sampled here rather than a second one
-    mt_bar = _over(_check_delta(delta), time_average(traj.times, traj.stats.energy_uncertainty))
+    mt_bar = _evaluate(sys, delta, tau, traj).mt_closed
     hypothetical = L / E
-    spec = RefutationSpec(delta=delta, L=L, E=E, theta=theta, mu=E / (1.0 - math.cos(theta)))
     margins = {
         "violation": float(hypothetical - tau),
         "mt_saturation": float(abs(tau - mt_bar)),
-        "angle_condition": 1.0 / math.tan(theta / 2.0) - _angle(delta) / L,
+        "angle_condition": spec.angle_condition,
     }
     return RefutationReport(
         spec=spec,

@@ -21,10 +21,6 @@ class StepTooLarge(QslError):
     """Integrator norm drift exceeded the allowed tolerance before renormalization."""
 
 
-class DegenerateInterval(QslError):
-    """Time average requested over an interval of zero length."""
-
-
 class NotReached(QslError):
     """Target fidelity not attained within the scanned time window."""
 

@@ -420,6 +420,16 @@ FRAMES = "('schrodinger', 'rotating')"
         ("refute-ml", {**REFUTE, "out": 5, "delta": None}, None, "ConfigError", "'out' must be a string, got 5"),
         ("refute-ml", {**REFUTE, "format": "xml", "samples": 1}, None, "ConfigError",
          "'format' must be csv or json, got 'xml'"),
+        # a config's out and format are checked whenever present, even where the --out flag is given
+        ("refute-ml", {**REFUTE, "out": 0}, None, "ConfigError", "'out' must be a string, got 0"),
+        ("refute-ml", {**REFUTE, "out": None}, None, "ConfigError", "'out' must be a string, got None"),
+        ("refute-ml", {**REFUTE, "out": ""}, None, "ConfigError", "'out' must be a non-empty string, got ''"),
+        ("refute-ml", {**REFUTE, "format": 0}, None, "ConfigError", "'format' must be csv or json, got 0"),
+        ("refute-ml", {**REFUTE, "format": None}, None, "ConfigError", "'format' must be csv or json, got None"),
+        ("refute-ml", {**REFUTE, "format": None, "out": ""}, None, "ConfigError",
+         "'out' must be a non-empty string, got ''"),
+        ("refute-ml", {**REFUTE, "format": "", "delta": None}, None, "ConfigError",
+         "'format' must be csv or json, got ''"),
         ("refute-ml", {"delta": 0.0, "L": 1.0}, "x", "ConfigError", "missing required config keys: ['E']"),
         # library checks after the config checks
         ("refute-ml", {**REFUTE, "delta": 1.0}, None, "DomainError", "delta must lie in [0, 1), got 1.0"),
@@ -435,10 +445,52 @@ def test_config_error_message(kind, payload, env_seed, error, message, tmp_path,
     else:
         monkeypatch.setenv("QSL_SEED", env_seed)
     cfg = write_config(tmp_path, "cfg.json", payload)
-    # a config's own `out` is read only when --out is not given
-    out = [] if "out" in payload else ["--out", str(tmp_path / "x")]
-    assert main([kind, "--config", cfg, *out]) == 2
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": {"type": error, "message": message}}
+    assert not list(tmp_path.glob("x_*"))
+
+
+def test_output_flags_win_over_valid_config_values(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"deltas": [0.5], "out": str(tmp_path / "cfg"), "format": "json"})
+    assert main(["alpha-table", "--config", cfg]) == 0
+    assert main(["alpha-table", "--config", cfg, "--out", str(tmp_path / "flag"), "--format", "csv"]) == 0
+    assert sorted(path.name for path in tmp_path.glob("*_*")) == [
+        "cfg_alpha.json", "cfg_report.json", "flag_alpha.csv", "flag_report.json",
+    ]
+    bad = write_config(tmp_path, "bad.json", {"deltas": [0.5], "format": 0})
+    assert main(["alpha-table", "--config", bad, "--out", str(tmp_path / "y"), "--format", "csv"]) == 2
+    assert main(["alpha-table", "--config", cfg, "--out", ""]) == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().out.splitlines()]
+    assert errors == [
+        {"type": "ConfigError", "message": "'format' must be csv or json, got 0"},
+        {"type": "ConfigError", "message": "'out' must be a non-empty string, got ''"},
+    ]
+    assert not list(tmp_path.glob("y_*"))
+
+
+# The README's exit codes: 2 for invalid input, 3 for a numerical failure.
+EXIT_CODES = {
+    "ConfigError": 2, "DimensionMismatch": 2, "DomainError": 2, "InsufficientLevels": 2, "NonHermitian": 2,
+    "NotReached": 3, "StepTooLarge": 3,
+}
+ERROR_NAMES = [
+    name for name in qsl.__all__
+    if isinstance(getattr(qsl, name), type) and issubclass(getattr(qsl, name), qsl.QslError) and name != "QslError"
+]
+
+
+@pytest.mark.parametrize("name", sorted(set(ERROR_NAMES) | set(EXIT_CODES)))
+def test_every_error_has_its_exit_code(name, tmp_path, capsys, monkeypatch):
+    # an error class added or removed without an entry here fails
+    assert name in ERROR_NAMES and name in EXIT_CODES
+
+    def handler(params):
+        raise getattr(qsl, name)("raised by the handler")
+
+    monkeypatch.setitem(cli.HANDLERS, "alpha-table", handler)
+    cfg = write_config(tmp_path, "cfg.json", {"deltas": [0.5]})
+    assert main(["alpha-table", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CODES[name]
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": name, "message": "raised by the handler"}}
     assert not list(tmp_path.glob("x_*"))
 
 
@@ -485,7 +537,7 @@ def test_readme_entry_points_are_public():
 
 # What the CLI and the documented entry points run; test-only references live in tests/oracles.py.
 PUBLIC_NAMES = [
-    "BoundReport", "ConfigError", "DegenerateInterval", "DimensionMismatch", "DomainError",
+    "BoundReport", "ConfigError", "DimensionMismatch", "DomainError",
     "HermitianOperator", "InsufficientLevels", "NonHermitian", "NotReached", "PureState", "QslError",
     "RefutationReport", "RefutationSpec", "RotatedHamiltonianSystem", "StepTooLarge", "SweepRow",
     "Trajectory", "alpha", "bd_pointwise_margin", "bloch_operators", "build_coupling", "build_ml_family",
@@ -548,3 +600,16 @@ class TestConsoleScript:
         )
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"]["type"] == "ConfigError"
+
+    def test_unwritable_prefix(self, tmp_path):
+        cfg = write_config(tmp_path, "alpha.json", {"deltas": [0.0, 1.0]})
+        result = subprocess.run(
+            [sys.executable, "-m", "qsl.cli", "alpha-table", "--config", cfg, "--out", str(tmp_path / "no" / "x")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        error = json.loads(result.stdout)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("cannot write outputs: ")
+        assert result.stderr == ""

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+import qsl.bounds
+import qsl.counterexamples
 from qsl import (
     DomainError,
     HermitianOperator,
@@ -189,6 +191,7 @@ class TestRunMlRefutation:
         assert report.hypothetical_bound == pytest.approx(math.pi / 2, abs=1e-12)
         assert report.margins["mt_saturation"] <= 1e-8
         assert report.max_energy_drift <= 1e-9
+        assert report.margins["angle_condition"] == report.spec.angle_condition > 0.0
 
     def test_half_hypothesis_violated(self):
         # the (1 - delta)/2 numerator hypothesis at delta = 0
@@ -218,6 +221,27 @@ class TestRunMlRefutation:
         report = run_ml_refutation(0.3, 1.0, 0.5, samples=300)
         sys_ = build_ml_family(report.spec.E, report.spec.theta)
         assert report.mt_closed == evaluate_bounds(sys_, 0.3, tau=report.tau, samples=300).mt_closed
+
+    def test_one_trajectory_is_sampled(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_trajectory(*args, **kwargs)
+
+        for module in (qsl.counterexamples, qsl.bounds):
+            monkeypatch.setattr(module, "sample_trajectory", counted)
+        run_ml_refutation(0.3, 1.0, 0.5, samples=50)
+        assert len(calls) == 1
+
+    def test_spec_is_checked_before_the_search(self, monkeypatch):
+        # a margin of 1e-17 rounds away, so cot(theta/2) only ties arccos(sqrt(delta))/L
+        def search(*args, **kwargs):
+            raise AssertionError("the passage was searched before the spec was checked")
+
+        monkeypatch.setattr(qsl.counterexamples, "first_passage", search)
+        with pytest.raises(DomainError, match=re.escape("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")):
+            run_ml_refutation(0.3, 0.7, 1.0, 1e-17)
 
     def test_energy_conserved_along_trajectory(self):
         report = run_ml_refutation(0.3, 1.0, 0.5)
