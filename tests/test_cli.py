@@ -420,6 +420,13 @@ FRAMES = "('schrodinger', 'rotating')"
         ("refute-ml", {**REFUTE, "out": 5, "delta": None}, None, "ConfigError", "'out' must be a string, got 5"),
         ("refute-ml", {**REFUTE, "format": "xml", "samples": 1}, None, "ConfigError",
          "'format' must be csv or json, got 'xml'"),
+        ("refute-ml", {"delta": 0.0, "L": 1.0}, "x", "ConfigError", "missing required config keys: ['E']"),
+        # library checks after the config checks
+        ("refute-ml", {**REFUTE, "delta": 1.0}, None, "DomainError", "delta must lie in [0, 1), got 1.0"),
+        ("alpha-table", {"deltas": [0.5, 1.5]}, None, "DomainError", "delta must lie in [0, 1], got 1.5"),
+        # a repeated key is refused, not resolved to its last value (raw JSON text)
+        ("refute-ml", '{"delta": 0.9, "L": 1.0, "E": 1.0, "samples": 20, "delta": 0.0}', None, "ConfigError",
+         "duplicate config keys: ['delta']"),
         # a config's out and format are checked whenever present, even where the --out flag is given
         ("refute-ml", {**REFUTE, "out": 0}, None, "ConfigError", "'out' must be a string, got 0"),
         ("refute-ml", {**REFUTE, "out": None}, None, "ConfigError", "'out' must be a string, got None"),
@@ -430,13 +437,6 @@ FRAMES = "('schrodinger', 'rotating')"
          "'out' must be a non-empty string, got ''"),
         ("refute-ml", {**REFUTE, "format": "", "delta": None}, None, "ConfigError",
          "'format' must be csv or json, got ''"),
-        ("refute-ml", {"delta": 0.0, "L": 1.0}, "x", "ConfigError", "missing required config keys: ['E']"),
-        # library checks after the config checks
-        ("refute-ml", {**REFUTE, "delta": 1.0}, None, "DomainError", "delta must lie in [0, 1), got 1.0"),
-        ("alpha-table", {"deltas": [0.5, 1.5]}, None, "DomainError", "delta must lie in [0, 1], got 1.5"),
-        # a repeated key is refused, not resolved to its last value (raw JSON text)
-        ("refute-ml", '{"delta": 0.9, "L": 1.0, "E": 1.0, "samples": 20, "delta": 0.0}', None, "ConfigError",
-         "duplicate config keys: ['delta']"),
     ],
 )
 def test_config_error_message(kind, payload, env_seed, error, message, tmp_path, capsys, monkeypatch):
