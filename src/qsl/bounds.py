@@ -112,6 +112,8 @@ def time_average(times, values) -> float | list[float]:
     span = float(t[-1] - t[0])
     if span == 0.0:
         raise DomainError("time window has zero length")
+    if span == math.inf:
+        raise DomainError("time window has infinite length")
     return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * steps, axis=-1) / span).tolist()
 
 
@@ -120,9 +122,13 @@ def _angle(delta: float) -> float:
     return math.acos(math.sqrt(delta))
 
 
-def _over(distance: float, rate: float) -> float:
-    """A distance, arccos(sqrt(delta)) or alpha(delta), over an energy rate; inf when the rate vanishes."""
-    if rate <= ZERO_DENOMINATOR:
+def _over(distance: float, rate: float, scale: float) -> float:
+    """A distance, arccos(sqrt(delta)) or alpha(delta), over an energy rate.
+
+    inf when the rate is at most ZERO_DENOMINATOR times `scale`, the spectral
+    radius of H: a rate that small is rounding, on any energy scale.
+    """
+    if rate <= ZERO_DENOMINATOR * scale:
         return math.inf
     return distance / rate
 
@@ -266,15 +272,15 @@ def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Tra
     else:
         rates = traj.stats.energy_uncertainty, _bd_factor(traj.stats), traj.stats.norm_energy
         avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(rates))
-    distance = _angle(delta)
+    distance, scale = _angle(delta), float(np.abs(sys.H.eig[0]).max())
     return BoundReport(
         delta=delta,
         tau_actual=float(tau),
-        mt=_over(distance, spread),
-        ml=_over(_alpha_of(delta), norm_energy) if sys.is_isolated else None,
-        bd=_over(distance, factor),
-        mt_closed=_over(distance, avg_unc),
-        bd_closed=_over(distance, avg_bdf),
+        mt=_over(distance, spread, scale),
+        ml=_over(_alpha_of(delta), norm_energy, scale) if sys.is_isolated else None,
+        bd=_over(distance, factor, scale),
+        mt_closed=_over(distance, avg_unc, scale),
+        bd_closed=_over(distance, avg_bdf, scale),
         avg_uncertainty=avg_unc,
         avg_bd_factor=avg_bdf,
         avg_norm_energy=avg_norm,

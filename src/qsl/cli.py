@@ -139,7 +139,7 @@ def _load_config(path: str, kind: str) -> dict:
             cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, an over-long integer or deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

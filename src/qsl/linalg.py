@@ -189,8 +189,8 @@ def _energy_statistics(values, weights) -> EnergyStatistics:
     # centered second moment: no cancellation noise for near-stationary states
     centered = values - mean[..., None]
     spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
-    # a level starts wherever the gap to the eigenvalue below exceeds gap_tol
-    gap_tol = 1e-9 * (float(values[-1] - values[0]) + 1.0)
+    # a level starts wherever the gap to the eigenvalue below exceeds gap_tol, relative to the spectral radius
+    gap_tol = 1e-9 * float(np.abs(values).max())
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap_tol)
     levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
     occupations = np.add.reduceat(weights, starts, axis=-1)

@@ -601,6 +601,24 @@ class TestConsoleScript:
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"deltas": [0.0, 1.0], "out": "\xff"}', b'{"seed": ' + b"1" * 5000 + b"}", b"[" * 100000],
+        ids=["not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_malformed_config_file(self, tmp_path, payload):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(payload)
+        result = subprocess.run(
+            [sys.executable, "-m", "qsl.cli", "alpha-table", "--config", str(cfg), "--out", str(tmp_path / "x")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["error"]["type"] == "ConfigError"
+        assert result.stderr == ""
+        assert not list(tmp_path.glob("x_*"))
+
     def test_unwritable_prefix(self, tmp_path):
         cfg = write_config(tmp_path, "alpha.json", {"deltas": [0.0, 1.0]})
         result = subprocess.run(

@@ -171,10 +171,12 @@ MU = 1.0 / (1.0 - math.cos(0.8))
         (lambda: build_ml_family(math.inf, 0.8), "E must be positive and finite, got inf"),
         (lambda: RefutationSpec(0.5, math.inf, 1.0, 0.8, MU), "L and E must be positive and finite"),
         (lambda: RefutationSpec(0.5, 1.0, math.inf, 0.8, MU), "L and E must be positive and finite"),
+        (lambda: time_average([0.0, math.inf], [1.0, 2.0]), "time window has infinite length"),
     ],
     ids=[
         "choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "spec-mu", "time_average-times",
         "choose_theta-L-inf", "choose_theta-margin-inf", "family-E-inf", "spec-L-inf", "spec-E-inf",
+        "time_average-times-inf",
     ],
 )
 def test_nan_fails_the_positive_checks(call, message):

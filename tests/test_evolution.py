@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,20 @@ class TestPropagateNumeric:
         sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1e23]), PureState.normalized([1.0, 1e-150]))
         with pytest.raises(StepTooLarge, match=re.escape("norm drift 1.736e+07 at t=0.002 exceeds")):
             propagate_numeric(sys_, 1.0, 1e-3)
+
+    def test_memory_does_not_grow_with_the_run_length(self):
+        # one step at a time: the traced peak at 20000 steps stays that of 2000
+        sys_ = random_coupled_system(np.random.default_rng(37), 3)
+        propagate_numeric(sys_, 1e-3, 1e-4)  # fills the cached eigenpairs before tracing
+        peaks = []
+        for t in (0.2, 2.0):
+            tracemalloc.start()
+            try:
+                propagate_numeric(sys_, t, 1e-4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
     def test_bad_arguments(self):
         sys_ = build_ml_family(1.0, 0.8)
