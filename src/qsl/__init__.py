@@ -6,6 +6,18 @@ defeat a hypothetical closed-system Margolus-Levitin bound and that saturate
 Mandelstam-Tamm without saturating Bhatia-Davies.
 """
 
+import os as _os
+
+# One BLAS thread unless the user chose a count: the products here are narrow
+# (a time grid by at most 16 levels), and a second thread doubles their CPU time
+# without shortening them. BLAS reads these variables once, when numpy first
+# loads it, so this holds only where qsl is imported before numpy. A variable
+# set to any non-empty value, even one that this BLAS does not read, leaves all
+# four as they are; an empty one counts as unset, as OpenBLAS treats it.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(_os.environ.get(name) for name in _THREAD_VARIABLES):
+    _os.environ.update(dict.fromkeys(_THREAD_VARIABLES, "1"))
+
 from .bounds import (
     BoundReport,
     alpha,

@@ -19,12 +19,11 @@ column. `write_outputs` writes both, as `<prefix>_report.json` and
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys as _sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -117,6 +116,11 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return format(float(value), ".17g")
+
+
+def _is_number(value) -> bool:
+    """A cell that `_fmt` writes with 17 significant digits: neither a string, a boolean nor missing."""
+    return not (value is None or isinstance(value, (str, bool)))
 
 
 def _json_cell(value):
@@ -220,18 +224,22 @@ def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -
 
     `table` maps each column name, in output order, to its cells: a numpy
     array or a list of numbers, booleans, strings or None (missing). CSV
-    rows are formatted one at a time as they are written.
+    rows are formatted one at a time as they are written, each by one
+    template: "%.17g" for a column of numbers only, and "%s" of the `_fmt`
+    cells for any other. Cells are not quoted; the tables' strings are
+    fixed words.
     """
     _write_json(f"{prefix}_report.json", report)
     columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
-    rows = zip(*columns, strict=True)
     if fmt == "csv":
+        numeric = [all(map(_is_number, cells)) for cells in columns]
+        template = ",".join("%.17g" if number else "%s" for number in numeric) + "\n"
+        columns = [cells if number else list(map(_fmt, cells)) for cells, number in zip(columns, numeric)]
         with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table)
-            writer.writerows([_fmt(cell) for cell in row] for row in rows)
+            fh.write(",".join(table) + "\n")
+            fh.writelines(template % row for row in zip(*columns, strict=True))
     else:
-        cells = [list(map(_json_cell, row)) for row in rows]
+        cells = [list(map(_json_cell, row)) for row in zip(*columns, strict=True)]
         _write_json(f"{prefix}_{name}.json", {"columns": list(table), "rows": cells})
 
 
@@ -254,7 +262,8 @@ def _trajectory_table(traj: Trajectory) -> dict:
 
 def cmd_refute_ml(p: dict) -> tuple[dict, str, dict]:
     report = run_ml_refutation(p["delta"], p["L"], p["E"], p["margin"], samples=p["samples"])
-    payload = {"kind": "refute-ml", **asdict(report)}
+    # asdict would deep-copy the trajectory, and the system it holds, only to drop them
+    payload = {"kind": "refute-ml", **asdict(replace(report, trajectory=None))}
     del payload["trajectory"]
     payload["claim_verified"] = (
         report.violated

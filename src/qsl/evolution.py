@@ -9,12 +9,18 @@ a second Hermitian operator A:
 The Schroedinger-picture propagator factors exactly as
 exp(-iAt) exp(-i(H-A)t). It lives in one place: the cached evaluator
 `RotatedHamiltonianSystem.evaluator`, which every exact evolution goes
-through. It has two batched maps: `states(times)` for trajectories and
-single states, and `fidelities(times)` for the first-passage scan and its
-refinement (`fidelity_function` hands out the latter). The evaluator keeps
-its last fidelity scan, so the first-passage searches for several target
-fidelities on one window share one scan, and when A is exactly zero it
-skips the exp(-iAt) factor, which is then exactly the identity.
+through. It has three batched maps: `rotating(times)` gives the
+rotating-frame states phi_t = exp(-i(H-A)t) u0, `schrodinger(times, phi)`
+turns them into the Schroedinger states psi_t = exp(-iAt) phi_t, and
+`fidelities(times)` serves the first-passage scan and its refinement
+(`fidelity_function` hands it out). `propagate_exact` chains the first two
+for one time. A `Trajectory` computes phi_t and the energy statistics when
+it is sampled, and psi_t, the fidelities and the Bloch data only when they
+are first read, so the bounds, which read the statistics alone, never form
+psi_t. The evaluator keeps its last fidelity scan, so the first-passage
+searches for several target fidelities on one window share one scan, and
+when A is exactly zero it skips the exp(-iAt) factor, which is then
+exactly the identity.
 
 The independent cross-check, `propagate_numeric`, is a classical fixed-step
 4th-order (RK4) integrator that builds H(t) on its own. For the linear
@@ -123,11 +129,12 @@ class _SpectralEvaluator:
     Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t. Fidelities
     take <u0|psi_t> in the eigenbasis of A, as the product of (V^dagger u0)^dagger,
     exp(-i a t), V^dagger W and exp(-i mu t) c0, without forming psi_t. For an
-    isolated system, a = 0 and V = I: both maps skip exp(-i a t), and the
-    general formula would reproduce their numbers bit for bit. The skip is for
-    speed: isolated systems are 30% of the default sweep, and a 100-system
-    all-isolated `validity_sweep` on one BLAS thread took 1.10-1.41 s with it
-    and 1.43-1.67 s without it (10 alternating runs a side, 2 CPUs).
+    isolated system, a = 0 and V = I: `schrodinger` returns phi_t itself,
+    `fidelities` skips exp(-i a t), and the general formula would reproduce
+    their numbers bit for bit. The skip is for speed: isolated systems are
+    30% of the default sweep, and a 100-system all-isolated `validity_sweep`
+    on one BLAS thread took 1.10-1.41 s with it and 1.43-1.67 s without it
+    (10 alternating runs a side, 2 CPUs).
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
@@ -144,15 +151,17 @@ class _SpectralEvaluator:
         self._rate_a = -1j * (self.a - self.a @ np.abs(self._probe) ** 2)
         self._scan: tuple | None = None
 
-    def states(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Rotating-frame and Schroedinger states at the given times, one per row."""
+    def rotating(self, times) -> np.ndarray:
+        """Rotating-frame states phi_t at the given times, one per row."""
         times = np.asarray(times, dtype=float)
-        phi = (np.exp(np.outer(times, -1j * self.mu)) * self.c0) @ self.W.T
+        return (np.exp(np.outer(times, -1j * self.mu)) * self.c0) @ self.W.T
+
+    def schrodinger(self, times, phi: np.ndarray) -> np.ndarray:
+        """Schroedinger states psi_t from the rotating-frame states phi_t at the same times."""
         if self._isolated:
-            return phi, phi
-        d = phi @ self.V.conj()
-        psi = (np.exp(np.outer(times, -1j * self.a)) * d) @ self.V.T
-        return phi, psi
+            return phi
+        times = np.asarray(times, dtype=float)
+        return (np.exp(np.outer(times, -1j * self.a)) * (phi @ self.V.conj())) @ self.V.T
 
     def fidelities(self, times) -> np.ndarray:
         """|<u0|psi_t>|^2 at each of the given times, without forming the states."""
@@ -180,7 +189,8 @@ class _SpectralEvaluator:
 
 def propagate_exact(sys: RotatedHamiltonianSystem, t: float) -> PureState:
     """State at time t via the factored propagator exp(-iAt) exp(-i(H-A)t)."""
-    return PureState.normalized(sys.evaluator.states([float(t)])[1][0])
+    ev, times = sys.evaluator, [float(t)]
+    return PureState.normalized(ev.schrodinger(times, ev.rotating(times))[0])
 
 
 def fidelity_function(sys: RotatedHamiltonianSystem):
@@ -230,23 +240,51 @@ def propagate_numeric(sys: RotatedHamiltonianSystem, t: float, step: float) -> P
     return PureState(V @ (np.exp(-1j * a * time) * chi))
 
 
-@dataclass
 class Trajectory:
     """Uniformly sampled evolution record with per-sample observables.
 
-    `stats` holds the energy statistics of the instantaneous Hamiltonian
-    H(t), one entry per sample, which are the same in both pictures;
+    `times` and `stats` are computed when the trajectory is sampled. `stats`
+    holds the energy statistics of the instantaneous Hamiltonian H(t), one
+    entry per sample, which are the same in both pictures;
     `stats.occupations[i, k]` is the weight at `times[i]` on the k-th lowest
     level of H (degeneracies grouped). `states`, `fidelity` and `bloch` (for
-    two levels, the expectations of the `bloch_operators` axes) describe
-    the curve drawn by the states of the requested frame.
+    two levels, the expectations of the `bloch_operators` axes, else None)
+    describe the curve drawn by the states of the requested frame. Each is
+    computed on first read and kept; the bounds read only `times` and
+    `stats`, so evaluating them never forms these. Built by
+    `sample_trajectory` from the rotating-frame states `phi` at `times`.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    fidelity: np.ndarray
-    stats: EnergyStatistics
-    bloch: np.ndarray | None
+    def __init__(self, sys: RotatedHamiltonianSystem, frame: str, times: np.ndarray, phi: np.ndarray):
+        # Spectral observables of H(t) in psi_t equal those of H in the
+        # rotating-frame state phi_t, since both pictures differ by exp(-iAt).
+        lam, U = sys.H.eig
+        self.times = times
+        self.stats = _energy_statistics(lam, np.abs(phi @ U.conj()) ** 2)
+        self._sys, self._frame, self._phi = sys, frame, phi
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The states of the frame at `times`, one per row."""
+        if self._frame == "rotating":
+            return self._phi
+        psi = self._sys.evaluator.schrodinger(self.times, self._phi)
+        del self._phi  # a read trajectory holds the states of one frame only
+        return psi
+
+    @cached_property
+    def fidelity(self) -> np.ndarray:
+        """|<u0|state>|^2 at each sample."""
+        overlaps = self.states @ self._sys.initial.amplitudes.conj()
+        return overlaps.real**2 + overlaps.imag**2
+
+    @cached_property
+    def bloch(self) -> np.ndarray | None:
+        """Expectations of the `bloch_operators` axes at each sample, one column per axis; None unless d = 2."""
+        if self._sys.dim != 2:
+            return None
+        axes = np.stack(bloch_operators())
+        return np.einsum("ti,kij,tj->tk", self.states.conj(), axes, self.states).real.copy()
 
 
 def sample_trajectory(
@@ -264,20 +302,4 @@ def sample_trajectory(
         raise DomainError(f"unknown frame {frame!r}")
 
     times = np.linspace(0.0, float(t_max), n + 1)
-    phi, psi = sys.evaluator.states(times)
-
-    # Spectral observables of H(t) in psi_t equal those of H in the
-    # rotating-frame state phi_t, since both pictures differ by exp(-iAt).
-    lam, U = sys.H.eig
-    stats = _energy_statistics(lam, np.abs(phi @ U.conj()) ** 2)
-
-    frame_states = psi if frame == "schrodinger" else phi
-    overlaps = frame_states @ sys.initial.amplitudes.conj()
-    fid = overlaps.real**2 + overlaps.imag**2
-
-    bloch = None
-    if sys.dim == 2:
-        axes = np.stack(bloch_operators())
-        bloch = np.einsum("ti,kij,tj->tk", frame_states.conj(), axes, frame_states).real.copy()
-
-    return Trajectory(times, frame_states, fid, stats, bloch)
+    return Trajectory(sys, frame, times, sys.evaluator.rotating(times))

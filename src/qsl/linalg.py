@@ -46,10 +46,12 @@ class HermitianOperator:
 
     def __init__(self, entries):
         mat = _as_complex_matrix(entries)
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+        # relative to the largest entry, so the rounding of a matrix on a large energy scale passes
+        deviation, size = np.abs(mat - mat.conj().T).max(), np.abs(mat).max()
+        if deviation > HERMITICITY_TOL * size:
             raise NonHermitian(
-                f"matrix deviates from its conjugate transpose by "
-                f"{np.abs(mat - mat.conj().T).max():.3e} (> {HERMITICITY_TOL})"
+                f"matrix deviates from its conjugate transpose by {deviation:.3e} "
+                f"(> {HERMITICITY_TOL} times its largest entry, {size:.3e})"
             )
         # Exact symmetrization kills the sub-tolerance asymmetry.
         mat = (mat + mat.conj().T) / 2

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -550,6 +551,47 @@ PUBLIC_NAMES = [
 
 def test_public_surface():
     assert qsl.__all__ == PUBLIC_NAMES
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Prints the number of threads numpy's bundled OpenBLAS runs, or "absent" without one.
+OPENBLAS_THREADS = """
+import ctypes, glob, os
+import qsl
+import numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__path__[0]), "numpy.libs", "libscipy_openblas*"))
+get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
+if get is not None:
+    get.argtypes, get.restype = [], ctypes.c_int
+print("absent" if get is None else get())
+"""
+
+
+def run_with_thread_variables(code, **variables):
+    """stdout of `python -c code` with only the given thread variables set."""
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARIABLES}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**env, **variables}, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+class TestThreadDefault:
+    READ_BACK = f"import json, os, qsl; print(json.dumps([os.environ.get(n) for n in {THREAD_VARIABLES!r}]))"
+
+    @pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": ""}], ids=["unset", "empty"])
+    def test_import_sets_one_thread(self, variables):
+        assert json.loads(run_with_thread_variables(self.READ_BACK, **variables)) == ["1"] * 4
+
+    def test_a_user_count_wins(self):
+        assert json.loads(run_with_thread_variables(self.READ_BACK, OMP_NUM_THREADS="3")) == [None, None, "3", None]
+
+    def test_openblas_runs_one_thread(self):
+        threads = run_with_thread_variables(OPENBLAS_THREADS)
+        if threads == "absent":
+            pytest.skip("numpy bundles no scipy-openblas library with scipy_openblas_get_num_threads64_")
+        assert threads == "1"
 
 
 def _refutation_not_violated(*args, **kwargs):

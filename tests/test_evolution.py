@@ -12,6 +12,7 @@ from qsl import (
     PureState,
     RotatedHamiltonianSystem,
     StepTooLarge,
+    bloch_operators,
     build_coupling,
     build_ml_family,
     evaluate_bounds,
@@ -20,9 +21,10 @@ from qsl import (
     propagate_numeric,
     sample_trajectory,
     trace_distance,
+    validity_sweep,
     variance,
 )
-from qsl.evolution import NORM_DRIFT_TOL
+from qsl.evolution import NORM_DRIFT_TOL, _SpectralEvaluator
 from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
 
 from oracles import fidelity, hamiltonian_at, level_occupations, rotating_frame
@@ -145,7 +147,8 @@ class TestSpectralEvaluator:
             ev = sys_.evaluator
             assert sys_.is_isolated
             phi, psi, fids = general_formula(ev, self.TIMES, np.zeros(dim), np.eye(dim, dtype=complex))
-            got_phi, got_psi = ev.states(self.TIMES)
+            got_phi = ev.rotating(self.TIMES)
+            got_psi = ev.schrodinger(self.TIMES, got_phi)
             assert np.array_equal(got_phi, phi)
             assert np.array_equal(got_psi, psi)
             assert np.array_equal(ev.fidelities(self.TIMES), fids)
@@ -158,7 +161,8 @@ class TestSpectralEvaluator:
         ev = sys_.evaluator
         assert not sys_.is_isolated
         phi, psi, fids = general_formula(ev, self.TIMES, ev.a, ev.V)
-        got_phi, got_psi = ev.states(self.TIMES)
+        got_phi = ev.rotating(self.TIMES)
+        got_psi = ev.schrodinger(self.TIMES, got_phi)
         assert np.array_equal(got_phi, phi)
         assert np.array_equal(got_psi, psi)
         assert np.array_equal(ev.fidelities(self.TIMES), fids)
@@ -174,7 +178,7 @@ class TestPropagateNumeric:
         assert np.array_equal(out.amplitudes, sys_.initial.amplitudes)
 
     def test_matches_the_step_by_step_reference(self):
-        # several 64-step blocks with a tail step, t < step, and a coarse step with a tail
+        # hundreds of steps with a tail step, t < step, and a coarse step with a tail
         rng = np.random.default_rng(29)
         for dim in (2, 3, 4):
             sys_ = random_coupled_system(rng, dim)
@@ -191,7 +195,7 @@ class TestPropagateNumeric:
             coarse, fine = (trace_distance(exact, propagate_numeric(sys_, 1.3, h)) for h in (0.02, 0.01))
             assert 14.0 <= coarse / fine <= 18.0
 
-    def test_several_blocks_ending_in_a_tail_step(self):
+    def test_thousands_of_steps_ending_in_a_tail_step(self):
         rng = np.random.default_rng(33)
         sys_ = random_coupled_system(rng, 4)
         numeric = propagate_numeric(sys_, 5.0003, 1e-3)
@@ -241,9 +245,9 @@ class TestPropagateNumeric:
         with pytest.raises(StepTooLarge, match=re.escape("norm drift 5.265e+00 at t=0.5 exceeds")):
             propagate_numeric(sys_, 5.0, 0.5)
 
-    def test_first_drift_in_a_later_block_is_reported_as_the_loop_reports_it(self):
+    def test_a_late_first_drift_is_reported_as_the_loop_does(self):
         # the weight on the level at 3000 grows 2.27x a step (|R(-3i)| = 1.5), so drift
-        # first passes 1e-6 at step 98: the second 64-step block
+        # first passes 1e-6 at step 98, long after the first step
         sys_ = isolated(HermitianOperator.from_diagonal([0.0, 3000.0]), PureState.normalized([1.0, 1e-20]))
         with pytest.raises(StepTooLarge) as expected:
             rk4_reference(sys_, 0.2, 1e-3)
@@ -257,7 +261,7 @@ class TestPropagateNumeric:
         with pytest.raises(StepTooLarge, match=re.escape("norm drift nan at t=0.001 exceeds")):
             propagate_numeric(sys_, 1e-3, 1e-3)
 
-    def test_overflow_later_in_the_block_keeps_the_first_offending_step(self):
+    def test_a_later_overflow_keeps_the_first_offending_step(self):
         # steps from the fourth on overflow to inf and NaN; the second step already drifts
         sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1e23]), PureState.normalized([1.0, 1e-150]))
         with pytest.raises(StepTooLarge, match=re.escape("norm drift 1.736e+07 at t=0.002 exceeds")):
@@ -440,3 +444,42 @@ class TestSampleTrajectory:
             speed = np.gradient(distance, traj.times)[inner]
             assert np.abs(speed - traj.stats.energy_uncertainty[inner]).max() <= 1e-6
             assert np.ptp(speed) <= 1e-6
+
+
+class TestLazyTrajectory:
+    @pytest.mark.parametrize("frame", ["schrodinger", "rotating"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("maker", [random_coupled_system, random_isolated_system])
+    def test_fields_read_on_demand_match_the_formulas_bit_for_bit(self, maker, dim, frame):
+        sys_ = maker(np.random.default_rng(43 + dim), dim)
+        ev = sys_.evaluator
+        a, V = (np.zeros(dim), np.eye(dim, dtype=complex)) if sys_.is_isolated else (ev.a, ev.V)
+        traj = sample_trajectory(sys_, 2.5, 200, frame=frame)
+        phi, psi, _ = general_formula(ev, traj.times, a, V)
+        states = psi if frame == "schrodinger" else phi
+        overlaps = states @ sys_.initial.amplitudes.conj()
+        # bloch first: a field may be read before the states it is built from
+        if dim == 2:
+            bloch = np.einsum("ti,kij,tj->tk", states.conj(), np.stack(bloch_operators()), states).real
+            assert np.array_equal(traj.bloch, bloch)
+        else:
+            assert traj.bloch is None
+        assert np.array_equal(traj.fidelity, overlaps.real**2 + overlaps.imag**2)
+        assert np.array_equal(traj.states, states)
+        # read, it holds one array per field, as a record filled at sampling time would
+        arrays = {id(value) for value in vars(traj).values() if isinstance(value, np.ndarray)}
+        assert len(arrays) == 3 + (dim == 2)
+
+    def test_the_bounds_never_form_schrodinger_states(self, monkeypatch):
+        def refuse(self, times, phi):
+            raise AssertionError("Schroedinger states formed")
+
+        monkeypatch.setattr(_SpectralEvaluator, "schrodinger", refuse)
+        rng = np.random.default_rng(47)
+        for sys_ in (random_coupled_system(rng, 3), random_isolated_system(rng, 3), build_ml_family(1.0, 0.8)):
+            report = evaluate_bounds(sys_, 0.5, tau=1.0)
+            assert report.mt_closed > 0.0
+            with pytest.raises(AssertionError, match="Schroedinger states formed"):
+                sample_trajectory(sys_, 1.0, 10).states
+        rows, violations = validity_sweep(n_systems=6, dim_range=(2, 4), deltas=(0.0, 0.5), seed=3, samples=50)
+        assert violations == 0 and any(row.reached for row in rows)

@@ -47,6 +47,19 @@ class TestHermitianOperator:
         with pytest.raises(NonHermitian):
             HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_hermiticity_tolerance_is_relative_to_the_largest_entry(self):
+        # q (1e6 I) q^dagger is Hermitian; its rounding, 7.4e-11, exceeds 1e-12 only in absolute terms
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        mat = q @ (1e6 * np.eye(3)) @ q.conj().T
+        assert np.abs(mat - mat.conj().T).max() > 1e-12
+        np.testing.assert_allclose(HermitianOperator(mat).eig[0], 1e6, rtol=1e-12)
+        assert np.array_equal(HermitianOperator(np.zeros((3, 3))).entries, np.zeros((3, 3)))
+
+    def test_a_small_matrix_is_judged_on_its_own_scale(self):
+        with pytest.raises(NonHermitian):
+            HermitianOperator([[0.0, 1e-11], [0.0, 0.0]])
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.zeros((2, 3)))
