@@ -36,6 +36,8 @@ CASES = {
     "bd_gap_csv": "trajectory",
     "bd_gap_5level": "trajectory",
     "bd_gap_t_max": "trajectory",
+    "bd_gap_10level": "trajectory",
+    "bd_gap_degenerate": "trajectory",
     "trajectory_rotating": "trajectory",
     "trajectory_schrodinger": "trajectory",
     "alpha_table": "alpha",
@@ -44,6 +46,7 @@ CASES = {
     "validity_sweep": "sweep",
     "validity_sweep_full": "sweep",
     "validity_sweep_json": "sweep",
+    "validity_sweep_wide": "sweep",
 }
 
 
