@@ -16,8 +16,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotReached
-from .evolution import RotatedHamiltonianSystem, Trajectory, _check_count, fidelity_function, sample_trajectory
-from .linalg import EnergyStatistics
+from .evolution import (
+    RotatedHamiltonianSystem,
+    Trajectory,
+    _angles,
+    _check_count,
+    fidelity_function,
+    sample_trajectory,
+)
+from .linalg import _bd_factor
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -27,7 +34,8 @@ ZERO_DENOMINATOR = 1e-14
 PASSAGE_SLACK = 1e-14
 PASSAGE_WIDTH = 1e-13
 PASSAGE_SPLIT = 32
-PASSAGE_FRACTIONS = np.arange(PASSAGE_SPLIT + 1) / PASSAGE_SPLIT
+PASSAGE_FRACTIONS = np.arange(1, PASSAGE_SPLIT) / PASSAGE_SPLIT
+_ENDS = np.array([0, 1])  # offsets of a part's left and right point from its left one
 PASSAGE_BATCH = 2048
 PASSAGE_SCAN = 2048
 VALIDITY_SLACK = 1e-9
@@ -139,11 +147,6 @@ def _alpha_of(delta: float) -> float:
     return alpha(delta)
 
 
-def _bd_factor(stats: EnergyStatistics):
-    """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics."""
-    return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
-
-
 def first_passage(
     sys: RotatedHamiltonianSystem,
     delta: float,
@@ -167,47 +170,54 @@ def first_passage(
     than half that width; a shallow crossing can come out a few widths
     early. The slack keeps rounding from ruling out an exact touch, so a dip
     within it counts as reached (the generic case for delta = 0).
+
+    v is a constant of the system, `sys.evaluator.speed`, and the scan and
+    its angles are kept with the evaluator, so the other deltas of one window
+    reuse them. Every sampled time carries its fidelity and angle through the
+    refinement: only the 31 new interior points of an interval are
+    evaluated, and the search is the same arithmetic on the same points
+    whichever deltas and windows were asked before.
     """
     delta = _check_delta(delta)
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
     if delta == 1.0:
         return 0.0
-    fidelities = fidelity_function(sys)
-    times, fids = sys.evaluator.scan(t_max, PASSAGE_SCAN)
+    fidelities, ev = fidelity_function(sys), sys.evaluator
+    scan = ev.scan(t_max, PASSAGE_SCAN)
     target = 2.0 * _angle(delta) * (1.0 - PASSAGE_SLACK)
-    speed = sys.initial_statistics.energy_uncertainty if sys.is_isolated else np.ptp(sys.H.eig[0]) / 2.0
-    # Each row of t is one interval cut into equal parts; f holds the fidelities there.
-    t, f, resume = times[None, :], fids[None, :], None
+    # s[0], s[1] and s[2] hold times, fidelities and angles; each row is one interval cut into equal parts.
+    s, resume = scan[:, None], None
     while True:
-        th = np.arccos(np.minimum(np.sqrt(f), 1.0))  # clipped against rounding above F = 1
+        t, f, th = s[0], s[1], s[2]
         reached = (f[:, 1:] <= delta).ravel()
-        keep = (th[:, :-1] + th[:, 1:] + speed * (t[:, 1:] - t[:, :-1]) >= target).ravel()
+        keep = (th[:, :-1] + th[:, 1:] + ev.speed * (t[:, 1:] - t[:, :-1]) >= target).ravel()
         keep |= reached  # rounding must not certify away a sample that reached delta
         first = reached.argmax()
         if reached[first]:
             keep[first + 1:] = False
         index = keep.nonzero()[0]
         index += index // (t.shape[1] - 1)  # part -> its left end in the flattened rows
-        t, f = t.ravel(), f.ravel()
+        points = s.reshape(3, -1)
         if index.size > PASSAGE_BATCH:
             # bound one round's memory: what lies beyond is searched again afterwards
-            resume, index = t[index[PASSAGE_BATCH]], index[:PASSAGE_BATCH]
+            resume, index = points[0, index[PASSAGE_BATCH]], index[:PASSAGE_BATCH]
         if not index.size:
             if resume is None:
-                raise NotReached(f"fidelity never reached {delta} within t_max={times[-1]:.6g}")
-            t = np.linspace(resume, times[-1], PASSAGE_SCAN + 1)
-            t, f, resume = t[None, :], fidelities(t)[None, :], None
+                raise NotReached(f"fidelity never reached {delta} within t_max={scan[0, -1]:.6g}")
+            t = np.linspace(resume, scan[0, -1], PASSAGE_SCAN + 1)
+            f = fidelities(t)
+            s, resume = np.stack((t, f, _angles(f)))[:, None], None
             continue
-        lo, hi = t[index], t[index + 1]
+        ends = points.take(index[:, None] + _ENDS, axis=1)  # the left and right point of each kept part
+        lo, hi = ends[0, :, 0], ends[0, :, 1]
         if hi[0] - lo[0] <= PASSAGE_WIDTH * hi[0]:
             return float((lo[0] + hi[0]) / 2.0)
-        f_lo, f_hi = f[index], f[index + 1]
         t = (hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None]
-        t[:, -1] = hi
-        f = np.empty(t.shape)
-        f[:, 0], f[:, -1] = f_lo, f_hi
-        f[:, 1:-1] = fidelities(t[:, 1:-1].ravel()).reshape(len(index), -1)
+        f = fidelities(t.ravel()).reshape(t.shape)
+        s = np.empty((3, index.size, PASSAGE_SPLIT + 1))
+        s[..., ::PASSAGE_SPLIT] = ends
+        s[0, :, 1:-1], s[1, :, 1:-1], s[2, :, 1:-1] = t, f, _angles(f)
 
 
 @dataclass
@@ -265,14 +275,13 @@ def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Tra
     and `run_ml_refutation` passes the one it already holds. traj is None for
     tau = 0, the one-point window, whose averages are the initial values.
     """
-    stats = sys.initial_statistics
-    spread, factor, norm_energy = map(float, (stats.energy_uncertainty, _bd_factor(stats), stats.norm_energy))
+    spread, factor, norm_energy = sys._initial_rates
     if traj is None:
         avg_unc, avg_bdf, avg_norm = spread, factor, norm_energy
     else:
         rates = traj.stats.energy_uncertainty, _bd_factor(traj.stats), traj.stats.norm_energy
         avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(rates))
-    distance, scale = _angle(delta), float(np.abs(sys.H.eig[0]).max())
+    distance, scale = _angle(delta), sys.H._spectrum.radius
     return BoundReport(
         delta=delta,
         tau_actual=float(tau),

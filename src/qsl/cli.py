@@ -226,13 +226,17 @@ def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -
     array or a list of numbers, booleans, strings or None (missing). CSV
     rows are formatted one at a time as they are written, each by one
     template: "%.17g" for a column of numbers only, and "%s" of the `_fmt`
-    cells for any other. Cells are not quoted; the tables' strings are
-    fixed words.
+    cells for any other. A float or integer array is numbers only by its
+    dtype; a boolean array and a list are checked cell by cell. Cells are
+    not quoted; the tables' strings are fixed words.
     """
     _write_json(f"{prefix}_report.json", report)
     columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
     if fmt == "csv":
-        numeric = [all(map(_is_number, cells)) for cells in columns]
+        numeric = [
+            isinstance(cells, np.ndarray) and cells.dtype.kind in "iuf" or all(map(_is_number, listed))
+            for cells, listed in zip(table.values(), columns)
+        ]
         template = ",".join("%.17g" if number else "%s" for number in numeric) + "\n"
         columns = [cells if number else list(map(_fmt, cells)) for cells, number in zip(columns, numeric)]
         with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:

@@ -52,6 +52,7 @@ from .linalg import (
     EnergyStatistics,
     HermitianOperator,
     PureState,
+    _bd_factor,
     _energy_statistics,
     _state_statistics,
 )
@@ -107,6 +108,12 @@ class RotatedHamiltonianSystem:
         return _state_statistics(self.H, self.initial)
 
     @cached_property
+    def _initial_rates(self) -> tuple[float, float, float]:
+        """The initial Delta H, Bhatia-Davies factor and normalized energy as floats: every bound's rate at t = 0."""
+        stats = self.initial_statistics
+        return float(stats.energy_uncertainty), float(_bd_factor(stats)), float(stats.norm_energy)
+
+    @cached_property
     def evaluator(self) -> "_SpectralEvaluator":
         """The cached exact propagator of this system."""
         return _SpectralEvaluator(self)
@@ -119,6 +126,11 @@ def _centred_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the Hermitian matrix mat - (tr mat / d) I: an offset costs the eigenvectors no precision."""
     shift = np.trace(mat).real / len(mat)
     return HermitianOperator(mat - shift * np.eye(len(mat))).eig
+
+
+def _angles(fids: np.ndarray) -> np.ndarray:
+    """Fubini-Study angles arccos(sqrt(F)) to u0 from fidelities F, clipped against rounding above F = 1."""
+    return np.arccos(np.minimum(np.sqrt(fids), 1.0))
 
 
 class _SpectralEvaluator:
@@ -135,6 +147,10 @@ class _SpectralEvaluator:
     30% of the default sweep, and a 100-system all-isolated `validity_sweep`
     on one BLAS thread took 1.10-1.41 s with it and 1.43-1.67 s without it
     (10 alternating runs a side, 2 CPUs).
+
+    It also keeps two things `first_passage` reads for every delta: `speed`,
+    the system's bound on the speed of the angle arccos(sqrt(F)), and the
+    last `scan` with the angles of its fidelities.
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
@@ -149,6 +165,8 @@ class _SpectralEvaluator:
         # mean energies of u0 keep a constant energy offset from costing precision.
         self._rate_mu = -1j * (self.mu - self.mu @ np.abs(self.c0) ** 2)
         self._rate_a = -1j * (self.a - self.a @ np.abs(self._probe) ** 2)
+        # half the spectral width of H, or the conserved Delta H when A = 0 (see first_passage)
+        self.speed = sys.initial_statistics.energy_uncertainty if self._isolated else np.ptp(sys.H.eig[0]) / 2.0
         self._scan: tuple | None = None
 
     def rotating(self, times) -> np.ndarray:
@@ -172,8 +190,8 @@ class _SpectralEvaluator:
         overlaps = mixed @ self._probe
         return overlaps.real**2 + overlaps.imag**2
 
-    def scan(self, t_max: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only times and fidelities at samples + 1 uniform times on [0, t_max].
+    def scan(self, t_max: float, samples: int) -> np.ndarray:
+        """Read-only rows of times, fidelities and their `_angles` at samples + 1 uniform times on [0, t_max].
 
         The last scan is kept, so repeating the window costs nothing.
         """
@@ -181,10 +199,10 @@ class _SpectralEvaluator:
         if self._scan is None or self._scan[0] != key:
             times = np.linspace(0.0, float(t_max), samples + 1)
             fids = self.fidelities(times)
-            times.flags.writeable = False
-            fids.flags.writeable = False
-            self._scan = key, times, fids
-        return self._scan[1:]
+            rows = np.stack((times, fids, _angles(fids)))
+            rows.flags.writeable = False
+            self._scan = key, rows
+        return self._scan[1]
 
 
 def propagate_exact(sys: RotatedHamiltonianSystem, t: float) -> PureState:
@@ -258,9 +276,8 @@ class Trajectory:
     def __init__(self, sys: RotatedHamiltonianSystem, frame: str, times: np.ndarray, phi: np.ndarray):
         # Spectral observables of H(t) in psi_t equal those of H in the
         # rotating-frame state phi_t, since both pictures differ by exp(-iAt).
-        lam, U = sys.H.eig
         self.times = times
-        self.stats = _energy_statistics(lam, np.abs(phi @ U.conj()) ** 2)
+        self.stats = _energy_statistics(sys.H, np.abs(phi @ sys.H.eig[1].conj()) ** 2)
         self._sys, self._frame, self._phi = sys, frame, phi
 
     @cached_property

@@ -76,6 +76,21 @@ class HermitianOperator:
         values, vectors = np.linalg.eigh(self._entries)
         return values, _fix_phases(vectors)
 
+    @cached_property
+    def _spectrum(self) -> "_Spectrum":
+        """The spectral radius and the degeneracy grouping of the eigenvalues, read by `_energy_statistics`.
+
+        A level starts wherever the gap to the eigenvalue below exceeds 1e-9
+        times the radius, max|eigenvalue|; its energy is the mean of its
+        eigenvalues. Kept with the operator, so it is freed with it.
+        """
+        values = self.eig[0]
+        radius = float(np.abs(values).max())
+        starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9 * radius)
+        levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
+        levels.flags.writeable = False  # every statistics record of this operator shares it
+        return _Spectrum(radius, starts, levels)
+
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
 
@@ -164,6 +179,14 @@ def trace_distance(state1, state2) -> float:
     return float(np.linalg.norm(residual))
 
 
+class _Spectrum(NamedTuple):
+    """`HermitianOperator._spectrum`: the radius, the index where each level starts, and the level energies."""
+
+    radius: float
+    starts: np.ndarray
+    levels: np.ndarray
+
+
 class EnergyStatistics(NamedTuple):
     """An operator's statistics in a batch of states (see `_energy_statistics`), one entry per state."""
 
@@ -178,34 +201,47 @@ class EnergyStatistics(NamedTuple):
     dual_norm_energy: np.ndarray
 
 
-def _energy_statistics(values, weights) -> EnergyStatistics:
+def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics:
     """Mean, spread, level occupations and occupied extrema, one row of weights per state.
 
-    `values` are an operator's ascending eigenvalues and `weights[..., k]` a
-    state's weight on the k-th eigenvector; a 1-d `weights` is one state.
-    Every state shares `levels`, the degeneracy-grouped eigenvalues. A level
-    is occupied when its weight exceeds OCCUPATION_THRESHOLD, as `occupied`
-    marks, and eps_min/eps_max are the extreme ones (inf/-inf when none is).
+    `weights[i, k]` is the i-th state's weight on the k-th eigenvector of
+    `operator`; a 1-d `weights` is one state. Every state shares `levels`,
+    the degeneracy-grouped eigenvalues, which the operator groups once
+    (`HermitianOperator._spectrum`). A level is occupied when its weight
+    exceeds OCCUPATION_THRESHOLD, as `occupied` marks, and eps_min/eps_max
+    are the extreme ones (inf/-inf when none is).
+
+    The grouping runs level-major, down the rows of levels x states arrays,
+    because numpy reduces a short last axis slowly. It gives the bits of the
+    sample-major formulas: `np.add.reduceat` sums a group in the same order
+    on either axis, and minima and maxima are exact. `occupations` and
+    `occupied` are transposed views, indexed [state, level]. The mean and
+    the spread stay sample-major: numpy sums a contiguous last axis of 8 or
+    more in blocks, so summing down the rows would move the spread's low
+    bits from 8 eigenvalues on.
     """
+    values = operator.eig[0]
+    _, starts, levels = operator._spectrum
     mean = weights @ values
     # centered second moment: no cancellation noise for near-stationary states
     centered = values - mean[..., None]
     spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
-    # a level starts wherever the gap to the eigenvalue below exceeds gap_tol, relative to the spectral radius
-    gap_tol = 1e-9 * float(np.abs(values).max())
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap_tol)
-    levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
-    occupations = np.add.reduceat(weights, starts, axis=-1)
+    occupations = np.add.reduceat(weights.T, starts, axis=0)
     occupied = occupations > OCCUPATION_THRESHOLD
-    eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
-    eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)
+    column = levels.reshape(levels.shape + (1,) * (occupied.ndim - 1))
+    eps_min = np.where(occupied, column, np.inf).min(axis=0)
+    eps_max = np.where(occupied, column, -np.inf).max(axis=0)
     return EnergyStatistics(
-        mean, spread, levels, occupations, eps_min, eps_max, occupied, mean - eps_min, eps_max - mean
+        mean, spread, levels, occupations.T, eps_min, eps_max, occupied.T, mean - eps_min, eps_max - mean
     )
+
+
+def _bd_factor(stats: EnergyStatistics):
+    """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics."""
+    return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
 
 
 def _state_statistics(op, state) -> EnergyStatistics:
     """The statistics of op in one state, from op's eigenbasis."""
     operator, s = _operator_and_state(op, state)
-    values, vectors = operator.eig
-    return _energy_statistics(values, np.abs(s.amplitudes @ vectors.conj()) ** 2)
+    return _energy_statistics(operator, np.abs(s.amplitudes @ operator.eig[1].conj()) ** 2)

@@ -53,6 +53,25 @@ def isolated(hamiltonian, state):
     return RotatedHamiltonianSystem(hamiltonian, zero, state)
 
 
+def fresh(sys_):
+    """The same system with nothing cached."""
+    return RotatedHamiltonianSystem(sys_.H, sys_.A, sys_.initial)
+
+
+def sweep_window(sys_):
+    """The t_max that validity_sweep searches the system on."""
+    spread = math.sqrt(variance(sys_.H, sys_.initial))
+    return (40.0 if sys_.is_isolated else 1.05 * math.pi) / max(spread, 1e-6)
+
+
+def passage(sys_, delta, t_max):
+    """first_passage, or None where the fidelity never reaches delta."""
+    try:
+        return first_passage(sys_, delta, t_max)
+    except NotReached:
+        return None
+
+
 class TestAlpha:
     def test_endpoints(self):
         assert abs(alpha(0.0) - math.pi / 2) <= 1e-12
@@ -242,6 +261,46 @@ class TestFirstPassage:
             cold = RotatedHamiltonianSystem(shared.H, shared.A, shared.initial)
             assert first_passage(shared, delta, t_max) == first_passage(cold, delta, t_max)
 
+    # A system keeps its scan, the scan's angles and its certificate speed across calls;
+    # none of them may make a tau depend on what was asked before.
+    @pytest.mark.parametrize("make", [random_coupled_system, random_isolated_system])
+    def test_taus_do_not_depend_on_the_order_of_the_deltas(self, make):
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            sys_ = make(rng, int(rng.integers(2, 7)))
+            t_max = sweep_window(sys_)
+            cold = [passage(fresh(sys_), delta, t_max) for delta in DEFAULT_DELTAS]
+            up, down = fresh(sys_), fresh(sys_)
+            ascending = [passage(up, delta, t_max) for delta in DEFAULT_DELTAS]
+            descending = [passage(down, delta, t_max) for delta in reversed(DEFAULT_DELTAS)][::-1]
+            assert ascending == cold == descending
+
+    @pytest.mark.parametrize("make", [random_coupled_system, random_isolated_system])
+    def test_a_second_window_gives_the_fresh_taus(self, make):
+        rng = np.random.default_rng(67)
+        for _ in range(4):
+            sys_ = make(rng, int(rng.integers(2, 7)))
+            t_max = sweep_window(sys_)
+            for delta in (0.0, 0.4, 0.8):
+                first = passage(sys_, delta, t_max)
+                for window in (0.5 * t_max, 2.0 * t_max):
+                    assert passage(sys_, delta, window) == passage(fresh(sys_), delta, window)
+                assert passage(sys_, delta, t_max) == first
+
+    # Metamorphic relation: a larger target fidelity is reached no later, so tau
+    # does not increase with delta, and a reached delta makes every larger one reached.
+    @pytest.mark.parametrize("make", [random_coupled_system, random_isolated_system])
+    def test_tau_does_not_increase_with_delta(self, make):
+        rng = np.random.default_rng(71)
+        reached = 0
+        for _ in range(20):
+            sys_ = make(rng, int(rng.integers(2, 7)))
+            taus = [passage(sys_, delta, sweep_window(sys_)) for delta in DEFAULT_DELTAS]
+            for tau, later in zip(taus, taus[1:]):
+                assert tau is None or (later is not None and later <= tau)
+            reached += sum(tau is not None for tau in taus)
+        assert reached >= 100
+
     def test_never_later_than_the_first_dense_sample_at_delta(self, monkeypatch):
         rng = np.random.default_rng(17)
         systems = [random_coupled_system(rng, dim) for dim in (2, 3, 5)]
@@ -304,17 +363,21 @@ class TestFirstPassage:
 
     def test_scan_is_kept_per_window(self):
         ev = build_ml_family(1.0, 0.8).evaluator
-        times, fids = ev.scan(2.0, 64)
-        assert ev.scan(2.0, 64)[1] is fids
-        longer, _ = ev.scan(3.0, 64)
-        assert longer is not times and longer[-1] == 3.0
-        finer, _ = ev.scan(3.0, 128)
-        assert len(finer) == 129
-        assert np.array_equal(ev.scan(2.0, 64)[1], fids)
+        scan = ev.scan(2.0, 64)
+        times, fids, angles = scan
+        assert ev.scan(2.0, 64) is scan  # times, fidelities and angles alike
+        longer = ev.scan(3.0, 64)
+        assert longer is not scan and longer[0, -1] == 3.0
+        finer = ev.scan(3.0, 128)
+        assert finer.shape == (3, 129)
+        again = ev.scan(2.0, 64)
+        for kept, first in zip(again, (times, fids, angles)):
+            assert np.array_equal(kept, first)
+        np.testing.assert_allclose(np.cos(angles) ** 2, fids, rtol=0.0, atol=1e-15)
 
     def test_scan_arrays_are_read_only(self):
-        times, fids = build_ml_family(1.0, 0.8).evaluator.scan(2.0, 64)
-        for array in (times, fids):
+        times, fids, angles = build_ml_family(1.0, 0.8).evaluator.scan(2.0, 64)
+        for array in (times, fids, angles):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 

@@ -469,6 +469,29 @@ def test_output_flags_win_over_valid_config_values(tmp_path, capsys):
     assert not list(tmp_path.glob("y_*"))
 
 
+def test_csv_cells_are_formatted_by_the_column_rule(tmp_path, monkeypatch):
+    table = {
+        "floats": np.array([0.1, -2.5, 1e-300]),
+        "ints": np.array([1, -2, 3]),
+        "unsigned": np.array([4, 5, 6], dtype=np.uint8),
+        "bools": np.array([True, False, True]),
+        "numbers": [1.5, 2, 0.1],
+        "missing": [1.5, None, 2.0],
+        "words": ["a", "b", "c"],
+    }
+    checked, is_number = [], cli._is_number
+    monkeypatch.setattr(cli, "_is_number", lambda value: checked.append(value) or is_number(value))
+    cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", table)
+    assert (tmp_path / "x_t.csv").read_text().splitlines() == [
+        "floats,ints,unsigned,bools,numbers,missing,words",
+        "0.10000000000000001,1,4,true,1.5,1.5,a",
+        "-2.5,-2,5,false,2,,b",
+        "1e-300,3,6,true,0.10000000000000001,2,c",
+    ]
+    # a float or integer array is numbers by its dtype; booleans and lists are checked cell by cell
+    assert checked == [True, 1.5, 2, 0.1, 1.5, None, "a"]
+
+
 # The README's exit codes: 2 for invalid input, 3 for a numerical failure.
 EXIT_CODES = {
     "ConfigError": 2, "DimensionMismatch": 2, "DomainError": 2, "InsufficientLevels": 2, "NonHermitian": 2,

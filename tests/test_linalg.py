@@ -11,10 +11,12 @@ from qsl import (
     PureState,
     RotatedHamiltonianSystem,
     expectation,
+    sample_trajectory,
     trace_distance,
     variance,
 )
 from qsl.counterexamples import build_coupling, build_ml_family
+from qsl.linalg import EnergyStatistics, _state_statistics
 
 from oracles import commutator_norm, density, fidelity, level_occupations, unitary_exp
 
@@ -284,6 +286,92 @@ class TestOccupiedExtrema:
             state = PureState.normalized(np.sqrt([0.5, 0.5, weight]))
             stats = initial_statistics(DIAG012, state)
             assert stats.eps_max == eps_max
+
+
+def sample_major_statistics(values, weights):
+    """The energy statistics with every reduction over the last axis of weights, one row per state."""
+    mean = weights @ values
+    centered = values - mean[..., None]
+    spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9 * float(np.abs(values).max()))
+    levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
+    occupations = np.add.reduceat(weights, starts, axis=-1)
+    occupied = occupations > 1e-12
+    eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
+    eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)
+    return EnergyStatistics(
+        mean, spread, levels, occupations, eps_min, eps_max, occupied, mean - eps_min, eps_max - mean
+    )
+
+
+def kernel_operators(rng, dim):
+    """A generic spectrum, one grouped into near-degenerate triples, and c * I."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    triples = (q * (np.arange(dim) // 3 - 1.5)) @ q.conj().T  # eigenvalues equal up to rounding
+    return {
+        "generic": HermitianOperator(random_hermitian_matrix(rng, dim)),
+        "triples": HermitianOperator(triples),
+        "identity": HermitianOperator(1.7 * np.eye(dim)),
+    }
+
+
+def kernel_states(rng, op):
+    """A random state and one whose weight on every other eigenvector is 1e-14, below the threshold."""
+    coefficients = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    faint = coefficients.copy()
+    faint[1::2] *= 1e-7 / np.abs(faint[1::2])
+    return {"random": PureState.normalized(coefficients), "faint": PureState.normalized(op.eig[1] @ faint)}
+
+
+def assert_same_statistics(got, expected):
+    for name, value, reference in zip(EnergyStatistics._fields, got, expected):
+        assert np.shape(value) == np.shape(reference), name
+        assert np.array_equal(value, reference), name
+
+
+class TestStatisticsKernel:
+    # The level-major kernel must give the bits of the sample-major formulas.
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_one_state_matches_the_sample_major_formulas(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for op in kernel_operators(rng, dim).values():
+            values, vectors = op.eig
+            for state in kernel_states(rng, op).values():
+                weights = np.abs(state.amplitudes @ vectors.conj()) ** 2
+                got = _state_statistics(op, state)
+                assert np.shape(got.exp_energy) == np.shape(got.eps_min) == ()
+                assert_same_statistics(got, sample_major_statistics(values, weights))
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_trajectory_matches_the_sample_major_formulas(self, dim):
+        rng = np.random.default_rng(400 + dim)
+        for op in kernel_operators(rng, dim).values():
+            values, vectors = op.eig
+            for state in kernel_states(rng, op).values():
+                couplings = (
+                    HermitianOperator(np.zeros((dim, dim))),
+                    build_coupling(op, state),
+                    HermitianOperator(random_hermitian_matrix(rng, dim)),
+                )
+                for coupling in couplings:
+                    traj = sample_trajectory(RotatedHamiltonianSystem(op, coupling, state), 1.3, 24, frame="rotating")
+                    weights = np.abs(traj.states @ vectors.conj()) ** 2
+                    assert traj.stats.occupations.shape == (25, len(traj.stats.levels))
+                    assert_same_statistics(traj.stats, sample_major_statistics(values, weights))
+
+    def test_cases_cover_grouped_and_unoccupied_levels(self):
+        rng = np.random.default_rng(312)
+        ops = kernel_operators(rng, 12)
+        assert [len(op._spectrum.levels) for op in ops.values()] == [12, 4, 1]
+        stats = _state_statistics(ops["generic"], kernel_states(rng, ops["generic"])["faint"])
+        assert stats.occupied.tolist() == [True, False] * 6
+
+    def test_levels_are_computed_once_per_operator(self):
+        op = HermitianOperator(random_hermitian_matrix(np.random.default_rng(5), 4))
+        first, second = (_state_statistics(op, random_state(np.random.default_rng(k), 4)) for k in (6, 7))
+        assert first.levels is second.levels is op._spectrum.levels
+        with pytest.raises(ValueError):
+            first.levels[0] = 0.0
 
 
 class TestCommutatorNorm:
