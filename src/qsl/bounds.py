@@ -16,14 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotReached
-from .evolution import (
-    RotatedHamiltonianSystem,
-    Trajectory,
-    _angles,
-    _check_count,
-    fidelity_function,
-    sample_trajectory,
-)
+from .evolution import RotatedHamiltonianSystem, Trajectory, _angles, _check_count, fidelity_function, sample_trajectory
 from .linalg import _bd_factor
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,7 +27,7 @@ ZERO_DENOMINATOR = 1e-14
 PASSAGE_SLACK = 1e-14
 PASSAGE_WIDTH = 1e-13
 PASSAGE_SPLIT = 32
-PASSAGE_FRACTIONS = np.arange(1, PASSAGE_SPLIT) / PASSAGE_SPLIT
+PASSAGE_FRACTIONS = np.arange(1, PASSAGE_SPLIT) / PASSAGE_SPLIT  # where a split puts its new points
 _ENDS = np.array([0, 1])  # offsets of a part's left and right point from its left one
 PASSAGE_BATCH = 2048
 PASSAGE_SCAN = 2048
@@ -186,38 +179,39 @@ def first_passage(
     fidelities, ev = fidelity_function(sys), sys.evaluator
     scan = ev.scan(t_max, PASSAGE_SCAN)
     target = 2.0 * _angle(delta) * (1.0 - PASSAGE_SLACK)
-    # s[0], s[1] and s[2] hold times, fidelities and angles; each row is one interval cut into equal parts.
-    s, resume = scan[:, None], None
+    # s[0], s[1] and s[2] hold the times, fidelities and angles of rows of `row` points. A row cuts one
+    # interval into equal parts, and a part joins two neighbouring points of one row.
+    s, row, resume = scan, PASSAGE_SCAN + 1, None
     while True:
         t, f, th = s[0], s[1], s[2]
-        reached = (f[:, 1:] <= delta).ravel()
-        keep = (th[:, :-1] + th[:, 1:] + ev.speed * (t[:, 1:] - t[:, :-1]) >= target).ravel()
+        reached = f[1:] <= delta
+        keep = th[:-1] + th[1:] + ev.speed * (t[1:] - t[:-1]) >= target
         keep |= reached  # rounding must not certify away a sample that reached delta
+        keep[row - 1::row] = reached[row - 1::row] = False  # no part joins a row's last point to the next row's first
         first = reached.argmax()
         if reached[first]:
             keep[first + 1:] = False
-        index = keep.nonzero()[0]
-        index += index // (t.shape[1] - 1)  # part -> its left end in the flattened rows
-        points = s.reshape(3, -1)
+        index = keep.nonzero()[0]  # each kept part by its left point
         if index.size > PASSAGE_BATCH:
             # bound one round's memory: what lies beyond is searched again afterwards
-            resume, index = points[0, index[PASSAGE_BATCH]], index[:PASSAGE_BATCH]
+            resume, index = t[index[PASSAGE_BATCH]], index[:PASSAGE_BATCH]
         if not index.size:
             if resume is None:
                 raise NotReached(f"fidelity never reached {delta} within t_max={scan[0, -1]:.6g}")
             t = np.linspace(resume, scan[0, -1], PASSAGE_SCAN + 1)
             f = fidelities(t)
-            s, resume = np.stack((t, f, _angles(f)))[:, None], None
+            s, row, resume = np.stack((t, f, _angles(f))), PASSAGE_SCAN + 1, None
             continue
-        ends = points.take(index[:, None] + _ENDS, axis=1)  # the left and right point of each kept part
+        ends = s.take(index[:, None] + _ENDS, axis=1)  # the left and right point of each kept part
         lo, hi = ends[0, :, 0], ends[0, :, 1]
         if hi[0] - lo[0] <= PASSAGE_WIDTH * hi[0]:
             return float((lo[0] + hi[0]) / 2.0)
         t = (hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None]
         f = fidelities(t.ravel()).reshape(t.shape)
-        s = np.empty((3, index.size, PASSAGE_SPLIT + 1))
-        s[..., ::PASSAGE_SPLIT] = ends
-        s[0, :, 1:-1], s[1, :, 1:-1], s[2, :, 1:-1] = t, f, _angles(f)
+        rows = np.empty((3, index.size, PASSAGE_SPLIT + 1))
+        rows[..., ::PASSAGE_SPLIT] = ends
+        rows[0, :, 1:-1], rows[1, :, 1:-1], rows[2, :, 1:-1] = t, f, _angles(f)
+        s, row = rows.reshape(3, -1), PASSAGE_SPLIT + 1
 
 
 @dataclass
