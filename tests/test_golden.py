@@ -43,6 +43,7 @@ CASES = {
     "alpha_table": "alpha",
     "alpha_table_json": "alpha",
     "alpha_table_grid": "alpha",
+    "alpha_table_dense": "alpha",
     "validity_sweep": "sweep",
     "validity_sweep_full": "sweep",
     "validity_sweep_json": "sweep",
