@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -35,7 +36,9 @@ VALIDITY_SLACK = 1e-9
 
 
 def _check_delta(delta: float, below_one: bool = False) -> float:
-    """delta as a float, or DomainError outside [0, 1] ([0, 1) if below_one)."""
+    """delta as a float, or DomainError unless a real number (not a bool) in [0, 1] ([0, 1) if below_one)."""
+    if isinstance(delta, bool) or not isinstance(delta, Real):
+        raise DomainError(f"delta must be a real number, got {delta!r}")
     if not (0.0 <= delta < 1.0 if below_one else 0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, {'1)' if below_one else '1]'}, got {delta!r}")
     return float(delta)
@@ -44,15 +47,22 @@ def _check_delta(delta: float, below_one: bool = False) -> float:
 def _ml_objective(z, delta: float):
     """Objective of the fidelity-dependent Margolus-Levitin minimization.
 
-    (1+z)/2 * arccos((2*delta - 1 - z^2) / (1 - z^2)), with the removable
-    endpoint singularity at z^2 -> 1 resolved by its limit and the arccos
-    argument clamped against rounding excursions.
+    (1+z)/2 * arccos((2*delta - 1 - z^2) / (1 - z^2)), the arccos argument clamped
+    against rounding. Where 1 - z^2 is exactly zero (alpha meets it only at delta = 1,
+    z = +-1) the argument is -1: 0 at z = -1, but pi, not the limit 0, at z = +1.
     """
     z = np.asarray(z, dtype=float)
     num = 2.0 * delta - 1.0 - z**2
     den = 1.0 - z**2
     arg = np.divide(num, den, out=np.full_like(z, -1.0), where=den != 0.0)
     return (1.0 + z) / 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
+
+
+def _ml_objective_scalar(z: float, delta: float) -> float:
+    """`_ml_objective` on one float, operation by operation and with numpy's arccos, for the same bits."""
+    den = 1.0 - z * z
+    arg = (2.0 * delta - 1.0 - z * z) / den if den != 0.0 else -1.0
+    return (1.0 + z) / 2.0 * float(np.arccos(min(max(arg, -1.0), 1.0)))
 
 
 def golden_section_min(f, a: float, b: float) -> tuple[float, float]:
@@ -83,18 +93,16 @@ def alpha(delta: float) -> float:
 
     Bracketing grid of 2048 points, golden-section refinement of the best
     bracket, then comparison against the value at z = -sqrt(delta); the one
-    at z = +sqrt(delta), (1+sqrt(delta))pi/2, is never below it.
+    at z = +sqrt(delta), (1+sqrt(delta))pi/2, is never below it. The
+    refinement runs on plain floats, through `_ml_objective_scalar`.
     """
     delta = _check_delta(delta)
     z_max = math.sqrt(delta)
     grid = np.linspace(-z_max, z_max, 2048)
-    values = _ml_objective(grid, delta)
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    _, interior = golden_section_min(lambda z: float(_ml_objective(z, delta)), lo, hi)
-    left = (1.0 - z_max) * math.pi / 2.0   # arccos evaluates to pi at z = -sqrt(delta)
-    return min(interior, left)
+    i = int(np.argmin(_ml_objective(grid, delta)))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    _, interior = golden_section_min(lambda z: _ml_objective_scalar(z, delta), lo, hi)
+    return min(interior, (1.0 - z_max) * math.pi / 2.0)  # arccos evaluates to pi at z = -sqrt(delta)
 
 
 def time_average(times, values) -> float | list[float]:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from qsl import DimensionMismatch, HermitianOperator, PureState, RotatedHamiltonianSystem
-from qsl.bounds import _check_delta, _ml_objective
+from qsl.bounds import _check_delta, _ml_objective, golden_section_min
 from qsl.linalg import _as_complex_matrix, _ensure_operator, _ensure_state, _state_statistics
 from qsl.sweeps import random_hermitian
 
@@ -82,6 +82,17 @@ def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
     z_max = math.sqrt(delta)
     grid = np.linspace(-z_max, z_max, points + 1)
     return float(_ml_objective(grid, delta).min())
+
+
+def alpha_array_search(delta: float) -> float:
+    """alpha(delta) as a golden section over the array objective, every step a 0-d `_ml_objective`."""
+    delta = _check_delta(delta)
+    z_max = math.sqrt(delta)
+    grid = np.linspace(-z_max, z_max, 2048)
+    i = int(np.argmin(_ml_objective(grid, delta)))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    _, interior = golden_section_min(lambda z: float(_ml_objective(z, delta)), lo, hi)
+    return min(interior, (1.0 - z_max) * math.pi / 2.0)
 
 
 def random_saturating_two_level(rng: np.random.Generator) -> RotatedHamiltonianSystem:

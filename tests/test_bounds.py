@@ -26,7 +26,7 @@ from qsl import (
     time_average,
     variance,
 )
-from qsl.bounds import _alpha_of, _angle, _bd_factor, _over
+from qsl.bounds import _alpha_of, _angle, _bd_factor, _ml_objective, _ml_objective_scalar, _over
 from qsl.linalg import _state_statistics
 from qsl.evolution import _SpectralEvaluator
 from qsl.sweeps import (
@@ -37,7 +37,10 @@ from qsl.sweeps import (
     validity_sweep,
 )
 
-from oracles import alpha_grid_oracle, random_saturating_two_level
+from oracles import alpha_array_search, alpha_grid_oracle, random_saturating_two_level
+
+# deltas at and next to the ends of [0, 1], where the objective's rounding is most fragile
+EXTREME_DELTAS = [0.0, 5e-324, 1e-300, 1e-16, 1e-8, 1 - 1e-8, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53, 1.0]
 
 # frozen from an independent 1e7-point grid scan with bounded refinement
 ALPHA_ORACLE = {
@@ -105,10 +108,27 @@ class TestAlpha:
             assert alpha(float(d)) < math.acos(math.sqrt(d)) - 1e-12
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            alpha(-0.1)
-        with pytest.raises(DomainError):
-            alpha(1.1)
+        for delta in (-0.1, 1.1, math.nan, True, False, "0.5", None, 0.5j, np.bool_(False)):
+            with pytest.raises(DomainError):
+                alpha(delta)
+        assert alpha(0) == alpha(0.0) and alpha(1) == alpha(1.0)
+        assert alpha(np.float64(0.3)) == alpha(0.3)
+        assert alpha(np.float32(0.3)) == alpha(float(np.float32(0.3)))
+
+    def test_scalar_objective_is_the_array_objective(self):
+        rng = np.random.default_rng(20261019)
+        deltas = [*EXTREME_DELTAS, *rng.uniform(0.0, 1.0, 60)]
+        for delta in deltas:
+            z_max = math.sqrt(delta)
+            z = np.concatenate(([-z_max, z_max, 0.0, -0.0], rng.uniform(-z_max, z_max, 200), np.linspace(-z_max, z_max, 41)))
+            expected = _ml_objective(z, delta)
+            got = np.array([_ml_objective_scalar(float(x), delta) for x in z])
+            assert np.all(got == expected), f"delta={delta!r}"
+
+    def test_search_is_the_array_golden_section(self):
+        rng = np.random.default_rng(20261020)
+        for delta in [*EXTREME_DELTAS, *rng.uniform(0.0, 1.0, 300)]:
+            assert alpha(delta) == alpha_array_search(delta), f"delta={delta!r}"
 
 
 class TestTimeAverage:
@@ -233,8 +253,9 @@ class TestFirstPassage:
 
     def test_domain_errors(self):
         sys_ = build_ml_family(1.0, 0.8)
-        with pytest.raises(DomainError):
-            first_passage(sys_, -0.2, 1.0)
+        for delta in (-0.2, 1.5, math.nan, True, False, "0.5", None):
+            with pytest.raises(DomainError):
+                first_passage(sys_, delta, 1.0)
         for t_max in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 first_passage(sys_, 0.5, t_max)
