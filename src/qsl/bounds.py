@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, NotReached
-from .evolution import RotatedHamiltonianSystem, Trajectory, _angles, _check_count, fidelity_function, sample_trajectory
+from .errors import _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL, DomainError, NotReached, _check_count, _check_real
+from .evolution import RotatedHamiltonianSystem, Trajectory, _angles, fidelity_function, sample_trajectory
 from .linalg import _bd_factor
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,15 +32,6 @@ _ENDS = np.array([0, 1])  # offsets of a part's left and right point from its le
 PASSAGE_BATCH = 2048
 PASSAGE_SCAN = 2048
 VALIDITY_SLACK = 1e-9
-
-
-def _check_delta(delta: float, below_one: bool = False) -> float:
-    """delta as a float, or DomainError unless a real number (not a bool) in [0, 1] ([0, 1) if below_one)."""
-    if isinstance(delta, bool) or not isinstance(delta, Real):
-        raise DomainError(f"delta must be a real number, got {delta!r}")
-    if not (0.0 <= delta < 1.0 if below_one else 0.0 <= delta <= 1.0):
-        raise DomainError(f"delta must lie in [0, {'1)' if below_one else '1]'}, got {delta!r}")
-    return float(delta)
 
 
 def _ml_objective(z, delta: float):
@@ -65,43 +55,34 @@ def _ml_objective_scalar(z: float, delta: float) -> float:
     return (1.0 + z) / 2.0 * float(np.arccos(min(max(arg, -1.0), 1.0)))
 
 
-def golden_section_min(f, a: float, b: float) -> tuple[float, float]:
-    """Shrink [a, b] to GOLDEN_TOL around a local minimum of f; returns (x, f(x)) at the midpoint."""
-    a, b = min(a, b), max(a, b)
-    h = b - a
-    if h > GOLDEN_TOL:
-        c = a + INV_PHI_SQ * h
-        d = a + INV_PHI * h
-        yc, yd = f(c), f(d)
-        n = int(math.ceil(math.log(GOLDEN_TOL / h) / math.log(INV_PHI)))
-        for _ in range(n - 1):
-            h *= INV_PHI
-            if yc < yd:
-                b, d, yd = d, c, yc
-                c = a + INV_PHI_SQ * h
-                yc = f(c)
-            else:
-                a, c, yc = c, d, yd
-                d = a + INV_PHI * h
-                yd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 def alpha(delta: float) -> float:
     """Minimum of the Margolus-Levitin objective over z in [-sqrt(delta), sqrt(delta)].
 
     Bracketing grid of 2048 points, golden-section refinement of the best
-    bracket, then comparison against the value at z = -sqrt(delta); the one
-    at z = +sqrt(delta), (1+sqrt(delta))pi/2, is never below it. The
-    refinement runs on plain floats, through `_ml_objective_scalar`.
+    bracket down to GOLDEN_TOL, then comparison against the value at
+    z = -sqrt(delta); the one at z = +sqrt(delta), (1+sqrt(delta))pi/2, is
+    never below it. The refinement runs on plain floats, through `_ml_objective_scalar`.
     """
-    delta = _check_delta(delta)
+    delta = _check_real(delta, "delta", _UNIT_INTERVAL)
     z_max = math.sqrt(delta)
     grid = np.linspace(-z_max, z_max, 2048)
     i = int(np.argmin(_ml_objective(grid, delta)))
-    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
-    _, interior = golden_section_min(lambda z: _ml_objective_scalar(z, delta), lo, hi)
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    h = b - a
+    if h > GOLDEN_TOL:
+        c, d = a + INV_PHI_SQ * h, a + INV_PHI * h
+        yc, yd = _ml_objective_scalar(c, delta), _ml_objective_scalar(d, delta)
+        for _ in range(math.ceil(math.log(GOLDEN_TOL / h) / math.log(INV_PHI)) - 1):
+            h *= INV_PHI
+            if yc < yd:
+                b, d, yd = d, c, yc
+                c = a + INV_PHI_SQ * h
+                yc = _ml_objective_scalar(c, delta)
+            else:
+                a, c, yc = c, d, yd
+                d = a + INV_PHI * h
+                yd = _ml_objective_scalar(d, delta)
+    interior = _ml_objective_scalar((a + b) / 2.0, delta)
     return min(interior, (1.0 - z_max) * math.pi / 2.0)  # arccos evaluates to pi at z = -sqrt(delta)
 
 
@@ -179,9 +160,8 @@ def first_passage(
     evaluated, and the search is the same arithmetic on the same points
     whichever deltas and windows were asked before.
     """
-    delta = _check_delta(delta)
-    if not 0 < t_max < math.inf:
-        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
+    delta = _check_real(delta, "delta", _UNIT_INTERVAL)
+    t_max = _check_real(t_max, "t_max", _POSITIVE)
     if delta == 1.0:
         return 0.0
     fidelities, ev = fidelity_function(sys), sys.evaluator
@@ -263,10 +243,9 @@ def evaluate_bounds(
     The Margolus-Levitin bound is reported only for isolated systems
     (`is_isolated`: A exactly zero), where it is known to hold.
     """
-    delta = _check_delta(delta)
+    delta = _check_real(delta, "delta", _UNIT_INTERVAL)
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
-    if not 0.0 <= tau < math.inf:
-        raise DomainError(f"tau must be nonnegative and finite, got {tau!r}")
+    tau = _check_real(tau, "tau", _NONNEGATIVE)
     return _evaluate(sys, delta, tau, sample_trajectory(sys, tau, samples) if tau else None)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import VALIDITY_SLACK, BoundReport, _angle, _check_delta, _evaluate, evaluate_bounds, first_passage
-from .errors import DomainError, InsufficientLevels
+from .bounds import VALIDITY_SLACK, BoundReport, _angle, _evaluate, evaluate_bounds, first_passage
+from .errors import _BELOW_ONE, _INSIDE_PI, _POSITIVE, DomainError, InsufficientLevels, _check_real
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
 from .linalg import HermitianOperator, PureState, _operator_and_state, expectation
 
@@ -50,10 +50,8 @@ def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     uncertainty is E * cot(theta/2). The coupling operator makes the initial
     state u evolve along the Bloch equator.
     """
-    if not (0.0 < theta < math.pi):
-        raise DomainError(f"theta must lie strictly inside (0, pi), got {theta!r}")
-    if not 0.0 < E < math.inf:
-        raise DomainError(f"E must be positive and finite, got {E!r}")
+    theta = _check_real(theta, "theta", _INSIDE_PI)
+    E = _check_real(E, "E", _POSITIVE)
     mu = E / (1.0 - math.cos(theta))
     x, _, z = bloch_operators()
     hamiltonian = HermitianOperator(mu * (math.sin(theta) * z - math.cos(theta) * x))
@@ -67,35 +65,31 @@ def choose_theta(delta: float, L: float, margin: float = 0.1) -> float:
     Returns 2*arctan(1 / (c*(1+margin))) with c = arccos(sqrt(delta))/L, so
     the strict inequality holds by the factor (1+margin).
     """
-    delta = _check_delta(delta, below_one=True)
-    if not 0.0 < L < math.inf:
-        raise DomainError(f"L must be positive and finite, got {L!r}")
-    if not 0.0 < margin < math.inf:
-        raise DomainError(f"margin must be positive and finite, got {margin!r}")
+    delta = _check_real(delta, "delta", _BELOW_ONE)
+    L = _check_real(L, "L", _POSITIVE)
+    margin = _check_real(margin, "margin", _POSITIVE)
     c = _angle(delta) / L
     return 2.0 * math.atan(1.0 / (c * (1.0 + margin)))
 
 
 @dataclass
 class RefutationSpec:
-    """Parameters of one run against a hypothetical bound L/E."""
+    """Parameters of one run against a hypothetical bound L/E; mu = E/(1 - cos(theta)) is derived."""
 
     delta: float
     L: float
     E: float
     theta: float
-    mu: float
+    mu: float = field(init=False)
 
     def __post_init__(self):
-        _check_delta(self.delta, below_one=True)
-        if not (0.0 < self.L < math.inf and 0.0 < self.E < math.inf):
-            raise DomainError("L and E must be positive and finite")
-        if not (0.0 < self.theta < math.pi):
-            raise DomainError(f"theta must lie strictly inside (0, pi), got {self.theta!r}")
+        self.delta = _check_real(self.delta, "delta", _BELOW_ONE)
+        self.L = _check_real(self.L, "L", _POSITIVE)
+        self.E = _check_real(self.E, "E", _POSITIVE)
+        self.theta = _check_real(self.theta, "theta", _INSIDE_PI)
         if not self.angle_condition > 0.0:
             raise DomainError("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")
-        if not abs(self.mu * (1.0 - math.cos(self.theta)) - self.E) <= 1e-12 * max(1.0, self.E):
-            raise DomainError("mu * (1 - cos(theta)) must equal E")
+        self.mu = self.E / (1.0 - math.cos(self.theta))
 
     @property
     def angle_condition(self) -> float:
@@ -134,12 +128,12 @@ def run_ml_refutation(
     """
     theta = choose_theta(delta, L, margin)
     sys = build_ml_family(E, theta)
-    spec = RefutationSpec(delta=delta, L=L, E=E, theta=theta, mu=E / (1.0 - math.cos(theta)))
+    spec = RefutationSpec(delta=delta, L=L, E=E, theta=theta)
     uncertainty = E / math.tan(theta / 2.0)
     tau = first_passage(sys, delta, math.pi / uncertainty)
     traj = sample_trajectory(sys, tau, samples)
     mt_bar = _evaluate(sys, delta, tau, traj).mt_closed
-    hypothetical = L / E
+    hypothetical = spec.L / spec.E
     margins = {
         "violation": float(hypothetical - tau),
         "mt_saturation": float(abs(tau - mt_bar)),
@@ -177,7 +171,7 @@ def run_bd_nonsaturation(
     the coupling construction then drives a geodesic whose Bhatia-Davies
     inequality is strict at every sample. tau is searched on [0, t_max] (default pi/dH).
     """
-    delta = _check_delta(delta, below_one=True)
+    delta = _check_real(delta, "delta", _BELOW_ONE)
     operator, u = _operator_and_state(H, state)
     sys = RotatedHamiltonianSystem(operator, build_coupling(operator, u), u)
     stats = sys.initial_statistics

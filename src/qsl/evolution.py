@@ -19,8 +19,8 @@ it is sampled, and psi_t, the fidelities and the Bloch data only when they
 are first read, so the bounds, which read the statistics alone, never form
 psi_t. The evaluator keeps its last fidelity scan, so the first-passage
 searches for several target fidelities on one window share one scan, and
-when A is exactly zero it skips the exp(-iAt) factor, which is then
-exactly the identity.
+when A is exactly zero its fidelity map skips the exp(-iAt) factor, which
+is then exactly the identity.
 
 The independent cross-check, `propagate_numeric`, is a classical fixed-step
 4th-order (RK4) integrator that builds H(t) on its own. For the linear
@@ -40,14 +40,12 @@ of each step is read from chi.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, StepTooLarge
+from .errors import _NONNEGATIVE, _POSITIVE, DimensionMismatch, DomainError, StepTooLarge, _check_count, _check_real
 from .linalg import (
     EnergyStatistics,
     HermitianOperator,
@@ -58,13 +56,6 @@ from .linalg import (
 )
 
 NORM_DRIFT_TOL = 1e-6
-
-
-def _check_count(value, minimum: int, message: str) -> int:
-    """value as an int, or DomainError(message.format(value)) unless an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
-        raise DomainError(message.format(value))
-    return int(value)
 
 
 def bloch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,12 +132,13 @@ class _SpectralEvaluator:
     Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t. Fidelities
     take <u0|psi_t> in the eigenbasis of A, as the product of (V^dagger u0)^dagger,
     exp(-i a t), V^dagger W and exp(-i mu t) c0, without forming psi_t. For an
-    isolated system, a = 0 and V = I: `schrodinger` returns phi_t itself,
-    `fidelities` skips exp(-i a t), and the general formula would reproduce
-    their numbers bit for bit. The skip is for speed: isolated systems are
-    30% of the default sweep, and a 100-system all-isolated `validity_sweep`
-    on one BLAS thread took 1.10-1.41 s with it and 1.43-1.67 s without it
-    (10 alternating runs a side, 2 CPUs).
+    isolated system, a = 0 and V = I: `fidelities` skips exp(-i a t), and the
+    general formula would reproduce its numbers bit for bit. The skip is for
+    speed: isolated systems are 30% of the default sweep, and a 100-system
+    all-isolated `validity_sweep` on one BLAS thread took 0.62 s of CPU with
+    it and 0.70 s without it (medians of 6 alternating runs a side, 2 CPUs).
+    `schrodinger` has no such skip: no workload forms the Schroedinger states
+    of an isolated system.
 
     It also keeps two things `first_passage` reads for every delta: `speed`,
     the system's bound on the speed of the angle arccos(sqrt(F)), and the
@@ -176,8 +168,6 @@ class _SpectralEvaluator:
 
     def schrodinger(self, times, phi: np.ndarray) -> np.ndarray:
         """Schroedinger states psi_t from the rotating-frame states phi_t at the same times."""
-        if self._isolated:
-            return phi
         times = np.asarray(times, dtype=float)
         return (np.exp(np.outer(times, -1j * self.a)) * (phi @ self.V.conj())) @ self.V.T
 
@@ -226,10 +216,8 @@ def propagate_numeric(sys: RotatedHamiltonianSystem, t: float, step: float) -> P
     step size and the state is psi = V D(t) chi. Raises StepTooLarge at the
     first step whose norm drift before renormalizing is not <= 1e-6.
     """
-    if not 0 < step < math.inf:
-        raise DomainError(f"step must be positive and finite, got {step!r}")
-    if not 0 <= t < math.inf:
-        raise DomainError(f"t must be nonnegative and finite, got {t!r}")
+    step = _check_real(step, "step", _POSITIVE)
+    t = _check_real(t, "t", _NONNEGATIVE)
 
     n_full = int(t // step)
     tail = t - n_full * step
@@ -312,11 +300,10 @@ def sample_trajectory(
     frame: str = "schrodinger",
 ) -> Trajectory:
     """Evaluate the evolution at n+1 uniform times from 0 to t_max inclusive."""
-    if not 0 < t_max < math.inf:
-        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
+    t_max = _check_real(t_max, "t_max", _POSITIVE)
     n = _check_count(n, 2, "need at least 2 sampling intervals")
     if frame not in ("schrodinger", "rotating"):
         raise DomainError(f"unknown frame {frame!r}")
 
-    times = np.linspace(0.0, float(t_max), n + 1)
+    times = np.linspace(0.0, t_max, n + 1)
     return Trajectory(sys, frame, times, sys.evaluator.rotating(times))

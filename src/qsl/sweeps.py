@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, _check_delta, evaluate_bounds, first_passage
+from .bounds import BoundReport, evaluate_bounds, first_passage
 from .counterexamples import build_coupling
-from .errors import DomainError, NotReached
-from .evolution import RotatedHamiltonianSystem, _check_count
+from .errors import _UNIT_INTERVAL, DomainError, NotReached, _check_count, _check_real
+from .evolution import RotatedHamiltonianSystem
 from .linalg import HermitianOperator, PureState, variance
 
 DEFAULT_DELTAS = tuple(round(0.1 * k, 1) for k in range(10))
@@ -44,8 +44,7 @@ def random_coupled_system(rng: np.random.Generator, dim: int) -> RotatedHamilton
     rescaled spectral radius would exceed 5. A single level has no energy
     uncertainty to rescale, so dim must be at least 2.
     """
-    if dim < 2:
-        raise DomainError(f"a coupled system needs dim >= 2, got {dim!r}")
+    dim = _check_count(dim, 2, "a coupled system needs an integer dim >= 2, got {!r}")
     state = random_pure_state(rng, dim)
     target = rng.uniform(0.5, 2.5)
     while True:
@@ -103,7 +102,7 @@ def validity_sweep(
     0 <= isolated_fraction <= 1 and seed (an integer >= 0) are all checked
     before the first system is built.
     """
-    deltas = tuple(map(_check_delta, deltas))
+    deltas = tuple(_check_real(delta, "delta", _UNIT_INTERVAL) for delta in deltas)
     if not deltas:
         raise DomainError("deltas must name at least one delta")
     n_systems = _check_count(n_systems, 1, "n_systems must be an integer >= 1, got {!r}")
@@ -112,8 +111,7 @@ def validity_sweep(
         raise DomainError(f"dim_range must be two integers with 2 <= low <= high, got {dim_range!r}")
     low, high = dims
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
-    if not 0.0 <= isolated_fraction <= 1.0:
-        raise DomainError(f"isolated_fraction must lie in [0, 1], got {isolated_fraction!r}")
+    isolated_fraction = _check_real(isolated_fraction, "isolated_fraction", _UNIT_INTERVAL)
     seed = _check_count(seed, 0, "seed must be an integer >= 0, got {!r}")
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from qsl import DimensionMismatch, HermitianOperator, PureState, RotatedHamiltonianSystem
-from qsl.bounds import _check_delta, _ml_objective, golden_section_min
+from qsl.bounds import GOLDEN_TOL, INV_PHI, INV_PHI_SQ, _ml_objective
 from qsl.linalg import _as_complex_matrix, _ensure_operator, _ensure_state, _state_statistics
 from qsl.sweeps import random_hermitian
 
@@ -74,7 +74,7 @@ def commutator_norm(a, b) -> float:
 
 def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
     """Independent dense-grid scan of the same objective (no refinement)."""
-    delta = _check_delta(delta)
+    delta = float(delta)
     if delta == 0.0:
         return math.pi / 2.0
     if delta == 1.0:
@@ -84,9 +84,35 @@ def alpha_grid_oracle(delta: float, points: int = 10**6) -> float:
     return float(_ml_objective(grid, delta).min())
 
 
+def golden_section_min(f, a: float, b: float) -> tuple[float, float]:
+    """Shrink [a, b] to GOLDEN_TOL around a local minimum of f; returns (x, f(x)) at the midpoint."""
+    a, b = min(a, b), max(a, b)
+    h = b - a
+    if h > GOLDEN_TOL:
+        c = a + INV_PHI_SQ * h
+        d = a + INV_PHI * h
+        yc, yd = f(c), f(d)
+        n = int(math.ceil(math.log(GOLDEN_TOL / h) / math.log(INV_PHI)))
+        for _ in range(n - 1):
+            h *= INV_PHI
+            if yc < yd:
+                b, d, yd = d, c, yc
+                c = a + INV_PHI_SQ * h
+                yc = f(c)
+            else:
+                a, c, yc = c, d, yd
+                d = a + INV_PHI * h
+                yd = f(d)
+    x = (a + b) / 2.0
+    return x, f(x)
+
+
 def alpha_array_search(delta: float) -> float:
-    """alpha(delta) as a golden section over the array objective, every step a 0-d `_ml_objective`."""
-    delta = _check_delta(delta)
+    """alpha(delta) as a golden section over the array objective, every step a 0-d `_ml_objective`.
+
+    The search is this module's own copy, so the reference shares no search code with `alpha`.
+    """
+    delta = float(delta)
     z_max = math.sqrt(delta)
     grid = np.linspace(-z_max, z_max, 2048)
     i = int(np.argmin(_ml_objective(grid, delta)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -134,26 +135,27 @@ class TestChooseTheta:
 
 class TestRefutationSpec:
     def test_valid_spec_passes(self):
-        RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=math.pi / 3, mu=2.0)
+        RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=math.pi / 3)
 
     def test_angle_condition_enforced(self):
         with pytest.raises(DomainError):
-            RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=2.5, mu=1.0 / (1 - math.cos(2.5)))
+            RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=2.5)
         for theta in (0.0, math.pi, -1.0):
             with pytest.raises(DomainError):
-                RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=theta, mu=2.0)
+                RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=theta)
 
     def test_nonpositive_numerator_rejected(self):
         for big_l in (0.0, -1.0):
             with pytest.raises(DomainError):
-                RefutationSpec(delta=0.0, L=big_l, E=1.0, theta=math.pi / 3, mu=2.0)
+                RefutationSpec(delta=0.0, L=big_l, E=1.0, theta=math.pi / 3)
 
-    def test_mu_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=math.pi / 3, mu=3.0)
-
-
-MU = 1.0 / (1.0 - math.cos(0.8))
+    def test_mu_is_derived_not_set(self):
+        for delta, L, E, theta in [(0.0, math.pi / 2, 1.0, math.pi / 3), (0.5, 0.3, 2.5, 0.4), (0.9, 1e3, 1e-3, 1e-3)]:
+            spec = RefutationSpec(delta, L, E, theta)
+            assert spec.mu == E / (1 - math.cos(theta))
+            assert list(dataclasses.asdict(spec)) == ["delta", "L", "E", "theta", "mu"]
+        with pytest.raises(TypeError):
+            RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=math.pi / 3, mu=2.0)
 
 
 @pytest.mark.parametrize(
@@ -162,19 +164,18 @@ MU = 1.0 / (1.0 - math.cos(0.8))
         (lambda: choose_theta(0.5, math.nan), "L must be positive and finite, got nan"),
         (lambda: choose_theta(0.5, 1.0, math.nan), "margin must be positive and finite, got nan"),
         (lambda: build_ml_family(math.nan, 0.8), "E must be positive and finite, got nan"),
-        (lambda: RefutationSpec(0.5, math.nan, 1.0, 0.8, MU), "L and E must be positive and finite"),
-        (lambda: RefutationSpec(0.5, 1.0, math.nan, 0.8, MU), "L and E must be positive and finite"),
-        (lambda: RefutationSpec(0.5, 1.0, 1.0, 0.8, math.nan), "must equal E"),
+        (lambda: RefutationSpec(0.5, math.nan, 1.0, 0.8), "L must be positive and finite, got nan"),
+        (lambda: RefutationSpec(0.5, 1.0, math.nan, 0.8), "E must be positive and finite, got nan"),
         (lambda: time_average([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]), "times must be ascending"),
         (lambda: choose_theta(0.5, math.inf), "L must be positive and finite, got inf"),
         (lambda: choose_theta(0.5, 1.0, math.inf), "margin must be positive and finite, got inf"),
         (lambda: build_ml_family(math.inf, 0.8), "E must be positive and finite, got inf"),
-        (lambda: RefutationSpec(0.5, math.inf, 1.0, 0.8, MU), "L and E must be positive and finite"),
-        (lambda: RefutationSpec(0.5, 1.0, math.inf, 0.8, MU), "L and E must be positive and finite"),
+        (lambda: RefutationSpec(0.5, math.inf, 1.0, 0.8), "L must be positive and finite, got inf"),
+        (lambda: RefutationSpec(0.5, 1.0, math.inf, 0.8), "E must be positive and finite, got inf"),
         (lambda: time_average([0.0, math.inf], [1.0, 2.0]), "time window has infinite length"),
     ],
     ids=[
-        "choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "spec-mu", "time_average-times",
+        "choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "time_average-times",
         "choose_theta-L-inf", "choose_theta-margin-inf", "family-E-inf", "spec-L-inf", "spec-E-inf",
         "time_average-times-inf",
     ],
