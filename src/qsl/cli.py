@@ -11,9 +11,10 @@ unexpectedly, 2 invalid input, 3 numerical failure.
 their kinds, defaults and bounds; `_parse` checks a config against it. Each
 `cmd_*` handler is a function of the parsed config alone: it returns a report
 (a JSON object), a table name and a table that maps each column name to its
-column. `write_outputs` writes both, as `<prefix>_report.json` and
-`<prefix>_<name>.csv` (or `.json`), and `main` turns the report's
-`claim_verified` flag (true when absent) into exit code 0 or 1.
+column. `CLAIMS` is the one table of each claim's named rules: `main` judges
+the report and table by them once and appends `claim_verified`, and any
+failed rules as `failed_rules`, to the report. `write_outputs` writes both,
+as `<prefix>_report.json` and `<prefix>_<name>.csv` (or `.json`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import os
 import sys as _sys
 from dataclasses import asdict, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -106,6 +108,30 @@ CONFIG = {
     ),
 }
 
+# Each claim's rules, in order; test(report, table) reads the handler's output and holds when the rule does.
+CLAIMS = {
+    "refute-ml": (
+        ("beats_hypothesis", lambda r, t: r["violated"]),
+        ("mt_saturated", lambda r, t: r["margins"]["mt_saturation"] <= 1e-8),
+        ("energy_conserved", lambda r, t: r["max_energy_drift"] <= 1e-9),
+    ),
+    "bd-gap": (
+        ("gap_open", lambda r, t: r["gap"] > 1e-6),
+        ("bd_strict", lambda r, t: r["min_pointwise_bd_margin"] > 0.0),
+        ("mt_saturated", lambda r, t: abs(r["report"]["tau_actual"] - r["report"]["mt_closed"]) <= 1e-8),
+    ),
+    "alpha-table": (
+        ("alpha_nonincreasing", lambda r, t: all(
+            b <= a + 1e-12 for (_, a), (_, b) in pairwise(sorted(zip(t["delta"], t["alpha"]), key=lambda p: p[0]))
+        )),
+        ("below_endpoint_bound", lambda r, t: all(a <= e + 1e-12 for a, e in zip(t["alpha"], t["endpoint_value"]))),
+        ("strictly_below_arccos", lambda r, t: all(
+            a < c - 1e-12 for d, a, c in zip(t["delta"], t["alpha"], t["arccos_sqrt_delta"]) if 1e-3 <= d <= 1.0 - 1e-3
+        )),
+    ),
+    "validity-sweep": (("no_violations", lambda r, t: r["violations"] == 0),),
+}
+
 
 def _fmt(value) -> str:
     """CSV cell serialization: strings as they are, 17 significant digits, empty for missing."""
@@ -116,11 +142,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return format(float(value), ".17g")
-
-
-def _is_number(value) -> bool:
-    """A cell that `_fmt` writes with 17 significant digits: neither a string, a boolean nor missing."""
-    return not (value is None or isinstance(value, (str, bool)))
 
 
 def _json_cell(value):
@@ -225,18 +246,15 @@ def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -
     `table` maps each column name, in output order, to its cells: a numpy
     array or a list of numbers, booleans, strings or None (missing). CSV
     rows are formatted one at a time as they are written, each by one
-    template: "%.17g" for a column of numbers only, and "%s" of the `_fmt`
-    cells for any other. A float or integer array is numbers only by its
-    dtype; a boolean array and a list are checked cell by cell. Cells are
-    not quoted; the tables' strings are fixed words.
+    template: "%.17g" for a float or integer array, and "%s" of the `_fmt`
+    cells for a boolean array or a list, whose numbers `_fmt` writes with
+    the same 17 significant digits. Cells are not quoted; the tables'
+    strings are fixed words.
     """
     _write_json(f"{prefix}_report.json", report)
     columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
     if fmt == "csv":
-        numeric = [
-            isinstance(cells, np.ndarray) and cells.dtype.kind in "iuf" or all(map(_is_number, listed))
-            for cells, listed in zip(table.values(), columns)
-        ]
+        numeric = [isinstance(cells, np.ndarray) and cells.dtype.kind in "iuf" for cells in table.values()]
         template = ",".join("%.17g" if number else "%s" for number in numeric) + "\n"
         columns = [cells if number else list(map(_fmt, cells)) for cells, number in zip(columns, numeric)]
         with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
@@ -269,11 +287,6 @@ def cmd_refute_ml(p: dict) -> tuple[dict, str, dict]:
     # asdict would deep-copy the trajectory, and the system it holds, only to drop them
     payload = {"kind": "refute-ml", **asdict(replace(report, trajectory=None))}
     del payload["trajectory"]
-    payload["claim_verified"] = (
-        report.violated
-        and report.margins["mt_saturation"] <= 1e-8
-        and report.max_energy_drift <= 1e-9
-    )
     return payload, "trajectory", _trajectory_table(report.trajectory)
 
 
@@ -285,19 +298,12 @@ def cmd_bd_gap(p: dict) -> tuple[dict, str, dict]:
 
     sys_ = RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, state), state)
     traj = sample_trajectory(sys_, report.tau_actual, samples)
-    margin = bd_pointwise_margin(traj)
-    gap = report.mt_closed - report.bd_closed
     payload = {
         "kind": "bd-gap",
         "levels": levels,
         "report": asdict(report),
-        "gap": gap,
-        "min_pointwise_bd_margin": margin,
-        "claim_verified": (
-            gap > 1e-6
-            and margin > 0.0
-            and abs(report.tau_actual - report.mt_closed) <= 1e-8
-        ),
+        "gap": report.mt_closed - report.bd_closed,
+        "min_pointwise_bd_margin": bd_pointwise_margin(traj),
     }
     return payload, "trajectory", _trajectory_table(traj)
 
@@ -326,21 +332,9 @@ def cmd_alpha_table(p: dict) -> tuple[dict, str, dict]:
     alphas = [alpha(delta) for delta in deltas]  # validates every delta first
     arccos = [_angle(delta) for delta in deltas]
     endpoint = [(1.0 - math.sqrt(delta)) * math.pi / 2.0 for delta in deltas]
-    by_delta = [value for _, value in sorted(zip(deltas, alphas), key=lambda pair: pair[0])]
-    nonincreasing = all(b <= a + 1e-12 for a, b in zip(by_delta, by_delta[1:]))
-    below_endpoint = all(a <= e + 1e-12 for a, e in zip(alphas, endpoint))
-    strictly_below_arccos = all(
-        a < c - 1e-12 for d, a, c in zip(deltas, alphas, arccos) if 1e-3 <= d <= 1.0 - 1e-3
-    )
-    payload = {
-        "kind": "alpha-table",
-        "n_deltas": len(deltas),
-        "alpha_nonincreasing": nonincreasing,
-        "below_endpoint_bound": below_endpoint,
-        "strictly_below_arccos": strictly_below_arccos,
-        "claim_verified": nonincreasing and below_endpoint and strictly_below_arccos,
-    }
     table = {"delta": deltas, "alpha": alphas, "arccos_sqrt_delta": arccos, "endpoint_value": endpoint}
+    payload = {"kind": "alpha-table", "n_deltas": len(deltas)}
+    payload.update((rule, test(payload, table)) for rule, test in CLAIMS["alpha-table"])  # the three flags
     return payload, "alpha", table
 
 
@@ -360,7 +354,6 @@ def cmd_validity_sweep(p: dict) -> tuple[dict, str, dict]:
         "cells": len(rows),
         "reached_cells": sum(1 for row in rows if row.reached),
         "violations": violations,
-        "claim_verified": violations == 0,
     }
     table = {
         "system": [row.system for row in rows],
@@ -413,6 +406,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"'format' must be csv or json, got {fmt!r}")
         prefix, fmt = args.out or prefix, args.format or fmt
         report, name, table = HANDLERS[args.command](_parse(args.command, cfg))
+        failed = [rule for rule, test in CLAIMS.get(args.command, ()) if not test(report, table)]
+        if args.command in CLAIMS:  # claim_verified last, then failed_rules only when a rule fails
+            report.update(claim_verified=not failed, **({"failed_rules": failed} if failed else {}))
         try:
             write_outputs(prefix, fmt, report, name, table)
         except OSError as exc:
@@ -420,7 +416,7 @@ def main(argv=None) -> int:
     except QslError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_INVALID_INPUT if isinstance(exc, INVALID_INPUT_ERRORS) else EXIT_NUMERICAL
-    return EXIT_OK if report.get("claim_verified", True) else EXIT_CLAIM_VIOLATED
+    return EXIT_CLAIM_VIOLATED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

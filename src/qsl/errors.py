@@ -45,13 +45,17 @@ _INSIDE_PI = ("lie strictly inside (0, pi)", lambda x: 0.0 < x < math.pi)
 
 
 def _check_real(value, name: str, rule: tuple) -> float:
-    """value as a float, or DomainError unless a real number (not a bool) that passes the rule's test."""
+    """value as a float, or DomainError unless a real number (not a bool) whose float passes the rule's test."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     phrase, test = rule
-    if not test(value):
-        raise DomainError(f"{name} must {phrase}, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must {phrase}, got a number beyond the float range") from None
+    if not test(number):
+        raise DomainError(f"{name} must {phrase}, got {number!r}")
+    return number
 
 
 def _check_count(value, minimum: int, message: str) -> int:

@@ -7,6 +7,7 @@ value can be checked to give the float's result.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,3 +92,21 @@ def test_an_int_and_a_numpy_float_give_the_float_result(case):
 def test_a_numpy_integer_dim_gives_the_int_result():
     _, call, _ = CASES["random_coupled_system-dim"]
     assert call(np.int64(3)) == call(3)
+
+
+# A real number is judged by the float it becomes: one beyond the float range, or one that
+# rounds out of the rule, is a DomainError naming the argument and the rule.
+BEYOND_THE_FLOAT = {
+    "int-above-the-float-range": ("L", "be positive and finite", lambda: choose_theta(0.5, 10**400)),
+    "int-too-long-to-print": ("t_max", "be positive and finite", lambda: first_passage(FAMILY, 0.5, -10**5000)),
+    "fraction-that-rounds-to-zero": (
+        "t_max", "be positive and finite", lambda: sample_trajectory(FAMILY, Fraction(1, 10**400), 20)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BEYOND_THE_FLOAT))
+def test_a_real_number_is_judged_by_its_float(case):
+    name, phrase, call = BEYOND_THE_FLOAT[case]
+    with pytest.raises(DomainError, match=rf"^{name} must {phrase}, got "):
+        call()

@@ -469,7 +469,7 @@ def test_output_flags_win_over_valid_config_values(tmp_path, capsys):
     assert not list(tmp_path.glob("y_*"))
 
 
-def test_csv_cells_are_formatted_by_the_column_rule(tmp_path, monkeypatch):
+def test_csv_cells_are_formatted_by_the_column_rule(tmp_path):
     table = {
         "floats": np.array([0.1, -2.5, 1e-300]),
         "ints": np.array([1, -2, 3]),
@@ -479,8 +479,6 @@ def test_csv_cells_are_formatted_by_the_column_rule(tmp_path, monkeypatch):
         "missing": [1.5, None, 2.0],
         "words": ["a", "b", "c"],
     }
-    checked, is_number = [], cli._is_number
-    monkeypatch.setattr(cli, "_is_number", lambda value: checked.append(value) or is_number(value))
     cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", table)
     assert (tmp_path / "x_t.csv").read_text().splitlines() == [
         "floats,ints,unsigned,bools,numbers,missing,words",
@@ -488,8 +486,6 @@ def test_csv_cells_are_formatted_by_the_column_rule(tmp_path, monkeypatch):
         "-2.5,-2,5,false,2,,b",
         "1e-300,3,6,true,0.10000000000000001,2,c",
     ]
-    # a float or integer array is numbers by its dtype; booleans and lists are checked cell by cell
-    assert checked == [True, 1.5, 2, 0.1, 1.5, None, "a"]
 
 
 # The README's exit codes: 2 for invalid input, 3 for a numerical failure.
@@ -527,6 +523,13 @@ def _readme_bullets():
         name, text = chunk.split("`:", 1)
         bullets[name] = " ".join(text.split("\n\n", 1)[0].split())
     return bullets
+
+
+@pytest.mark.parametrize("kind", list(cli.CLAIMS))
+def test_readme_lists_every_claim_rule(kind):
+    text = _readme_bullets()[kind]
+    for rule, _ in cli.CLAIMS[kind]:
+        assert f"`{rule}`" in text, rule
 
 
 @pytest.mark.parametrize("kind", list(cli.CONFIG))
@@ -627,23 +630,33 @@ def _sweep_with_one_violation(**kwargs):
 
 
 @pytest.mark.parametrize(
-    "kind, payload, name, replacement, table",
+    "kind, payload, name, replacement, table, failed",
     [
         ("refute-ml", {"delta": 0.0, "L": 1.0, "E": 1.0, "samples": 20},
-         "run_ml_refutation", _refutation_not_violated, "trajectory"),
-        ("bd-gap", {"delta": 0.0, "samples": 20}, "bd_pointwise_margin", lambda traj: -1.0, "trajectory"),
-        ("alpha-table", {"deltas": [0.0, 0.5, 1.0]}, "alpha", lambda delta: 2.0, "alpha"),
+         "run_ml_refutation", _refutation_not_violated, "trajectory", ["beats_hypothesis"]),
+        ("bd-gap", {"delta": 0.0, "samples": 20}, "bd_pointwise_margin", lambda traj: -1.0, "trajectory",
+         ["bd_strict"]),
+        ("alpha-table", {"deltas": [0.0, 0.5, 1.0]}, "alpha", lambda delta: 2.0, "alpha",
+         ["below_endpoint_bound", "strictly_below_arccos"]),
         ("validity-sweep", {"seed": 1, "systems": 2, "deltas": [0.5], "samples": 20},
-         "validity_sweep", _sweep_with_one_violation, "sweep"),
+         "validity_sweep", _sweep_with_one_violation, "sweep", ["no_violations"]),
     ],
 )
-def test_violated_claim_exits_one(kind, payload, name, replacement, table, tmp_path, monkeypatch):
+def test_violated_claim_exits_one(kind, payload, name, replacement, table, failed, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, name, replacement)
     cfg = write_config(tmp_path, "cfg.json", payload)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
     report = json.loads((tmp_path / "x_report.json").read_text())
+    assert list(report)[-2:] == ["claim_verified", "failed_rules"]
     assert report["claim_verified"] is False
+    assert report["failed_rules"] == failed
     assert (tmp_path / f"x_{table}.csv").stat().st_size > 0
+    # the same run unpatched passes, and names no failed rule
+    monkeypatch.undo()
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "y")]) == 0
+    report = json.loads((tmp_path / "y_report.json").read_text())
+    assert list(report)[-1] == "claim_verified" and report["claim_verified"] is True
+    assert "failed_rules" not in report
 
 
 class TestConsoleScript:
