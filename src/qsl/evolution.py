@@ -34,8 +34,10 @@ D(t) = diag(exp(-iat)), and the step of length h from time s is
 Every M(t) in it is the conjugation by D(s) of the same matrix at s = 0, so
 P_s(h) = D(s) P_0(h) D(s)^dagger. In chi = D(s)^dagger psi every step of
 length h is then the one matrix F(h) = D(h)^dagger P_0(h), the same RK4
-scheme step for step. D is unitary, so chi has the norm of psi and the drift
-of each step is read from chi.
+scheme step for step. D is unitary, so chi has the norm of psi. F is linear
+and renormalizing only rescales chi, so a block of up to 64 steps is one
+product of chi with the finite powers F, ..., F^64 (`_finite_powers`), and
+its step j drifts by |F^j chi| / |F^(j-1) chi| - 1, with |F^0 chi| = 1.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .linalg import (
 )
 
 NORM_DRIFT_TOL = 1e-6
+_BLOCK = 64  # RK4 steps per batched product: 32 took 1.4x as long, 128 or 256 saved ~5 ms a cross-check run
 
 
 def bloch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,22 +209,31 @@ def fidelity_function(sys: RotatedHamiltonianSystem):
     return sys.evaluator.fidelities
 
 
+def _finite_powers(f: np.ndarray, k: int) -> np.ndarray:
+    """F, ..., F^k stacked, cut before the first non-finite power but keeping F: an empty level's inf * 0 is NaN."""
+    powers = f[None]
+    while len(powers) < k:
+        powers = np.concatenate((powers, powers[: k - len(powers)] @ powers[-1]))
+    leading = np.logical_and.accumulate(np.isfinite(powers).all(axis=(1, 2))).sum()
+    return powers[: max(leading, 1)]
+
+
 def propagate_numeric(sys: RotatedHamiltonianSystem, t: float, step: float) -> PureState:
     """Integrate the Schroedinger equation with the instantaneous H(t).
 
     Classical fixed-step 4th-order scheme, renormalized after every step. In
     A's eigenbasis (a, V) each step of length h is the one matrix
     F(h) = D(h)^dagger P_0(h) on chi = D(s)^dagger psi, with
-    D(s) = diag(exp(-ias)) (see the module docstring), so F is built once per
-    step size and the state is psi = V D(t) chi. Raises StepTooLarge at the
-    first step whose norm drift before renormalizing is not <= 1e-6.
+    D(s) = diag(exp(-ias)) (see the module docstring); a block of up to 64 steps
+    is one product of chi with F's finite powers, and psi = V D(t) chi. Raises
+    StepTooLarge at the first step whose |F^j chi| / |F^(j-1) chi| - 1 is not <= 1e-6.
     """
     step = _check_real(step, "step", _POSITIVE)
     t = _check_real(t, "t", _NONNEGATIVE)
 
     n_full = int(t // step)
     tail = t - n_full * step
-    runs = [(h, n) for h, n in ((step, n_full), (tail, int(tail > 1e-15))) if n]
+    runs = [(h, n) for h, n in ((step, n_full), (tail, int(tail > 1e-15 * t))) if n]
     if not runs:
         return sys.initial
     a, V = sys.A.eig
@@ -234,15 +246,18 @@ def propagate_numeric(sys: RotatedHamiltonianSystem, t: float, step: float) -> P
             k3 = m_mid @ (eye + h / 2 * k2)
             k4 = m_end @ (eye + h * k3)
             f = np.exp(1j * a * h)[:, None] * (eye + h / 6 * (m0 + 2 * k2 + 2 * k3 + k4))
-            for _ in range(n):
-                chi = f @ chi
-                norm = np.linalg.norm(chi)
-                drift = abs(norm - 1.0)
-                if not drift <= NORM_DRIFT_TOL:
+            powers = _finite_powers(f, min(n, _BLOCK))
+            while n:
+                k = min(n, len(powers))
+                orbit = powers[:k] @ chi  # F^j chi for j = 1..k, in one batched product
+                norms = np.linalg.norm(orbit, axis=1)
+                drifts = np.abs(norms / np.concatenate(([1.0], norms[:-1])) - 1.0)
+                if not (ok := drifts <= NORM_DRIFT_TOL).all():
+                    j = np.argmin(ok)  # the block's first offending step
                     raise StepTooLarge(
-                        f"norm drift {drift:.3e} at t={time + h:.6g} exceeds {NORM_DRIFT_TOL}; reduce the step"
+                        f"norm drift {drifts[j]:.3e} at t={time + (j + 1) * h:.6g} exceeds {NORM_DRIFT_TOL}; reduce the step"
                     )
-                chi, time = chi / norm, time + h
+                chi, time, n = orbit[-1] / norms[-1], time + k * h, n - k
     return PureState(V @ (np.exp(-1j * a * time) * chi))
 
 

@@ -178,13 +178,31 @@ class TestPropagateNumeric:
         assert np.array_equal(out.amplitudes, sys_.initial.amplitudes)
 
     def test_matches_the_step_by_step_reference(self):
-        # hundreds of steps with a tail step, t < step, and a coarse step with a tail
+        # hundreds of steps with a tail step, t < step, a coarse step with a tail, and at the
+        # 64-step block edges: exactly one block, one step more, two blocks and a tail step
         rng = np.random.default_rng(29)
+        edges = [(n * 2.0**-10, 2.0**-10) for n in (64, 65, 128.5)]
         for dim in (2, 3, 4):
             sys_ = random_coupled_system(rng, dim)
-            for t, step in [(0.7, 1e-3), (4e-4, 1e-3), (0.1234, 0.01)]:
+            for t, step in [(0.7, 1e-3), (4e-4, 1e-3), (0.1234, 0.01)] + edges:
                 numeric = propagate_numeric(sys_, t, step)
                 assert np.linalg.norm(numeric.amplitudes - rk4_reference(sys_, t, step)) <= 1e-12
+
+    def test_scaling_energy_by_a_power_of_two_and_time_by_its_inverse_keeps_the_amplitudes(self):
+        # the scaling is exact in floating point; at 2^-40 in time the half-step tail is 4.5e-16
+        # long, a real step that an absolute 1e-15 threshold would drop
+        sys_ = random_coupled_system(np.random.default_rng(5), 3)
+        base = propagate_numeric(sys_, 1.2345, 1e-3).amplitudes
+        for s in (2.0**40, 2.0**-40):
+            h, a = (HermitianOperator(s * op.entries) for op in (sys_.H, sys_.A))
+            scaled = RotatedHamiltonianSystem(h, a, sys_.initial)
+            assert np.linalg.norm(propagate_numeric(scaled, 1.2345 / s, 1e-3 / s).amplitudes - base) <= 1e-13
+
+    def test_an_empty_fast_level_stays_exactly_empty(self):
+        # F's entry on the level at 1e5 is about 4e6, so F^j overflows from j = 47 on;
+        # a block built from those powers would give inf * 0 = NaN on the empty level
+        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 1e5]), PureState([1.0, 0.0]))
+        assert np.array_equal(propagate_numeric(sys_, 0.1, 1e-3).amplitudes, [1.0, 0.0])
 
     def test_halving_the_step_shrinks_the_error_sixteenfold(self):
         # fourth order: a lower-order scheme would shrink it 8x or less
@@ -247,13 +265,16 @@ class TestPropagateNumeric:
 
     def test_a_late_first_drift_is_reported_as_the_loop_does(self):
         # the weight on the level at 3000 grows 2.27x a step (|R(-3i)| = 1.5), so drift
-        # first passes 1e-6 at step 98, long after the first step
-        sys_ = isolated(HermitianOperator.from_diagonal([0.0, 3000.0]), PureState.normalized([1.0, 1e-20]))
-        with pytest.raises(StepTooLarge) as expected:
-            rk4_reference(sys_, 0.2, 1e-3)
-        with pytest.raises(StepTooLarge, match=re.escape("norm drift 1.797e-06 at t=0.098 exceeds")) as got:
-            propagate_numeric(sys_, 0.2, 1e-3)
-        assert str(got.value) == str(expected.value)
+        # first passes 1e-6 at step 98, long after the first step, or from a larger start
+        # at step 65, the first step of the second 64-step block
+        cases = [(1e-20, "norm drift 1.797e-06 at t=0.098 exceeds"), (7e-15, "norm drift 1.673e-06 at t=0.065 exceeds")]
+        for amplitude, message in cases:
+            sys_ = isolated(HermitianOperator.from_diagonal([0.0, 3000.0]), PureState.normalized([1.0, amplitude]))
+            with pytest.raises(StepTooLarge) as expected:
+                rk4_reference(sys_, 0.2, 1e-3)
+            with pytest.raises(StepTooLarge, match=re.escape(message)) as got:
+                propagate_numeric(sys_, 0.2, 1e-3)
+            assert str(got.value) == str(expected.value)
 
     def test_nan_drift_raises(self):
         # the step matrix overflows to NaN; NaN compares False with the tolerance
@@ -268,7 +289,7 @@ class TestPropagateNumeric:
             propagate_numeric(sys_, 1.0, 1e-3)
 
     def test_memory_does_not_grow_with_the_run_length(self):
-        # one step at a time: the traced peak at 20000 steps stays that of 2000
+        # blocks of a fixed length: the traced peak at 20000 steps stays that of 2000
         sys_ = random_coupled_system(np.random.default_rng(37), 3)
         propagate_numeric(sys_, 1e-3, 1e-4)  # fills the cached eigenpairs before tracing
         peaks = []
