@@ -14,7 +14,8 @@ their kinds, defaults and bounds; `_parse` checks a config against it. Each
 column. `CLAIMS` is the one table of each claim's named rules: `main` judges
 the report and table by them once and appends `claim_verified`, and any
 failed rules as `failed_rules`, to the report. `write_outputs` writes both,
-as `<prefix>_report.json` and `<prefix>_<name>.csv` (or `.json`).
+as `<prefix>_report.json` and `<prefix>_<name>.csv` (or `.json`); a CSV
+numeric column that repeats a value has each distinct value formatted once.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _fmt(value) -> str:
         return value
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return format(float(value), ".17g")
 
@@ -240,27 +241,37 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _csv_column(cells) -> tuple[str, list]:
+    """A CSV column's row template and its cells, by the rule `write_outputs` states."""
+    if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iuf"):
+        return "%s", list(map(_fmt, cells.tolist() if isinstance(cells, np.ndarray) else cells))
+    # grouped by bits, not by value: -0.0 and 0.0 are written apart
+    _, first, inverse = np.unique(cells.view(f"u{cells.itemsize}"), return_index=True, return_inverse=True)
+    if len(first) == len(cells):  # one string per row would outweigh one float per row
+        return "%.17g", cells.tolist()
+    return "%s", np.array(["%.17g" % value for value in cells[first].tolist()], dtype=object)[inverse].tolist()
+
+
 def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -> None:
     """Write `<prefix>_report.json` and the table as `<prefix>_<name>.csv` or `.json`.
 
     `table` maps each column name, in output order, to its cells: a numpy
-    array or a list of numbers, booleans, strings or None (missing). CSV
-    rows are formatted one at a time as they are written, each by one
-    template: "%.17g" for a float or integer array, and "%s" of the `_fmt`
-    cells for a boolean array or a list, whose numbers `_fmt` writes with
-    the same 17 significant digits. Cells are not quoted; the tables'
-    strings are fixed words.
+    array or a list of numbers, booleans, strings or None (missing). Each CSV
+    row is written by one template. A float or integer array is formatted by
+    "%.17g": row by row when its values are all distinct, else each distinct
+    value once, with the same bytes. A boolean array or a list is formatted
+    cell by cell by `_fmt`, which gives numbers the same 17 significant
+    digits. Cells are not quoted; the tables' strings are fixed words.
     """
     _write_json(f"{prefix}_report.json", report)
-    columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
     if fmt == "csv":
-        numeric = [isinstance(cells, np.ndarray) and cells.dtype.kind in "iuf" for cells in table.values()]
-        template = ",".join("%.17g" if number else "%s" for number in numeric) + "\n"
-        columns = [cells if number else list(map(_fmt, cells)) for cells, number in zip(columns, numeric)]
+        pairs = [_csv_column(cells) for cells in table.values()]
+        template = ",".join(rule for rule, _ in pairs) + "\n"
         with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(table) + "\n")
-            fh.writelines(template % row for row in zip(*columns, strict=True))
+            fh.writelines(template % row for row in zip(*(cells for _, cells in pairs), strict=True))
     else:
+        columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
         cells = [list(map(_json_cell, row)) for row in zip(*columns, strict=True)]
         _write_json(f"{prefix}_{name}.json", {"columns": list(table), "rows": cells})
 

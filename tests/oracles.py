@@ -11,6 +11,7 @@ import numpy as np
 
 from qsl import DimensionMismatch, HermitianOperator, PureState, RotatedHamiltonianSystem
 from qsl.bounds import GOLDEN_TOL, INV_PHI, INV_PHI_SQ, _ml_objective
+from qsl.cli import _fmt
 from qsl.linalg import _as_complex_matrix, _ensure_operator, _ensure_state, _state_statistics
 from qsl.sweeps import random_hermitian
 
@@ -119,6 +120,17 @@ def alpha_array_search(delta: float) -> float:
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     _, interior = golden_section_min(lambda z: float(_ml_objective(z, delta)), lo, hi)
     return min(interior, (1.0 - z_max) * math.pi / 2.0)
+
+
+def write_csv_reference(path, table: dict) -> None:
+    """The CSV table one row at a time: every cell of a float or integer array through "%.17g", every other cell through `_fmt`."""
+    numeric = [isinstance(cells, np.ndarray) and cells.dtype.kind in "iuf" for cells in table.values()]
+    columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
+    columns = [cells if number else list(map(_fmt, cells)) for cells, number in zip(columns, numeric)]
+    template = ",".join("%.17g" if number else "%s" for number in numeric) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(table) + "\n")
+        fh.writelines(template % row for row in zip(*columns, strict=True))
 
 
 def random_saturating_two_level(rng: np.random.Generator) -> RotatedHamiltonianSystem:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 import qsl
 from qsl import cli
 from qsl.cli import main
+
+from oracles import write_csv_reference
 
 # The documented trajectory column order (README, "Command line").
 TRAJECTORY_COLUMNS = [
@@ -478,14 +481,73 @@ def test_csv_cells_are_formatted_by_the_column_rule(tmp_path):
         "numbers": [1.5, 2, 0.1],
         "missing": [1.5, None, 2.0],
         "words": ["a", "b", "c"],
+        "numpy_bools": [np.True_, np.False_, np.True_],
     }
     cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", table)
     assert (tmp_path / "x_t.csv").read_text().splitlines() == [
-        "floats,ints,unsigned,bools,numbers,missing,words",
-        "0.10000000000000001,1,4,true,1.5,1.5,a",
-        "-2.5,-2,5,false,2,,b",
-        "1e-300,3,6,true,0.10000000000000001,2,c",
+        "floats,ints,unsigned,bools,numbers,missing,words,numpy_bools",
+        "0.10000000000000001,1,4,true,1.5,1.5,a,true",
+        "-2.5,-2,5,false,2,,b,false",
+        "1e-300,3,6,true,0.10000000000000001,2,c,true",
     ]
+
+
+def _assert_csv_matches_reference(tmp_path, table):
+    cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", table)
+    write_csv_reference(tmp_path / "reference.csv", table)
+    assert (tmp_path / "x_t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_csv_writer_matches_the_reference_bytes(tmp_path):
+    # repeating numeric columns go through their distinct values; each must still write the reference's bytes
+    nan_payloads = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+    special = np.array([-0.0, 0.0, nan_payloads[0], nan_payloads[1], np.inf, -np.inf, 0.0, -0.0, np.nan])
+    grid = np.column_stack([[0.1, 0.1, 0.2, 0.1, 0.3, 0.2, 0.1, 0.3, 0.1], np.arange(9) / 7.0])  # rows of .T are strided
+    table = {
+        "repeating": np.array([0.1, 2.5, 0.1, 1e-300, 2.5, 0.1, 0.1, 2.5, 0.1]),
+        "distinct": np.linspace(0.0, 1.0, 9),
+        "special": special,
+        "ints": np.array([3, -2, 3, 3, 2**62, -2, 0, 3, 2**62], dtype=np.int64),
+        "unsigned": np.array([4, 5, 4, 255, 0, 4, 5, 0, 4], dtype=np.uint8),
+        "strided": grid.T[0],
+        "bools": np.array([True, False, True, True, False, False, True, False, True]),
+        "missing": [1.5, None, 2.0, None, 0.1, 1.5, None, -0.0, 2],
+        "words": ["a", "b", "a", "c", "a", "b", "c", "a", "b"],
+    }
+    assert not table["strided"].flags.contiguous
+    _assert_csv_matches_reference(tmp_path, table)
+    assert [row.split(",")[2] for row in (tmp_path / "x_t.csv").read_text().splitlines()[1:]] == [
+        "-0", "0", "nan", "nan", "inf", "-inf", "0", "-0", "nan",
+    ]
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("refute-ml", {"delta": 0.3, "L": 1.0, "E": 2.0, "samples": 500}),
+    ("bd-gap", {"delta": 0.3, "levels": [0.0, 1.0, 2.5, 4.0], "samples": 500}),
+    ("trajectory", {"E": 1.7, "theta_deg": 70.0, "t_max": 2.0, "samples": 500, "frame": "rotating"}),
+    ("trajectory", {"E": 1.7, "theta_deg": 70.0, "t_max": 2.0, "samples": 500}),
+    ("trajectory", {"E": 1.7, "theta_deg": 70.0, "t_max": 2.0, "samples": 500, "initial": "off_equator"}),
+])
+def test_csv_tables_match_the_reference_bytes(kind, payload, tmp_path):
+    _, _, table = cli.HANDLERS[kind](cli._parse(kind, payload))
+    _assert_csv_matches_reference(tmp_path, table)
+
+
+@pytest.mark.parametrize("frame", ["rotating", "schrodinger"])
+def test_csv_writer_peaks_below_the_reference(frame, tmp_path):
+    # each distinct value of a repeating column is held once, as one string, not once per row
+    params = cli._parse("trajectory", {"E": 1.7, "theta_deg": 70.0, "t_max": 2.0, "samples": 15000, "frame": frame})
+    _, _, table = cli.cmd_trajectory(params)
+    peaks = []
+    for write in (lambda: write_csv_reference(tmp_path / "reference.csv", table),
+                  lambda: cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", table)):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0], peaks
 
 
 # The README's exit codes: 2 for invalid input, 3 for a numerical failure.
