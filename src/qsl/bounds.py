@@ -27,7 +27,8 @@ ZERO_DENOMINATOR = 1e-14
 PASSAGE_SLACK = 1e-14
 PASSAGE_WIDTH = 1e-13
 PASSAGE_SPLIT = 32
-PASSAGE_FRACTIONS = np.arange(1, PASSAGE_SPLIT) / PASSAGE_SPLIT  # where a split puts its new points
+PASSAGE_FRACTIONS = np.arange(1, PASSAGE_SPLIT) / PASSAGE_SPLIT  # where a split puts its uniform points
+PASSAGE_ROW = PASSAGE_SPLIT + 3  # a split's points: both ends, 31 uniform ones and the two speed points
 _ENDS = np.array([0, 1])  # offsets of a part's left and right point from its left one
 PASSAGE_BATCH = 2048
 PASSAGE_SCAN = 2048
@@ -137,13 +138,13 @@ def first_passage(
     """Earliest t in [0, t_max] at which the fidelity to the initial state is delta.
 
     Certified search: the Fubini-Study angle theta = arccos(sqrt(F)) moves no
-    faster than the energy uncertainty of H(t) (Anandan-Aharonov, PRL 65,
-    1697, 1990). Its bound v is half the spectral width of H, which every H(t)
-    shares, or, when A is exactly zero, the conserved uncertainty itself. An
-    interval [a, b] with theta_a + theta_b + v (b - a) < 2 arccos(sqrt(delta))
-    (1 - 1e-14) thus cannot hold the passage. The window is scanned at
-    PASSAGE_SCAN uniform intervals. Every interval not ruled out this way is
-    cut into 32 parts, in one batch of at most PASSAGE_BATCH intervals (the
+    faster than v = `sys.evaluator.speed`, a bound on the energy uncertainty
+    of every H(t) (its proof is in the `_SpectralEvaluator` docstring). An
+    interval [a, b] with theta_a + theta_b + v (b - a) < 2 theta* (1 - 1e-14),
+    theta* = arccos(sqrt(delta)), thus cannot hold the passage: theta climbs
+    from theta_a to theta* and falls back to theta_b within b - a. The window
+    is scanned at PASSAGE_SCAN uniform intervals. Every interval not ruled
+    out this way is cut, in one batch of at most PASSAGE_BATCH intervals (the
     time beyond is scanned again, at PASSAGE_SCAN intervals, if they all
     drop out), and the intervals after the first one whose right end reaches
     delta are dropped. The midpoint of the first open interval is returned
@@ -153,12 +154,28 @@ def first_passage(
     early. The slack keeps rounding from ruling out an exact touch, so a dip
     within it counts as reached (the generic case for delta = 0).
 
-    v is a constant of the system, `sys.evaluator.speed`, and the scan and
-    its angles are kept with the evaluator, so the other deltas of one window
-    reuse them. Every sampled time carries its fidelity and angle through the
-    refinement: only the 31 new interior points of an interval are
-    evaluated, and the search is the same arithmetic on the same points
-    whichever deltas and windows were asked before.
+    A cut [lo, hi] gets the 31 points that split it into 32 equal parts and
+    two speed points, each clipped into [lo, hi]:
+    - a = lo + (theta* (1 - 2e-14) - theta_lo) / v. theta stays at or below
+      theta* (1 - 2e-14) up to a, so every part left of a meets the
+      inequality above, rounding aside, and is ruled out;
+    - b = hi - (theta_hi - theta* (1 + 2e-14)) / v, only when F(hi) <= delta:
+      theta is at least theta* (1 + 2e-14) at b, so b is a sampled time past
+      delta.
+    When theta moves at v, as on the geodesics `build_coupling` makes, a and
+    b straddle the passage within about 2e-14 of it, and the search ends one
+    round after the scan. The speed points can only add samples: the 32
+    equal parts still narrow the first open interval at least 32-fold every
+    round, whatever rounding does to a and b. A point clipped onto another
+    makes a part of no length, which holds no time its neighbours do not:
+    it stays open only when its point reached delta.
+
+    v is a constant of the system, and the scan and its angles are kept with
+    the evaluator, so the other deltas of one window reuse them. Every
+    sampled time carries its fidelity and angle through the refinement: only
+    the 33 new interior points of an interval are evaluated, and the search
+    is the same arithmetic on the same points whichever deltas and windows
+    were asked before.
     """
     delta = _check_real(delta, "delta", _UNIT_INTERVAL)
     t_max = _check_real(t_max, "t_max", _POSITIVE)
@@ -166,14 +183,19 @@ def first_passage(
         return 0.0
     fidelities, ev = fidelity_function(sys), sys.evaluator
     scan = ev.scan(t_max, PASSAGE_SCAN)
-    target = 2.0 * _angle(delta) * (1.0 - PASSAGE_SLACK)
+    theta = _angle(delta)
+    target = 2.0 * theta * (1.0 - PASSAGE_SLACK)
+    below, above = theta * (1.0 - 2.0 * PASSAGE_SLACK), theta * (1.0 + 2.0 * PASSAGE_SLACK)
+    pace = 1.0 / ev.speed if ev.speed else 0.0  # a stationary state has no speed points to place
     # s[0], s[1] and s[2] hold the times, fidelities and angles of rows of `row` points. A row cuts one
-    # interval into equal parts, and a part joins two neighbouring points of one row.
+    # interval into parts, and a part joins two neighbouring points of one row.
     s, row, resume = scan, PASSAGE_SCAN + 1, None
     while True:
         t, f, th = s[0], s[1], s[2]
         reached = f[1:] <= delta
-        keep = th[:-1] + th[1:] + ev.speed * (t[1:] - t[:-1]) >= target
+        width = t[1:] - t[:-1]
+        keep = th[:-1] + th[1:] + ev.speed * width >= target
+        keep &= width > 0.0  # a part of no length holds no time its neighbours do not
         keep |= reached  # rounding must not certify away a sample that reached delta
         keep[row - 1::row] = reached[row - 1::row] = False  # no part joins a row's last point to the next row's first
         first = reached.argmax()
@@ -194,12 +216,15 @@ def first_passage(
         lo, hi = ends[0, :, 0], ends[0, :, 1]
         if hi[0] - lo[0] <= PASSAGE_WIDTH * hi[0]:
             return float((lo[0] + hi[0]) / 2.0)
-        t = (hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None]
+        a = lo + (below - ends[2, :, 0]) * pace
+        b = np.where(ends[1, :, 1] <= delta, hi - (ends[2, :, 1] - above) * pace, hi)
+        t = np.column_stack(((hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None], a, b))
+        t = np.sort(np.clip(t, lo[:, None], hi[:, None]), axis=1)
         f = fidelities(t.ravel()).reshape(t.shape)
-        rows = np.empty((3, index.size, PASSAGE_SPLIT + 1))
-        rows[..., ::PASSAGE_SPLIT] = ends
+        rows = np.empty((3, index.size, PASSAGE_ROW))
+        rows[..., ::PASSAGE_ROW - 1] = ends
         rows[0, :, 1:-1], rows[1, :, 1:-1], rows[2, :, 1:-1] = t, f, _angles(f)
-        s, row = rows.reshape(3, -1), PASSAGE_SPLIT + 1
+        s, row = rows.reshape(3, -1), PASSAGE_ROW
 
 
 @dataclass

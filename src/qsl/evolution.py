@@ -144,8 +144,20 @@ class _SpectralEvaluator:
     of an isolated system.
 
     It also keeps two things `first_passage` reads for every delta: `speed`,
-    the system's bound on the speed of the angle arccos(sqrt(F)), and the
-    last `scan` with the angles of its fidelities.
+    the system's bound v on the speed of the angle arccos(sqrt(F)), and the
+    last `scan` with the angles of its fidelities. The angle moves no faster
+    than dH(t) (Anandan-Aharonov, PRL 65, 1697, 1990), and for every t and
+    with c = <H> at t = 0:
+
+        dH(t) = min_x |(H(t) - x) psi_t| = min_x |(H - x) phi_t|   (H(t) psi_t = exp(-iAt) H phi_t)
+              <= |(H - c) sum_k exp(-i mu_k t) c0_k w_k|          (x = c; phi_t in the basis W)
+              <= sum_k |c0_k| |(H - c) w_k|                        (triangle inequality)
+
+    v is the smaller of that sum and half the spectral width of H, which
+    also bounds every dH(t); no threshold enters, so it holds for every
+    (H, A, u0). When u0 is an eigenvector of H - A, as `build_coupling`
+    makes it, the sum is dH itself and theta moves at exactly v. When A is
+    exactly zero, v is the conserved dH.
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
@@ -160,8 +172,12 @@ class _SpectralEvaluator:
         # mean energies of u0 keep a constant energy offset from costing precision.
         self._rate_mu = -1j * (self.mu - self.mu @ np.abs(self.c0) ** 2)
         self._rate_a = -1j * (self.a - self.a @ np.abs(self._probe) ** 2)
-        # half the spectral width of H, or the conserved Delta H when A = 0 (see first_passage)
-        self.speed = sys.initial_statistics.energy_uncertainty if self._isolated else np.ptp(sys.H.eig[0]) / 2.0
+        stats = sys.initial_statistics
+        if self._isolated:
+            self.speed = stats.energy_uncertainty
+        else:
+            lifted = sys.H.entries @ self.W - stats.exp_energy * self.W  # (H - <H>) w_k, one column per k
+            self.speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(self.c0) @ np.linalg.norm(lifted, axis=0))
         self._scan: tuple | None = None
 
     def rotating(self, times) -> np.ndarray:

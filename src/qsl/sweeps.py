@@ -125,7 +125,7 @@ def validity_sweep(
         else:
             sys = random_coupled_system(rng, dim)
             kind = "coupled"
-        spread = math.sqrt(variance(sys.H, sys.initial))
+        spread = float(sys.initial_statistics.energy_uncertainty)
         t_max = (1.05 * math.pi if kind == "coupled" else 40.0) / max(spread, 1e-6)
         for delta in deltas:
             try:

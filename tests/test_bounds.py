@@ -63,7 +63,7 @@ def fresh(sys_):
 
 def sweep_window(sys_):
     """The t_max that validity_sweep searches the system on."""
-    spread = math.sqrt(variance(sys_.H, sys_.initial))
+    spread = float(sys_.initial_statistics.energy_uncertainty)
     return (40.0 if sys_.is_isolated else 1.05 * math.pi) / max(spread, 1e-6)
 
 
@@ -268,11 +268,26 @@ class TestFirstPassage:
     )
     def test_passage_one_ulp_below_full_fidelity(self):
         # tau = arccos(sqrt(delta)) / dH = L / (E (1 + margin)) = 1/1.1 by construction.
-        # delta = 1 - 5e-16 is left out: that call never returns.
+        # delta = 1 - 5e-16 is left out: it returns 0.371, off for the same reason.
         delta = 1.0 - 2.0**-53
         theta = choose_theta(delta, 1.0)
         tau = first_passage(build_ml_family(1.0, theta), delta, math.pi * math.tan(theta / 2))
         assert tau == pytest.approx(1 / 1.1, rel=1e-6)
+
+    def test_a_geodesic_passage_takes_one_round_after_the_scan(self):
+        # theta moves at exactly the certificate's speed on a geodesic, so the speed points
+        # straddle the passage and the next round finds it in a part narrower than the stop width
+        rng = np.random.default_rng(89)
+        for _ in range(10):
+            sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
+            ev, t_max = sys_.evaluator, sweep_window(sys_)
+            ev.scan(t_max, qsl.bounds.PASSAGE_SCAN)
+            batches, fidelities = [], ev.fidelities
+            ev.fidelities = lambda times: batches.append(len(times)) or fidelities(times)
+            for delta in DEFAULT_DELTAS[1:]:
+                batches.clear()
+                first_passage(sys_, delta, t_max)
+                assert len(batches) <= 2
 
     def test_warm_scan_gives_the_cold_taus(self):
         rng = np.random.default_rng(5)

@@ -169,6 +169,20 @@ class TestSpectralEvaluator:
         # the same exact test decides the bounds: no ML bound for a coupled system
         assert evaluate_bounds(sys_, 0.5, tau=1.0).ml is None
 
+    def test_speed_bounds_the_energy_uncertainty_at_every_time(self):
+        # general (H, A, u0): u0 is no eigenvector of H - A, so dH(t) varies and neither bound is exact
+        rng = np.random.default_rng(83)
+        below_width = 0
+        for _ in range(200):
+            dim = int(rng.integers(2, 7))
+            hamiltonian = random_hermitian(rng, dim, spectral_radius=rng.uniform(1.0, 5.0))
+            coupling = random_hermitian(rng, dim, spectral_radius=rng.uniform(0.1, 5.0))
+            sys_ = RotatedHamiltonianSystem(hamiltonian, coupling, random_pure_state(rng, dim))
+            spread = sample_trajectory(sys_, 20.0, 20000).stats.energy_uncertainty
+            assert sys_.evaluator.speed >= spread.max()
+            below_width += sys_.evaluator.speed < np.ptp(hamiltonian.eig[0]) / 2.0
+        assert below_width >= 10
+
 
 class TestPropagateNumeric:
     def test_zero_time(self):
