@@ -272,7 +272,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
 # sha256 of the default sweep's outputs; tests/test_golden.py says how to regenerate them
 SWEEP_DIGESTS = {
     "report.json": "078460af5d5f9ef695122411476e530c8ec32e42ec2bbde0ccb8e58424eee2d1",
-    "sweep.csv": "4371a756933852cd72be6a5bb882ccc15cae38f5330c83b171db7c3ab758340c",
+    "sweep.csv": "97828167f1db6278c0e355ef9160e1419c003402bbc494d7ce06b10caffd6351",
 }
 
 
