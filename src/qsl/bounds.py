@@ -159,9 +159,9 @@ def first_passage(
     - a = lo + (theta* (1 - 2e-14) - theta_lo) / v. theta stays at or below
       theta* (1 - 2e-14) up to a, so every part left of a meets the
       inequality above, rounding aside, and is ruled out;
-    - b = hi - (theta_hi - theta* (1 + 2e-14)) / v, only when F(hi) <= delta:
-      theta is at least theta* (1 + 2e-14) at b, so b is a sampled time past
-      delta.
+    - b = hi - (theta_hi - theta* (1 + 2e-14)) / v, which falls inside
+      [lo, hi] only when F(hi) <= delta: theta is at least
+      theta* (1 + 2e-14) at b, so b is a sampled time past delta.
     When theta moves at v, as on the geodesics `build_coupling` makes, a and
     b straddle the passage within about 2e-14 of it, and the search ends one
     round after the scan. The speed points can only add samples: the 32
@@ -217,7 +217,7 @@ def first_passage(
         if hi[0] - lo[0] <= PASSAGE_WIDTH * hi[0]:
             return float((lo[0] + hi[0]) / 2.0)
         a = lo + (below - ends[2, :, 0]) * pace
-        b = np.where(ends[1, :, 1] <= delta, hi - (ends[2, :, 1] - above) * pace, hi)
+        b = hi - (ends[2, :, 1] - above) * pace  # past hi, so clipped onto it, unless F(hi) <= delta
         t = np.column_stack(((hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None], a, b))
         t = np.sort(np.clip(t, lo[:, None], hi[:, None]), axis=1)
         f = fidelities(t.ravel()).reshape(t.shape)

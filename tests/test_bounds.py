@@ -283,7 +283,12 @@ class TestFirstPassage:
             ev, t_max = sys_.evaluator, sweep_window(sys_)
             ev.scan(t_max, qsl.bounds.PASSAGE_SCAN)
             batches, fidelities = [], ev.fidelities
-            ev.fidelities = lambda times: batches.append(len(times)) or fidelities(times)
+
+            def counted(times):
+                batches.append(len(times))
+                return fidelities(times)
+
+            ev.fidelities = counted
             for delta in DEFAULT_DELTAS[1:]:
                 batches.clear()
                 first_passage(sys_, delta, t_max)

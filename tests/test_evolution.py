@@ -181,7 +181,7 @@ class TestSpectralEvaluator:
             spread = sample_trajectory(sys_, 20.0, 20000).stats.energy_uncertainty
             assert sys_.evaluator.speed >= spread.max()
             below_width += sys_.evaluator.speed < np.ptp(hamiltonian.eig[0]) / 2.0
-        assert below_width >= 10
+        assert below_width >= 10  # the structural sum, not only half the width, is tested
 
 
 class TestPropagateNumeric:
