@@ -144,9 +144,9 @@ def first_passage(
     theta* = arccos(sqrt(delta)), thus cannot hold the passage: theta climbs
     from theta_a to theta* and falls back to theta_b within b - a. The window
     is scanned at PASSAGE_SCAN uniform intervals. Every interval not ruled
-    out this way is cut, in one batch of at most PASSAGE_BATCH intervals (the
-    time beyond is scanned again, at PASSAGE_SCAN intervals, if they all
-    drop out), and the intervals after the first one whose right end reaches
+    out this way is cut, in one batch: past the first PASSAGE_BATCH of them,
+    the time from the next one to the window's end is cut as one more
+    interval. The intervals after the first one whose right end reaches
     delta are dropped. The midpoint of the first open interval is returned
     once that is narrower than 1e-13 of its right end, so the result is the
     same on every time scale and never later than the first passage by more
@@ -189,7 +189,7 @@ def first_passage(
     pace = 1.0 / ev.speed if ev.speed else 0.0  # a stationary state has no speed points to place
     # s[0], s[1] and s[2] hold the times, fidelities and angles of rows of `row` points. A row cuts one
     # interval into parts, and a part joins two neighbouring points of one row.
-    s, row, resume = scan, PASSAGE_SCAN + 1, None
+    s, row = scan, PASSAGE_SCAN + 1
     while True:
         t, f, th = s[0], s[1], s[2]
         reached = f[1:] <= delta
@@ -202,17 +202,12 @@ def first_passage(
         if reached[first]:
             keep[first + 1:] = False
         index = keep.nonzero()[0]  # each kept part by its left point
-        if index.size > PASSAGE_BATCH:
-            # bound one round's memory: what lies beyond is searched again afterwards
-            resume, index = t[index[PASSAGE_BATCH]], index[:PASSAGE_BATCH]
         if not index.size:
-            if resume is None:
-                raise NotReached(f"fidelity never reached {delta} within t_max={scan[0, -1]:.6g}")
-            t = np.linspace(resume, scan[0, -1], PASSAGE_SCAN + 1)
-            f = fidelities(t)
-            s, row, resume = np.stack((t, f, _angles(f))), PASSAGE_SCAN + 1, None
-            continue
-        ends = s.take(index[:, None] + _ENDS, axis=1)  # the left and right point of each kept part
+            raise NotReached(f"fidelity never reached {delta} within t_max={scan[0, -1]:.6g}")
+        ends = s.take(index[:PASSAGE_BATCH, None] + _ENDS, axis=1)  # the left and right point of each kept part
+        if index.size > PASSAGE_BATCH:  # bound one round's memory: the rest of the window is one more part
+            rest = np.stack((s[:, index[PASSAGE_BATCH]], scan[:, -1]), axis=1)
+            ends = np.concatenate((ends, rest[:, None]), axis=1)
         lo, hi = ends[0, :, 0], ends[0, :, 1]
         if hi[0] - lo[0] <= PASSAGE_WIDTH * hi[0]:
             return float((lo[0] + hi[0]) / 2.0)
@@ -221,7 +216,7 @@ def first_passage(
         t = np.column_stack(((hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None], a, b))
         t = np.sort(np.clip(t, lo[:, None], hi[:, None]), axis=1)
         f = fidelities(t.ravel()).reshape(t.shape)
-        rows = np.empty((3, index.size, PASSAGE_ROW))
+        rows = np.empty((3, lo.size, PASSAGE_ROW))
         rows[..., ::PASSAGE_ROW - 1] = ends
         rows[0, :, 1:-1], rows[1, :, 1:-1], rows[2, :, 1:-1] = t, f, _angles(f)
         s, row = rows.reshape(3, -1), PASSAGE_ROW

@@ -368,39 +368,64 @@ class TestFirstPassage:
                     assert tau <= dense[hits[0]] * (1.0 + 1e-13)
         assert reached >= 60
 
-    def test_deferred_intervals_give_the_same_taus(self, monkeypatch):
+    @staticmethod
+    def _deferral_taus():
+        """Taus of three seeded systems at four deltas, each system searched fresh, None where not reached."""
         rng = np.random.default_rng(23)
         systems = [random_isolated_system(rng, dim) for dim in (3, 5)] + [random_coupled_system(rng, 4)]
+        out = []
+        for sys_ in systems:
+            fresh = RotatedHamiltonianSystem(sys_.H, sys_.A, sys_.initial)
+            t_max = 40.0 / math.sqrt(variance(sys_.H, sys_.initial))
+            for delta in (0.0, 0.2, 0.5, 0.8):
+                try:
+                    out.append(first_passage(fresh, delta, t_max))
+                except NotReached:
+                    out.append(None)
+        return out
 
-        def taus():
-            out = []
-            for sys_ in systems:
-                fresh = RotatedHamiltonianSystem(sys_.H, sys_.A, sys_.initial)
-                t_max = 40.0 / math.sqrt(variance(sys_.H, sys_.initial))
-                for delta in (0.0, 0.2, 0.5, 0.8):
-                    try:
-                        out.append(first_passage(fresh, delta, t_max))
-                    except NotReached:
-                        out.append(None)
-            return out
-
-        expected = taus()
-        rescans = []
+    def test_deferred_intervals_give_the_same_taus(self, monkeypatch):
+        expected = self._deferral_taus()
+        carried = []
         fidelities = _SpectralEvaluator.fidelities
 
         def counted(self, times):
-            if len(times) == 2049 and times[0] > 0.0:
-                rescans.append(times[0])
+            # one batch part and the carried rest of the window, 33 new points each
+            if len(times) == 2 * (qsl.bounds.PASSAGE_ROW - 2):
+                carried.append(times[0])
             return fidelities(self, times)
 
         monkeypatch.setattr(_SpectralEvaluator, "fidelities", counted)
         monkeypatch.setattr(qsl.bounds, "PASSAGE_BATCH", 1)
-        got = taus()
-        assert rescans
+        got = self._deferral_taus()
+        assert carried
         assert [tau is None for tau in got] == [tau is None for tau in expected]
         for tau, reference in zip(got, expected):
             if tau is not None:
                 assert tau == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_every_batch_after_the_scan_holds_at_most_one_part_past_the_batch(self, monkeypatch):
+        sizes, scanning = [], []
+        fidelities, scan = _SpectralEvaluator.fidelities, _SpectralEvaluator.scan
+
+        def counted(self, times):
+            if not scanning:
+                sizes.append(len(times))
+            return fidelities(self, times)
+
+        def scanned(self, t_max, samples):
+            scanning.append(True)
+            try:
+                return scan(self, t_max, samples)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(_SpectralEvaluator, "fidelities", counted)
+        monkeypatch.setattr(_SpectralEvaluator, "scan", scanned)
+        monkeypatch.setattr(qsl.bounds, "PASSAGE_BATCH", 1)
+        self._deferral_taus()
+        assert sizes
+        assert max(sizes) <= (qsl.bounds.PASSAGE_BATCH + 1) * (qsl.bounds.PASSAGE_ROW - 2)
 
     def test_scan_is_kept_per_window(self):
         ev = build_ml_family(1.0, 0.8).evaluator
