@@ -44,7 +44,7 @@ def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     """Two-level rotating system with conserved normalized expected energy E.
 
     In the basis (u, v) = (e1, e2) the Hamiltonian is
-    mu * (sin(theta) Z - cos(theta) X) with mu = E / (1 - cos(theta)),
+    mu * (sin(theta) Z - cos(theta) X) with mu = E / (2 sin^2(theta/2)),
     X = |u><u| - |v><v| and Z = |u><v| + |v><u|. Its spectrum is {-mu, +mu},
     the normalized expected energy in u is E for every theta, and the energy
     uncertainty is E * cot(theta/2). The coupling operator makes the initial
@@ -52,7 +52,7 @@ def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     """
     theta = _check_real(theta, "theta", _INSIDE_PI)
     E = _check_real(E, "E", _POSITIVE)
-    mu = E / (1.0 - math.cos(theta))
+    mu = E / (2.0 * math.sin(theta / 2.0) ** 2)  # 1 - cos(theta), without its cancellation at small theta
     x, _, z = bloch_operators()
     hamiltonian = HermitianOperator(mu * (math.sin(theta) * z - math.cos(theta) * x))
     initial = PureState([1.0, 0.0])
@@ -74,7 +74,7 @@ def choose_theta(delta: float, L: float, margin: float = 0.1) -> float:
 
 @dataclass
 class RefutationSpec:
-    """Parameters of one run against a hypothetical bound L/E; mu = E/(1 - cos(theta)) is derived."""
+    """Parameters of one run against a hypothetical bound L/E; mu = E/(2 sin^2(theta/2)) is derived."""
 
     delta: float
     L: float
@@ -89,7 +89,7 @@ class RefutationSpec:
         self.theta = _check_real(self.theta, "theta", _INSIDE_PI)
         if not self.angle_condition > 0.0:
             raise DomainError("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")
-        self.mu = self.E / (1.0 - math.cos(self.theta))
+        self.mu = self.E / (2.0 * math.sin(self.theta / 2.0) ** 2)
 
     @property
     def angle_condition(self) -> float:

@@ -201,6 +201,15 @@ class TestTrajectory:
         assert payload["columns"] == TRAJECTORY_COLUMNS
         assert len(payload["rows"]) == 11
 
+    def test_small_angle(self, tmp_path):
+        # 1 - cos(theta) rounds to 0 at this angle, so the family's mu must not divide by it
+        cfg = write_config(tmp_path, "traj.json", {"E": 1.0, "theta_deg": 5e-7, "samples": 10})
+        prefix = str(tmp_path / "small")
+        assert main(["trajectory", "--config", cfg, "--out", prefix]) == 0
+        report = json.loads((tmp_path / "small_report.json").read_text())
+        rate = 1.0 / math.tan(math.radians(5e-7) / 2.0)
+        assert report["energy_uncertainty"] == pytest.approx(rate, rel=1e-12, abs=0.0)
+
 
 class TestAlphaTable:
     def test_three_point_grid(self, tmp_path):

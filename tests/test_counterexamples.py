@@ -109,6 +109,12 @@ class TestBuildMlFamily:
         sys_ = build_ml_family(energy, theta_small * 0.99)
         assert math.sqrt(variance(sys_.H, sys_.initial)) > target
 
+    @pytest.mark.parametrize("theta", [1e-8, 1e-7, 1e-4, 0.8])
+    def test_uncertainty_is_e_cot_half_theta_at_small_angles(self, theta):
+        # 1 - cos(theta) cancels here: it rounds to 0 at 1e-8
+        spread = build_ml_family(1.5, theta).initial_statistics.energy_uncertainty
+        assert spread == pytest.approx(1.5 / math.tan(theta / 2), rel=1e-12, abs=0.0)
+
 
 class TestChooseTheta:
     def test_plug_back_satisfies_strict_inequality(self):
@@ -154,7 +160,7 @@ class TestRefutationSpec:
     def test_mu_is_derived_not_set(self):
         for delta, L, E, theta in [(0.0, math.pi / 2, 1.0, math.pi / 3), (0.5, 0.3, 2.5, 0.4), (0.9, 1e3, 1e-3, 1e-3)]:
             spec = RefutationSpec(delta, L, E, theta)
-            assert spec.mu == E / (1 - math.cos(theta))
+            assert spec.mu == E / (2 * math.sin(theta / 2) ** 2)
             assert list(dataclasses.asdict(spec)) == ["delta", "L", "E", "theta", "mu"]
         with pytest.raises(TypeError):
             RefutationSpec(delta=0.0, L=math.pi / 2, E=1.0, theta=math.pi / 3, mu=2.0)
@@ -264,6 +270,10 @@ class TestRunMlRefutation:
         # half the spectral width is about 5.8e3 times dH here; the certificate's speed is dH itself
         report = run_ml_refutation(0.5, 1e4, 1.0)
         assert report.margins["mt_saturation"] <= 1e-8
+
+    def test_passage_at_a_small_hypothesis(self):
+        # theta is about 1.2e-7 here, where 1 - cos(theta) loses its digits
+        assert run_ml_refutation(0.0, 1e-7, 1.0).tau == pytest.approx(1e-7 / 1.1, rel=0.0, abs=1e-12)
 
     def test_small_hypotheses_return_in_time(self):
         # in a child with a timeout, so a search that stalls fails here instead of hanging the suite
