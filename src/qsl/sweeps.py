@@ -65,6 +65,13 @@ def random_isolated_system(rng: np.random.Generator, dim: int) -> RotatedHamilto
     return RotatedHamiltonianSystem(hamiltonian, zero, state)
 
 
+def _items(value, message: str) -> tuple:
+    """The items of a sequence argument; a string, a number or None raises DomainError(message)."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise DomainError(message.format(value))
+    return tuple(value)
+
+
 @dataclass
 class SweepRow:
     """One (system, delta) cell of a validity sweep."""
@@ -102,13 +109,15 @@ def validity_sweep(
     0 <= isolated_fraction <= 1 and seed (an integer >= 0) are all checked
     before the first system is built.
     """
+    deltas = _items(deltas, "deltas must be a sequence of real numbers, got {!r}")
     deltas = tuple(_check_real(delta, "delta", _UNIT_INTERVAL) for delta in deltas)
     if not deltas:
         raise DomainError("deltas must name at least one delta")
     n_systems = _check_count(n_systems, 1, "n_systems must be an integer >= 1, got {!r}")
-    dims = [_check_count(d, 2, "dim_range entries must be integers >= 2, got {!r}") for d in dim_range]
+    span = "dim_range must be two integers with 2 <= low <= high, got {!r}"
+    dims = [_check_count(d, 2, "dim_range entries must be integers >= 2, got {!r}") for d in _items(dim_range, span)]
     if len(dims) != 2 or not dims[0] <= dims[1]:
-        raise DomainError(f"dim_range must be two integers with 2 <= low <= high, got {dim_range!r}")
+        raise DomainError(span.format(dim_range))
     low, high = dims
     samples = _check_count(samples, 2, "need at least 2 sampling intervals")
     isolated_fraction = _check_real(isolated_fraction, "isolated_fraction", _UNIT_INTERVAL)
@@ -118,15 +127,11 @@ def validity_sweep(
     violations = 0
     for index in range(n_systems):
         dim = int(rng.integers(low, high + 1))
-        isolated = rng.uniform() < isolated_fraction
-        if isolated:
-            sys = random_isolated_system(rng, dim)
-            kind = "isolated"
-        else:
-            sys = random_coupled_system(rng, dim)
-            kind = "coupled"
+        build = random_isolated_system if rng.uniform() < isolated_fraction else random_coupled_system
+        sys = build(rng, dim)
+        kind = "isolated" if sys.is_isolated else "coupled"
         spread = float(sys.initial_statistics.energy_uncertainty)
-        t_max = (1.05 * math.pi if kind == "coupled" else 40.0) / max(spread, 1e-6)
+        t_max = (40.0 if sys.is_isolated else 1.05 * math.pi) / max(spread, 1e-6)
         for delta in deltas:
             try:
                 tau = first_passage(sys, delta, t_max)

@@ -689,10 +689,16 @@ class TestValiditySweep:
             ({"seed": -1}, "seed must be an integer >= 0, got -1"),
             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
             ({"seed": None}, "seed must be an integer >= 0, got None"),
+            ({"deltas": 0.5}, "deltas must be a sequence of real numbers, got 0.5"),
+            ({"deltas": "0.5"}, "deltas must be a sequence of real numbers, got '0.5'"),
+            ({"deltas": None}, "deltas must be a sequence of real numbers, got None"),
+            ({"dim_range": 5}, "dim_range must be two integers with 2 <= low <= high, got 5"),
+            ({"dim_range": None}, "dim_range must be two integers with 2 <= low <= high, got None"),
         ],
         ids=[
             "negative-systems", "fractional-systems", "fractional-dims", "one-sample",
             "no-deltas", "three-dims", "one-dim", "negative-seed", "fractional-seed", "no-seed",
+            "number-deltas", "string-deltas", "none-deltas", "number-dims", "none-dims",
         ],
     )
     def test_counts_checked_before_the_first_system(self, kwargs, message, monkeypatch):
