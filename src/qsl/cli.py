@@ -181,9 +181,12 @@ def _load_config(path: str, kind: str) -> dict:
     env_seed = os.environ.get("QSL_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"QSL_SEED must be an integer, got {env_seed!r}") from exc
+            seed = json.loads(env_seed)  # a JSON integer, as a config's seed must be
+        except ValueError:
+            seed = None
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"QSL_SEED must be an integer, got {env_seed!r}")
+        cfg["seed"] = seed
     return cfg
 
 

@@ -450,6 +450,12 @@ FRAMES = "('schrodinger', 'rotating')"
          "'out' must be a non-empty string, got ''"),
         ("refute-ml", {**REFUTE, "format": "", "delta": None}, None, "ConfigError",
          "'format' must be csv or json, got ''"),
+        # QSL_SEED must be a JSON integer, as a config's seed must be
+        ("validity-sweep", SWEEP, "1_000", "ConfigError", "QSL_SEED must be an integer, got '1_000'"),
+        ("validity-sweep", SWEEP, "+5", "ConfigError", "QSL_SEED must be an integer, got '+5'"),
+        ("validity-sweep", SWEEP, "\u0663", "ConfigError", "QSL_SEED must be an integer, got '\u0663'"),
+        ("validity-sweep", SWEEP, "5.0", "ConfigError", "QSL_SEED must be an integer, got '5.0'"),
+        ("validity-sweep", SWEEP, "true", "ConfigError", "QSL_SEED must be an integer, got 'true'"),
     ],
 )
 def test_config_error_message(kind, payload, env_seed, error, message, tmp_path, capsys, monkeypatch):
