@@ -182,7 +182,7 @@ def _load_config(path: str, kind: str) -> dict:
     if env_seed is not None:
         try:
             seed = json.loads(env_seed)  # a JSON integer, as a config's seed must be
-        except ValueError:
+        except (ValueError, RecursionError):  # deep nesting exhausts the decoder's recursion
             seed = None
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"QSL_SEED must be an integer, got {env_seed!r}")

@@ -285,6 +285,12 @@ class TestValiditySweep:
         assert report_b["seed"] == 99
         assert (tmp_path / "a_sweep.csv").read_bytes() != (tmp_path / "b_sweep.csv").read_bytes()
 
+    def test_deeply_nested_env_seed_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QSL_SEED", "[" * 100_000)
+        cfg = write_config(tmp_path, "sweep.json", {"seed": 11, "systems": 2, "samples": 20})
+        assert main(["validity-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+
     def test_bad_delta_is_domain_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sweep.json", {"seed": 1, "systems": 2, "deltas": [0.5, 1.5]})
         assert main(["validity-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
