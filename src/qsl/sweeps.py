@@ -103,11 +103,11 @@ def validity_sweep(
     Returns the evaluated rows and the number of violations (cells where a
     finite bound exceeds the measured first-passage time by more than the
     validity slack). Cells whose target fidelity is never reached are
-    recorded with reached=False and do not count as violations. deltas (at
-    least one, each in [0, 1]), n_systems (an integer >= 1), dim_range (two
-    integers with 2 <= low <= high), samples (an integer >= 2),
-    0 <= isolated_fraction <= 1 and seed (an integer >= 0) are all checked
-    before the first system is built.
+    recorded with reached=False and do not count as violations. deltas (a
+    sequence of at least one, each in [0, 1]), n_systems (an integer >= 1),
+    dim_range (a sequence of two integers with 2 <= low <= high), samples
+    (an integer >= 2), 0 <= isolated_fraction <= 1 and seed (an integer
+    >= 0) are all checked before the first system is built.
     """
     deltas = _items(deltas, "deltas must be a sequence of real numbers, got {!r}")
     deltas = tuple(_check_real(delta, "delta", _UNIT_INTERVAL) for delta in deltas)
