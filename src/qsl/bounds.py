@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL, DomainError, NotReached, _check_count, _check_real
 from .evolution import RotatedHamiltonianSystem, Trajectory, _angles, fidelity_function, sample_trajectory
-from .linalg import _bd_factor
+from .linalg import EnergyStatistics
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -269,19 +269,29 @@ def evaluate_bounds(
     return _evaluate(sys, delta, tau, sample_trajectory(sys, tau, samples) if tau else None)
 
 
+def _bd_factor(stats: EnergyStatistics):
+    """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics."""
+    return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
+
+
+def _rates(stats: EnergyStatistics) -> tuple:
+    """The energy rates the bounds divide by, per state: Delta H, the Bhatia-Davies factor, the normalized energy."""
+    return stats.energy_uncertainty, _bd_factor(stats), stats.norm_energy
+
+
 def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Trajectory | None) -> BoundReport:
     """Every bound from the initial statistics and the trajectory's times and statistics on [0, tau].
 
-    The one place the bounds are computed: `evaluate_bounds` samples traj,
-    and `run_ml_refutation` passes the one it already holds. traj is None for
+    The one place the bounds are computed, and `_rates` the one map from
+    statistics to rates: `evaluate_bounds` samples traj, and
+    `run_ml_refutation` passes the one it already holds. traj is None for
     tau = 0, the one-point window, whose averages are the initial values.
     """
-    spread, factor, norm_energy = sys._initial_rates
+    spread, factor, norm_energy = map(float, _rates(sys.initial_statistics))
     if traj is None:
         avg_unc, avg_bdf, avg_norm = spread, factor, norm_energy
     else:
-        rates = traj.stats.energy_uncertainty, _bd_factor(traj.stats), traj.stats.norm_energy
-        avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(rates))
+        avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(_rates(traj.stats)))
     distance, scale = _angle(delta), sys.H._spectrum.radius
     return BoundReport(
         delta=delta,

@@ -48,14 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import _NONNEGATIVE, _POSITIVE, DimensionMismatch, DomainError, StepTooLarge, _check_count, _check_real
-from .linalg import (
-    EnergyStatistics,
-    HermitianOperator,
-    PureState,
-    _bd_factor,
-    _energy_statistics,
-    _state_statistics,
-)
+from .linalg import EnergyStatistics, HermitianOperator, PureState, _energy_statistics
 
 NORM_DRIFT_TOL = 1e-6
 _BLOCK = 64  # RK4 steps per batched product: 32 took 1.4x as long, 128 or 256 saved ~5 ms a cross-check run
@@ -99,13 +92,7 @@ class RotatedHamiltonianSystem:
     @cached_property
     def initial_statistics(self) -> EnergyStatistics:
         """<H>, Delta H, the level occupations and the occupied extrema of H in the initial state."""
-        return _state_statistics(self.H, self.initial)
-
-    @cached_property
-    def _initial_rates(self) -> tuple[float, float, float]:
-        """The initial Delta H, Bhatia-Davies factor and normalized energy as floats: every bound's rate at t = 0."""
-        stats = self.initial_statistics
-        return float(stats.energy_uncertainty), float(_bd_factor(stats)), float(stats.norm_energy)
+        return _energy_statistics(self.H, np.abs(self.initial.amplitudes @ self.H.eig[1].conj()) ** 2)
 
     @cached_property
     def evaluator(self) -> "_SpectralEvaluator":

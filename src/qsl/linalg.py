@@ -235,13 +235,3 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
         mean, spread, levels, occupations.T, eps_min, eps_max, occupied.T, mean - eps_min, eps_max - mean
     )
 
-
-def _bd_factor(stats: EnergyStatistics):
-    """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics."""
-    return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
-
-
-def _state_statistics(op, state) -> EnergyStatistics:
-    """The statistics of op in one state, from op's eigenbasis."""
-    operator, s = _operator_and_state(op, state)
-    return _energy_statistics(operator, np.abs(s.amplitudes @ operator.eig[1].conj()) ** 2)

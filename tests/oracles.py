@@ -12,7 +12,14 @@ import numpy as np
 from qsl import DimensionMismatch, HermitianOperator, PureState, RotatedHamiltonianSystem
 from qsl.bounds import GOLDEN_TOL, INV_PHI, INV_PHI_SQ, _ml_objective
 from qsl.cli import _fmt
-from qsl.linalg import _as_complex_matrix, _ensure_operator, _ensure_state, _state_statistics
+from qsl.linalg import (
+    EnergyStatistics,
+    _as_complex_matrix,
+    _energy_statistics,
+    _ensure_operator,
+    _ensure_state,
+    _operator_and_state,
+)
 from qsl.sweeps import random_hermitian
 
 
@@ -51,9 +58,15 @@ def fidelity(state1, state2) -> float:
     return float(overlap.real**2 + overlap.imag**2)
 
 
+def state_statistics(op, state) -> EnergyStatistics:
+    """The statistics of op in one state, from op's eigenbasis; raw arrays are coerced as the operator and state would be."""
+    operator, s = _operator_and_state(op, state)
+    return _energy_statistics(operator, np.abs(s.amplitudes @ operator.eig[1].conj()) ** 2)
+
+
 def level_occupations(op, state) -> tuple[np.ndarray, np.ndarray]:
     """Distinct level values (degeneracy-grouped) and their occupation weights."""
-    stats = _state_statistics(op, state)
+    stats = state_statistics(op, state)
     return stats.levels, stats.occupations
 
 

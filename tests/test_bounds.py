@@ -27,7 +27,6 @@ from qsl import (
     variance,
 )
 from qsl.bounds import _alpha_of, _angle, _bd_factor, _ml_objective, _ml_objective_scalar, _over
-from qsl.linalg import _state_statistics
 from qsl.evolution import _SpectralEvaluator
 from qsl.sweeps import (
     DEFAULT_DELTAS,
@@ -37,7 +36,7 @@ from qsl.sweeps import (
     validity_sweep,
 )
 
-from oracles import alpha_array_search, alpha_grid_oracle, random_saturating_two_level
+from oracles import alpha_array_search, alpha_grid_oracle, random_saturating_two_level, state_statistics
 
 # deltas at and next to the ends of [0, 1], where the objective's rounding is most fragile
 EXTREME_DELTAS = [0.0, 5e-324, 1e-300, 1e-16, 1e-8, 1 - 1e-8, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53, 1.0]
@@ -490,7 +489,7 @@ class TestIsolatedBounds:
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         cases = [(np.diag([0.0, 1.0]), [2**-0.5, 2**-0.5]), ((g + g.conj().T) / 2, random_pure_state(rng, 4).amplitudes)]
         for matrix, amplitudes in cases:
-            raw = _state_statistics(matrix, amplitudes)
+            raw = state_statistics(matrix, amplitudes)
             typed = isolated(HermitianOperator(matrix), PureState(amplitudes)).initial_statistics
             for field, value in raw._asdict().items():
                 np.testing.assert_array_equal(value, getattr(typed, field), err_msg=field)

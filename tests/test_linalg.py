@@ -16,9 +16,9 @@ from qsl import (
     variance,
 )
 from qsl.counterexamples import build_coupling, build_ml_family
-from qsl.linalg import EnergyStatistics, _state_statistics
+from qsl.linalg import EnergyStatistics
 
-from oracles import commutator_norm, density, fidelity, level_occupations, unitary_exp
+from oracles import commutator_norm, density, fidelity, level_occupations, state_statistics, unitary_exp
 
 
 def random_hermitian_matrix(rng, dim):
@@ -338,7 +338,7 @@ class TestStatisticsKernel:
             values, vectors = op.eig
             for state in kernel_states(rng, op).values():
                 weights = np.abs(state.amplitudes @ vectors.conj()) ** 2
-                got = _state_statistics(op, state)
+                got = state_statistics(op, state)
                 assert np.shape(got.exp_energy) == np.shape(got.eps_min) == ()
                 assert_same_statistics(got, sample_major_statistics(values, weights))
 
@@ -363,12 +363,12 @@ class TestStatisticsKernel:
         rng = np.random.default_rng(312)
         ops = kernel_operators(rng, 12)
         assert [len(op._spectrum.levels) for op in ops.values()] == [12, 4, 1]
-        stats = _state_statistics(ops["generic"], kernel_states(rng, ops["generic"])["faint"])
+        stats = state_statistics(ops["generic"], kernel_states(rng, ops["generic"])["faint"])
         assert stats.occupied.tolist() == [True, False] * 6
 
     def test_levels_are_computed_once_per_operator(self):
         op = HermitianOperator(random_hermitian_matrix(np.random.default_rng(5), 4))
-        first, second = (_state_statistics(op, random_state(np.random.default_rng(k), 4)) for k in (6, 7))
+        first, second = (state_statistics(op, random_state(np.random.default_rng(k), 4)) for k in (6, 7))
         assert first.levels is second.levels is op._spectrum.levels
         with pytest.raises(ValueError):
             first.levels[0] = 0.0
