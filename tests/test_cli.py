@@ -97,6 +97,11 @@ class TestRefuteMl:
         cfg = write_config(tmp_path, "refute.json", {"delta": 0.0, "L": 1.0, "E": energy, "samples": 20})
         assert main(["refute-ml", "--config", cfg, "--out", str(tmp_path / "big")]) == 0
 
+    def test_small_hypothesis_is_refuted(self, tmp_path, capsys):
+        # |<H>| is about 1.5e9 here, far above the normalized energy of 1 that energy_conserved checks
+        cfg = write_config(tmp_path, "refute.json", {"delta": 0.0, "L": 1e-6, "E": 1.0})
+        assert main(["refute-ml", "--config", cfg, "--out", str(tmp_path / "small")]) == 0, capsys.readouterr().out
+
     def test_delta_one_invalid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"delta": 1.0, "L": 1.0, "E": 1.0})
         assert main(["refute-ml", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -280,6 +280,11 @@ class TestRunMlRefutation:
         code = "from qsl import run_ml_refutation\nfor L in (1e-5, 1e-6):\n    assert run_ml_refutation(0.0, L, 1.0).violated"
         subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
 
+    @pytest.mark.parametrize("big_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_energy_conserved_at_small_hypotheses(self, big_l):
+        # |<H>| is about 1.5e3 / L here; the normalized energy must not round on that scale
+        assert run_ml_refutation(0.0, big_l, 1.0).max_energy_drift <= 1e-14
+
 
 class TestRunBdNonsaturation:
     def test_canonical_three_level_run(self):

@@ -299,8 +299,11 @@ def sample_major_statistics(values, weights):
     occupied = occupations > 1e-12
     eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
     eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)
+    # the normalized energies subtract the extreme levels before weighting, not eps_min from the mean
+    norm_energy = weights @ (values - levels[0]) - (eps_min - levels[0])
+    dual_norm_energy = weights @ (levels[-1] - values) - (levels[-1] - eps_max)
     return EnergyStatistics(
-        mean, spread, levels, occupations, eps_min, eps_max, occupied, mean - eps_min, eps_max - mean
+        mean, spread, levels, occupations, eps_min, eps_max, occupied, norm_energy, dual_norm_energy
     )
 
 
