@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import _NONNEGATIVE, _POSITIVE, DimensionMismatch, DomainError, StepTooLarge, _check_count, _check_real
-from .linalg import EnergyStatistics, HermitianOperator, PureState, _energy_statistics
+from .linalg import EnergyStatistics, HermitianOperator, PureState, _centred, _energy_statistics
 
 NORM_DRIFT_TOL = 1e-6
 _BLOCK = 64  # RK4 steps per batched product: 32 took 1.4x as long, 128 or 256 saved ~5 ms a cross-check run
@@ -105,8 +105,7 @@ class RotatedHamiltonianSystem:
 
 def _centred_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the Hermitian matrix mat - (tr mat / d) I: an offset costs the eigenvectors no precision."""
-    shift = np.trace(mat).real / len(mat)
-    return HermitianOperator(mat - shift * np.eye(len(mat))).eig
+    return HermitianOperator(_centred(mat)).eig
 
 
 def _angles(fids: np.ndarray) -> np.ndarray:

@@ -133,6 +133,11 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
+def _centred(mat: np.ndarray) -> np.ndarray:
+    """mat - (tr mat / d) I: the Hermitian mat about its mean eigenvalue, so an energy offset costs no precision."""
+    return mat - np.trace(mat).real / len(mat) * np.eye(len(mat))
+
+
 def _ensure_operator(op) -> HermitianOperator:
     return op if isinstance(op, HermitianOperator) else HermitianOperator(op)
 

@@ -156,6 +156,16 @@ class TestBdGap:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "NotReached"
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_energy_offset_keeps_the_passage(self, offset, tmp_path, capsys):
+        # an offset on every level shifts <H>, but not the coupling, the geodesic or tau
+        taus = []
+        for c in (0.0, offset):
+            cfg = write_config(tmp_path, "gap.json", {"delta": 0.0, "levels": [c, c + 1.0, c + 2.0]})
+            assert main(["bd-gap", "--config", cfg, "--out", str(tmp_path / "gap")]) == 0, capsys.readouterr().out
+            taus.append(json.loads((tmp_path / "gap_report.json").read_text())["report"]["tau_actual"])
+        assert taus[1] == pytest.approx(taus[0], rel=1e-10, abs=0.0)
+
 
 class TestTrajectory:
     def test_rotating_frame_circle(self, tmp_path):
