@@ -1,8 +1,15 @@
 import dataclasses
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import qsl.sweeps
+
+
+@pytest.fixture(autouse=True, scope="session")
+def hypothesis_home(tmp_path_factory):
+    """Keep Hypothesis's storage out of the checkout: it writes `.hypothesis/constants/` even with no database."""
+    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture
