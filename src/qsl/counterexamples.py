@@ -31,10 +31,8 @@ def build_coupling(H, state) -> HermitianOperator:
 
     For any (H, u) the result satisfies A rho + rho A = A and [H - A, rho] = 0
     with rho = |u><u|, which makes the conjugated evolution a constant-speed
-    geodesic through u while conserving all level occupations. (H - <H>)u
-    is formed from H centred on tr(H)/d: an energy offset, subtracted after
-    the product, left rounding on its own scale in A, and the geodesic
-    missed F = 0 at offsets of 1e3 and more.
+    geodesic through u while conserving all level occupations. H is centred
+    on tr(H)/d first, so an energy offset costs A no precision.
     """
     operator, u = _operator_and_state(H, state)
     vec = u.amplitudes

@@ -225,13 +225,10 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     more in blocks, so summing down the rows would move the spread's low
     bits from 8 eigenvalues on.
 
-    The normalized energies <H> - eps_min and eps_max - <H> subtract before
-    they weight: the first is the weighted sum of `values - levels[0]` less
-    `eps_min - levels[0]`, the second its mirror from `levels[-1]`. Each
-    rounds on the scale of the spectral width, where `mean - eps_min` rounds
-    on that of |<H>|: an energy offset cancels in the difference and took
-    its precision with it (a normalized energy of 1 drifted by 7e-4 at
-    |<H>| = 1.5e12).
+    The normalized energies subtract before they weight: <H> - eps_min is
+    the weighted sum of `values - levels[0]` less `eps_min - levels[0]`
+    (eps_max - <H> mirrors it), so both round on the scale of the spectral
+    width, not on that of |<H>|, which an energy offset inflates.
     """
     values = operator.eig[0]
     _, starts, levels = operator._spectrum
@@ -249,4 +246,3 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     return EnergyStatistics(
         mean, spread, levels, occupations.T, eps_min, eps_max, occupied.T, norm_energy, dual_norm_energy
     )
-
