@@ -38,7 +38,8 @@ from .counterexamples import (
     run_bd_nonsaturation,
     run_ml_refutation,
 )
-from .errors import ConfigError, DimensionMismatch, DomainError, InsufficientLevels, NonHermitian, QslError
+from .errors import _FINITE, ConfigError, DimensionMismatch, DomainError, InsufficientLevels, NonHermitian, QslError
+from .errors import _check_real
 from .evolution import RotatedHamiltonianSystem, Trajectory, sample_trajectory
 from .linalg import HermitianOperator, PureState
 from .sweeps import DEFAULT_DELTAS, validity_sweep
@@ -178,27 +179,20 @@ def _load_config(path: str, kind: str) -> dict:
     missing = {spec[0] for spec in specs if spec[2] is REQUIRED} - set(cfg)
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
-    env_seed = os.environ.get("QSL_SEED")
-    if env_seed is not None:
-        try:
-            seed = json.loads(env_seed)  # a JSON integer, as a config's seed must be
-        except (ValueError, RecursionError):  # deep nesting exhausts the decoder's recursion
-            seed = None
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"QSL_SEED must be an integer, got {env_seed!r}")
-        cfg["seed"] = seed
+    if (env_seed := os.environ.get("QSL_SEED")) is not None:
+        try:  # a JSON integer, as a config's seed must be; deep nesting exhausts the decoder's recursion
+            cfg["seed"] = _checked("seed", int, json.loads(env_seed))
+        except (ValueError, RecursionError, ConfigError):
+            raise ConfigError(f"QSL_SEED must be an integer, got {env_seed!r}") from None
     return cfg
 
 
 def _finite(key: str, value) -> float:
     """JSON also parses NaN, Infinity and integers beyond the float range; none is valid here."""
     try:
-        ok = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"{key!r} must hold finite numbers only, got {value!r}")
-    return float(value)
+        return _check_real(value, key, _FINITE)
+    except DomainError:
+        raise ConfigError(f"{key!r} must hold finite numbers only, got {value!r}") from None
 
 
 def _checked(key: str, kind, value):
@@ -397,12 +391,10 @@ HANDLERS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsl", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to a flat JSON config")
-        cmd.add_argument("--out", default=None, help="output path prefix")
-        cmd.add_argument("--format", default=None, choices=["csv", "json"], help="table format")
+    parser.add_argument("command", choices=HANDLERS, help="the subcommand to run")
+    parser.add_argument("--config", required=True, help="path to a flat JSON config")
+    parser.add_argument("--out", default=None, help="output path prefix")
+    parser.add_argument("--format", default=None, choices=["csv", "json"], help="table format")
     return parser
 
 

@@ -42,6 +42,7 @@ _NONNEGATIVE = ("be nonnegative and finite", lambda x: 0.0 <= x < math.inf)
 _UNIT_INTERVAL = ("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 _BELOW_ONE = ("lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
 _INSIDE_PI = ("lie strictly inside (0, pi)", lambda x: 0.0 < x < math.pi)
+_FINITE = ("be finite", math.isfinite)
 
 
 def _check_real(value, name: str, rule: tuple) -> float:
