@@ -41,6 +41,12 @@ def build_coupling(H, state) -> HermitianOperator:
     return HermitianOperator(np.outer(shifted, vec.conj()) + np.outer(vec, shifted.conj()))
 
 
+def _ml_mu(E: float, theta: float) -> float:
+    """mu = E / (2 sin^2(theta/2)), or DomainError unless positive and finite (the square underflows below ~3e-162)."""
+    denominator = 2.0 * math.sin(theta / 2.0) ** 2  # 1 - cos(theta), without its cancellation at small theta
+    return _check_real(E / denominator if denominator else math.inf, "mu", _POSITIVE)
+
+
 def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     """Two-level rotating system with conserved normalized expected energy E.
 
@@ -53,7 +59,7 @@ def build_ml_family(E: float, theta: float) -> RotatedHamiltonianSystem:
     """
     theta = _check_real(theta, "theta", _INSIDE_PI)
     E = _check_real(E, "E", _POSITIVE)
-    mu = E / (2.0 * math.sin(theta / 2.0) ** 2)  # 1 - cos(theta), without its cancellation at small theta
+    mu = _ml_mu(E, theta)
     x, _, z = bloch_operators()
     hamiltonian = HermitianOperator(mu * (math.sin(theta) * z - math.cos(theta) * x))
     initial = PureState([1.0, 0.0])
@@ -90,7 +96,7 @@ class RefutationSpec:
         self.theta = _check_real(self.theta, "theta", _INSIDE_PI)
         if not self.angle_condition > 0.0:
             raise DomainError("cot(theta/2) must strictly exceed arccos(sqrt(delta))/L")
-        self.mu = self.E / (2.0 * math.sin(self.theta / 2.0) ** 2)
+        self.mu = _ml_mu(self.E, self.theta)
 
     @property
     def angle_condition(self) -> float:

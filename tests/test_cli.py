@@ -477,6 +477,12 @@ FRAMES = "('schrodinger', 'rotating')"
         ("validity-sweep", SWEEP, "\u0663", "ConfigError", "QSL_SEED must be an integer, got '\u0663'"),
         ("validity-sweep", SWEEP, "5.0", "ConfigError", "QSL_SEED must be an integer, got '5.0'"),
         ("validity-sweep", SWEEP, "true", "ConfigError", "QSL_SEED must be an integer, got 'true'"),
+        # mu = E/(2 sin^2(theta/2)) beyond the float range is a DomainError, not a traceback
+        ("trajectory", {"E": 1.0, "theta_deg": 1e-170}, None, "DomainError", "mu must be positive and finite, got inf"),
+        ("refute-ml", {"delta": 0.5, "L": 1e-300, "E": 1.0}, None, "DomainError",
+         "mu must be positive and finite, got inf"),
+        ("refute-ml", {"delta": 0.5, "L": 1.0, "E": 1.0, "margin": 1e200}, None, "DomainError",
+         "mu must be positive and finite, got inf"),
     ],
 )
 def test_config_error_message(kind, payload, env_seed, error, message, tmp_path, capsys, monkeypatch):

@@ -167,6 +167,21 @@ class TestRefutationSpec:
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_ml_family(1.0, 1e-170),
+        lambda: RefutationSpec(0.5, 1.0, 1.0, 1e-170),
+        lambda: RefutationSpec(0.5, 1.0, 1.0, 4e-162),
+    ],
+    ids=["family-underflow", "spec-underflow", "spec-overflow"],
+)
+def test_mu_beyond_the_float_range_is_a_domain_error(call):
+    # 2 sin^2(theta/2) is 0.0 below theta ~ 3e-162, and E over it is inf just above
+    with pytest.raises(DomainError, match=re.escape("mu must be positive and finite, got inf")):
+        call()
+
+
+@pytest.mark.parametrize(
     "call, message",
     [
         (lambda: choose_theta(0.5, math.nan), "L must be positive and finite, got nan"),
