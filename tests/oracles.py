@@ -31,6 +31,17 @@ def unitary_exp(op, t: float) -> np.ndarray:
     return (vectors * phases) @ vectors.conj().T
 
 
+def dense_fidelities(sys: RotatedHamiltonianSystem, times) -> np.ndarray:
+    """|<u0|psi_t>|^2 with psi_t = exp(-iAt) exp(-i(H - A)t) u0, from numpy's own eigh of H - A and of A."""
+    u0 = sys.initial.amplitudes
+    mu, w = np.linalg.eigh(sys.H.entries - sys.A.entries)
+    a, v = np.linalg.eigh(sys.A.entries)
+    times = np.asarray(times, dtype=float)[:, None]
+    rotating = (np.exp(-1j * mu * times) * (w.conj().T @ u0)) @ w.T
+    overlaps = (np.exp(-1j * a * times) * (rotating @ v.conj())) @ (v.T @ u0.conj())
+    return np.abs(overlaps) ** 2
+
+
 def density(state: PureState) -> np.ndarray:
     """The rank-1 density operator |u><u|."""
     return np.outer(state.amplitudes, state.amplitudes.conj())
