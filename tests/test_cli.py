@@ -514,6 +514,33 @@ def test_output_flags_win_over_valid_config_values(tmp_path, capsys):
     assert not list(tmp_path.glob("y_*"))
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["fly", "--config", "cfg.json"], ["refute-ml"], ["refute-ml", "--config", "cfg.json", "--format", "xml"]],
+    ids=["no-command", "unknown-command", "no-config", "format-xml"],
+)
+def test_bad_command_line_exits_two_and_writes_nothing(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default prefix qsl_out writes here
+    write_config(tmp_path, "cfg.json", {**REFUTE, "samples": 20})
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_options_may_come_before_the_subcommand(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "cfg.json", {**REFUTE, "samples": 20})
+    for name, argv in [("before", ["--config", cfg, "refute-ml"]), ("after", ["refute-ml", "--config", cfg])]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+    outputs = ["qsl_out_report.json", "qsl_out_trajectory.csv"]
+    assert sorted(path.name for path in (tmp_path / "before").iterdir()) == outputs
+    for output in outputs:
+        assert (tmp_path / "before" / output).read_bytes() == (tmp_path / "after" / output).read_bytes()
+
 def test_csv_cells_are_formatted_by_the_column_rule(tmp_path):
     table = {
         "floats": np.array([0.1, -2.5, 1e-300]),
