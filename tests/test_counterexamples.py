@@ -167,21 +167,6 @@ class TestRefutationSpec:
 
 
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: build_ml_family(1.0, 1e-170),
-        lambda: RefutationSpec(0.5, 1.0, 1.0, 1e-170),
-        lambda: RefutationSpec(0.5, 1.0, 1.0, 4e-162),
-    ],
-    ids=["family-underflow", "spec-underflow", "spec-overflow"],
-)
-def test_mu_beyond_the_float_range_is_a_domain_error(call):
-    # 2 sin^2(theta/2) is 0.0 below theta ~ 3e-162, and E over it is inf just above
-    with pytest.raises(DomainError, match=re.escape("mu must be positive and finite, got inf")):
-        call()
-
-
-@pytest.mark.parametrize(
     "call, message",
     [
         (lambda: choose_theta(0.5, math.nan), "L must be positive and finite, got nan"),
@@ -196,11 +181,15 @@ def test_mu_beyond_the_float_range_is_a_domain_error(call):
         (lambda: RefutationSpec(0.5, math.inf, 1.0, 0.8), "L must be positive and finite, got inf"),
         (lambda: RefutationSpec(0.5, 1.0, math.inf, 0.8), "E must be positive and finite, got inf"),
         (lambda: time_average([0.0, math.inf], [1.0, 2.0]), "time window has infinite length"),
+        # mu = E/(2 sin^2(theta/2)): the square is 0.0 below theta ~ 3e-162, and E over it is inf just above
+        (lambda: build_ml_family(1.0, 1e-170), "mu must be positive and finite, got inf"),
+        (lambda: RefutationSpec(0.5, 1.0, 1.0, 1e-170), "mu must be positive and finite, got inf"),
+        (lambda: RefutationSpec(0.5, 1.0, 1.0, 4e-162), "mu must be positive and finite, got inf"),
     ],
     ids=[
         "choose_theta-L", "choose_theta-margin", "family-E", "spec-L", "spec-E", "time_average-times",
         "choose_theta-L-inf", "choose_theta-margin-inf", "family-E-inf", "spec-L-inf", "spec-E-inf",
-        "time_average-times-inf",
+        "time_average-times-inf", "family-mu-underflow", "spec-mu-underflow", "spec-mu-overflow",
     ],
 )
 def test_nan_fails_the_positive_checks(call, message):
