@@ -478,7 +478,8 @@ FRAMES = "('schrodinger', 'rotating')"
         ("validity-sweep", SWEEP, "5.0", "ConfigError", "QSL_SEED must be an integer, got '5.0'"),
         ("validity-sweep", SWEEP, "true", "ConfigError", "QSL_SEED must be an integer, got 'true'"),
         # mu = E/(2 sin^2(theta/2)) beyond the float range is a DomainError, not a traceback
-        ("trajectory", {"E": 1.0, "theta_deg": 1e-170}, None, "DomainError", "mu must be positive and finite, got inf"),
+        ("trajectory", {"E": 1.0, "theta_deg": 1e-170}, None, "DomainError",
+         "mu must be positive and finite, got inf"),
         ("refute-ml", {"delta": 0.5, "L": 1e-300, "E": 1.0}, None, "DomainError",
          "mu must be positive and finite, got inf"),
         ("refute-ml", {"delta": 0.5, "L": 1.0, "E": 1.0, "margin": 1e200}, None, "DomainError",
@@ -514,7 +515,6 @@ def test_output_flags_win_over_valid_config_values(tmp_path, capsys):
     assert not list(tmp_path.glob("y_*"))
 
 
-
 @pytest.mark.parametrize(
     "argv",
     [[], ["fly", "--config", "cfg.json"], ["refute-ml"], ["refute-ml", "--config", "cfg.json", "--format", "xml"]],
@@ -540,6 +540,7 @@ def test_options_may_come_before_the_subcommand(tmp_path, monkeypatch):
     assert sorted(path.name for path in (tmp_path / "before").iterdir()) == outputs
     for output in outputs:
         assert (tmp_path / "before" / output).read_bytes() == (tmp_path / "after" / output).read_bytes()
+
 
 def test_csv_cells_are_formatted_by_the_column_rule(tmp_path):
     table = {
