@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL, DomainError, NotReached, _check_count, _check_real
-from .evolution import RotatedHamiltonianSystem, Trajectory, _angles, fidelity_function, sample_trajectory
+from .evolution import RotatedHamiltonianSystem, Trajectory, fidelity_function, sample_trajectory
 from .linalg import EnergyStatistics
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -113,6 +113,11 @@ def _angle(delta: float) -> float:
     return math.acos(math.sqrt(delta))
 
 
+def _angles(fids: np.ndarray) -> np.ndarray:
+    """`_angle`'s array twin: angles arccos(sqrt(F)) to u0 from fidelities F, clipped against rounding above F = 1."""
+    return np.arccos(np.minimum(np.sqrt(fids), 1.0))
+
+
 def _over(distance: float, rate: float, scale: float) -> float:
     """A distance, arccos(sqrt(delta)) or alpha(delta), over an energy rate.
 
@@ -130,6 +135,27 @@ def _alpha_of(delta: float) -> float:
     return alpha(delta)
 
 
+@lru_cache(maxsize=1)
+def _certificate(sys: RotatedHamiltonianSystem, t_max: float, samples: int) -> tuple:
+    """`first_passage`'s speed v, and read-only rows of times, fidelities and their `_angles`.
+
+    The rows scan samples + 1 uniform times on [0, t_max]. Only the last
+    window is kept, so the other deltas of one window reuse it, and the one
+    entry keeps at most one system alive (systems compare by identity).
+    """
+    ev, stats = sys.evaluator, sys.initial_statistics
+    if sys.is_isolated:
+        speed = stats.energy_uncertainty
+    else:
+        lifted = sys.H.entries @ ev.W - stats.exp_energy * ev.W  # (H - <H>) w_k, one column per k
+        speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(ev.c0) @ np.linalg.norm(lifted, axis=0))
+    times = np.linspace(0.0, float(t_max), samples + 1)
+    fids = ev.fidelities(times)
+    rows = np.stack((times, fids, _angles(fids)))
+    rows.flags.writeable = False
+    return speed, rows
+
+
 def first_passage(
     sys: RotatedHamiltonianSystem,
     delta: float,
@@ -138,9 +164,21 @@ def first_passage(
     """Earliest t in [0, t_max] at which the fidelity to the initial state is delta.
 
     Certified search: the Fubini-Study angle theta = arccos(sqrt(F)) moves no
-    faster than v = `sys.evaluator.speed`, a bound on the energy uncertainty
-    of every H(t) (its proof is in the `_SpectralEvaluator` docstring). An
-    interval [a, b] with theta_a + theta_b + v (b - a) < 2 theta* (1 - 1e-14),
+    faster than dH(t) (Anandan-Aharonov, PRL 65, 1697, 1990), so no faster
+    than the speed v that `_certificate` gives. With (mu, W) the eigenpairs
+    of H - A, c0 = W^dagger u0 and c = <H> at t = 0, for every t:
+
+        dH(t) = min_x |(H(t) - x) psi_t| = min_x |(H - x) phi_t|   (H(t) psi_t = exp(-iAt) H phi_t)
+              <= |(H - c) sum_k exp(-i mu_k t) c0_k w_k|          (x = c; phi_t in the basis W)
+              <= sum_k |c0_k| |(H - c) w_k|                        (triangle inequality)
+
+    v is the smaller of that sum and half the spectral width of H, which
+    also bounds every dH(t); no threshold enters, so it holds for every
+    (H, A, u0). When u0 is an eigenvector of H - A, as `build_coupling`
+    makes it, the sum is dH itself and theta moves at exactly v. When A is
+    exactly zero, v is the conserved dH.
+
+    An interval [a, b] with theta_a + theta_b + v (b - a) < 2 theta* (1 - 1e-14),
     theta* = arccos(sqrt(delta)), thus cannot hold the passage: theta climbs
     from theta_a to theta* and falls back to theta_b within b - a. The window
     is scanned at PASSAGE_SCAN uniform intervals. Every interval not ruled
@@ -170,8 +208,8 @@ def first_passage(
     makes a part of no length, which holds no time its neighbours do not:
     it stays open only when its point reached delta.
 
-    v is a constant of the system, and the scan and its angles are kept with
-    the evaluator, so the other deltas of one window reuse them. Every
+    `_certificate` keeps v, the scan and its angles for the last window, so
+    the other deltas of one window reuse them. Every
     sampled time carries its fidelity and angle through the refinement: only
     the 33 new interior points of an interval are evaluated, and the search
     is the same arithmetic on the same points whichever deltas and windows
@@ -181,12 +219,12 @@ def first_passage(
     t_max = _check_real(t_max, "t_max", _POSITIVE)
     if delta == 1.0:
         return 0.0
-    fidelities, ev = fidelity_function(sys), sys.evaluator
-    scan = ev.scan(t_max, PASSAGE_SCAN)
+    fidelities = fidelity_function(sys)
+    speed, scan = _certificate(sys, t_max, PASSAGE_SCAN)
     theta = _angle(delta)
     target = 2.0 * theta * (1.0 - PASSAGE_SLACK)
     below, above = theta * (1.0 - 2.0 * PASSAGE_SLACK), theta * (1.0 + 2.0 * PASSAGE_SLACK)
-    pace = 1.0 / ev.speed if ev.speed else 0.0  # a stationary state has no speed points to place
+    pace = 1.0 / speed if speed else 0.0  # a stationary state has no speed points to place
     # s[0], s[1] and s[2] hold the times, fidelities and angles of rows of `row` points. A row cuts one
     # interval into parts, and a part joins two neighbouring points of one row.
     s, row = scan, PASSAGE_SCAN + 1
@@ -194,7 +232,7 @@ def first_passage(
         t, f, th = s[0], s[1], s[2]
         reached = f[1:] <= delta
         width = t[1:] - t[:-1]
-        keep = th[:-1] + th[1:] + ev.speed * width >= target
+        keep = th[:-1] + th[1:] + speed * width >= target
         keep &= width > 0.0  # a part of no length holds no time its neighbours do not
         keep |= reached  # rounding must not certify away a sample that reached delta
         keep[row - 1::row] = reached[row - 1::row] = False  # no part joins a row's last point to the next row's first

@@ -17,10 +17,8 @@ turns them into the Schroedinger states psi_t = exp(-iAt) phi_t, and
 for one time. A `Trajectory` computes phi_t and the energy statistics when
 it is sampled, and psi_t, the fidelities and the Bloch data only when they
 are first read, so the bounds, which read the statistics alone, never form
-psi_t. The evaluator keeps its last fidelity scan, so the first-passage
-searches for several target fidelities on one window share one scan, and
-when A is exactly zero its fidelity map skips the exp(-iAt) factor, which
-is then exactly the identity.
+psi_t. When A is exactly zero the fidelity map skips the exp(-iAt) factor,
+which is then exactly the identity.
 
 The independent cross-check, `propagate_numeric`, is a classical fixed-step
 4th-order (RK4) integrator that builds H(t) on its own. For the linear
@@ -108,11 +106,6 @@ def _centred_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return HermitianOperator(_centred(mat)).eig
 
 
-def _angles(fids: np.ndarray) -> np.ndarray:
-    """Fubini-Study angles arccos(sqrt(F)) to u0 from fidelities F, clipped against rounding above F = 1."""
-    return np.arccos(np.minimum(np.sqrt(fids), 1.0))
-
-
 class _SpectralEvaluator:
     """exp(-iAt) exp(-i(H-A)t) u0 from the eigenpairs (mu, W) of H - A and (a, V) of A.
 
@@ -128,22 +121,6 @@ class _SpectralEvaluator:
     it and 0.70 s without it (medians of 6 alternating runs a side, 2 CPUs).
     `schrodinger` has no such skip: no workload forms the Schroedinger states
     of an isolated system.
-
-    It also keeps two things `first_passage` reads for every delta: `speed`,
-    the system's bound v on the speed of the angle arccos(sqrt(F)), and the
-    last `scan` with the angles of its fidelities. The angle moves no faster
-    than dH(t) (Anandan-Aharonov, PRL 65, 1697, 1990), and for every t and
-    with c = <H> at t = 0:
-
-        dH(t) = min_x |(H(t) - x) psi_t| = min_x |(H - x) phi_t|   (H(t) psi_t = exp(-iAt) H phi_t)
-              <= |(H - c) sum_k exp(-i mu_k t) c0_k w_k|          (x = c; phi_t in the basis W)
-              <= sum_k |c0_k| |(H - c) w_k|                        (triangle inequality)
-
-    v is the smaller of that sum and half the spectral width of H, which
-    also bounds every dH(t); no threshold enters, so it holds for every
-    (H, A, u0). When u0 is an eigenvector of H - A, as `build_coupling`
-    makes it, the sum is dH itself and theta moves at exactly v. When A is
-    exactly zero, v is the conserved dH.
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
@@ -158,13 +135,6 @@ class _SpectralEvaluator:
         # mean energies of u0 keep a constant energy offset from costing precision.
         self._rate_mu = -1j * (self.mu - self.mu @ np.abs(self.c0) ** 2)
         self._rate_a = -1j * (self.a - self.a @ np.abs(self._probe) ** 2)
-        stats = sys.initial_statistics
-        if self._isolated:
-            self.speed = stats.energy_uncertainty
-        else:
-            lifted = sys.H.entries @ self.W - stats.exp_energy * self.W  # (H - <H>) w_k, one column per k
-            self.speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(self.c0) @ np.linalg.norm(lifted, axis=0))
-        self._scan: tuple | None = None
 
     def rotating(self, times) -> np.ndarray:
         """Rotating-frame states phi_t at the given times, one per row."""
@@ -184,20 +154,6 @@ class _SpectralEvaluator:
             mixed *= np.exp(times[:, None] * self._rate_a)
         overlaps = mixed @ self._probe
         return overlaps.real**2 + overlaps.imag**2
-
-    def scan(self, t_max: float, samples: int) -> np.ndarray:
-        """Read-only rows of times, fidelities and their `_angles` at samples + 1 uniform times on [0, t_max].
-
-        The last scan is kept, so repeating the window costs nothing.
-        """
-        key = (t_max, samples)
-        if self._scan is None or self._scan[0] != key:
-            times = np.linspace(0.0, float(t_max), samples + 1)
-            fids = self.fidelities(times)
-            rows = np.stack((times, fids, _angles(fids)))
-            rows.flags.writeable = False
-            self._scan = key, rows
-        return self._scan[1]
 
 
 def propagate_exact(sys: RotatedHamiltonianSystem, t: float) -> PureState:

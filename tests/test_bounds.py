@@ -26,7 +26,7 @@ from qsl import (
     time_average,
     variance,
 )
-from qsl.bounds import _alpha_of, _angle, _bd_factor, _ml_objective, _ml_objective_scalar, _over
+from qsl.bounds import _alpha_of, _angle, _bd_factor, _certificate, _ml_objective, _ml_objective_scalar, _over
 from qsl.evolution import _SpectralEvaluator
 from qsl.sweeps import (
     DEFAULT_DELTAS,
@@ -64,6 +64,11 @@ def sweep_window(sys_):
     """The t_max that validity_sweep searches the system on."""
     spread = float(sys_.initial_statistics.energy_uncertainty)
     return (40.0 if sys_.is_isolated else 1.05 * math.pi) / max(spread, 1e-6)
+
+
+def kept_scan(sys_, t_max, samples):
+    """The scan rows that first_passage's certificate keeps for the window."""
+    return _certificate(sys_, t_max, samples)[1]
 
 
 def passage(sys_, delta, t_max):
@@ -280,7 +285,7 @@ class TestFirstPassage:
         for _ in range(10):
             sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
             ev, t_max = sys_.evaluator, sweep_window(sys_)
-            ev.scan(t_max, qsl.bounds.PASSAGE_SCAN)
+            kept_scan(sys_, t_max, qsl.bounds.PASSAGE_SCAN)
             batches, fidelities = [], ev.fidelities
 
             def counted(times):
@@ -301,7 +306,7 @@ class TestFirstPassage:
             cold = RotatedHamiltonianSystem(shared.H, shared.A, shared.initial)
             assert first_passage(shared, delta, t_max) == first_passage(cold, delta, t_max)
 
-    # A system keeps its scan, the scan's angles and its certificate speed across calls;
+    # The certificate keeps the last window's scan, the scan's angles and its speed across calls;
     # none of them may make a tau depend on what was asked before.
     @pytest.mark.parametrize("make", [random_coupled_system, random_isolated_system])
     def test_taus_do_not_depend_on_the_order_of_the_deltas(self, make):
@@ -405,43 +410,43 @@ class TestFirstPassage:
 
     def test_every_batch_after_the_scan_holds_at_most_one_part_past_the_batch(self, monkeypatch):
         sizes, scanning = [], []
-        fidelities, scan = _SpectralEvaluator.fidelities, _SpectralEvaluator.scan
+        fidelities, certificate = _SpectralEvaluator.fidelities, qsl.bounds._certificate
 
         def counted(self, times):
             if not scanning:
                 sizes.append(len(times))
             return fidelities(self, times)
 
-        def scanned(self, t_max, samples):
+        def scanned(sys_, t_max, samples):
             scanning.append(True)
             try:
-                return scan(self, t_max, samples)
+                return certificate(sys_, t_max, samples)
             finally:
                 scanning.pop()
 
         monkeypatch.setattr(_SpectralEvaluator, "fidelities", counted)
-        monkeypatch.setattr(_SpectralEvaluator, "scan", scanned)
+        monkeypatch.setattr(qsl.bounds, "_certificate", scanned)
         monkeypatch.setattr(qsl.bounds, "PASSAGE_BATCH", 1)
         self._deferral_taus()
         assert sizes
         assert max(sizes) <= (qsl.bounds.PASSAGE_BATCH + 1) * (qsl.bounds.PASSAGE_ROW - 2)
 
     def test_scan_is_kept_per_window(self):
-        ev = build_ml_family(1.0, 0.8).evaluator
-        scan = ev.scan(2.0, 64)
+        sys_ = build_ml_family(1.0, 0.8)
+        scan = kept_scan(sys_, 2.0, 64)
         times, fids, angles = scan
-        assert ev.scan(2.0, 64) is scan  # times, fidelities and angles alike
-        longer = ev.scan(3.0, 64)
+        assert kept_scan(sys_, 2.0, 64) is scan  # times, fidelities and angles alike
+        longer = kept_scan(sys_, 3.0, 64)
         assert longer is not scan and longer[0, -1] == 3.0
-        finer = ev.scan(3.0, 128)
+        finer = kept_scan(sys_, 3.0, 128)
         assert finer.shape == (3, 129)
-        again = ev.scan(2.0, 64)
+        again = kept_scan(sys_, 2.0, 64)
         for kept, first in zip(again, (times, fids, angles)):
             assert np.array_equal(kept, first)
         np.testing.assert_allclose(np.cos(angles) ** 2, fids, rtol=0.0, atol=1e-15)
 
     def test_scan_arrays_are_read_only(self):
-        times, fids, angles = build_ml_family(1.0, 0.8).evaluator.scan(2.0, 64)
+        times, fids, angles = kept_scan(build_ml_family(1.0, 0.8), 2.0, 64)
         for array in (times, fids, angles):
             with pytest.raises(ValueError):
                 array[0] = 1.0

@@ -25,6 +25,7 @@ from qsl import (
     validity_sweep,
     variance,
 )
+from qsl.bounds import _certificate
 from qsl.evolution import NORM_DRIFT_TOL, _SpectralEvaluator
 from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
 
@@ -34,6 +35,11 @@ from oracles import fidelity, hamiltonian_at, level_occupations, rotating_frame
 def isolated(hamiltonian, state):
     zero = HermitianOperator(np.zeros((hamiltonian.dim, hamiltonian.dim)))
     return RotatedHamiltonianSystem(hamiltonian, zero, state)
+
+
+def certificate_speed(sys_):
+    """The speed v of first_passage's certificate; v does not depend on the window, so one interval is scanned."""
+    return _certificate(sys_, 1.0, 1)[0]
 
 
 def rk4_reference(sys_, t, step):
@@ -180,8 +186,8 @@ class TestSpectralEvaluator:
             coupling = random_hermitian(rng, dim, spectral_radius=rng.uniform(0.1, 5.0))
             sys_ = RotatedHamiltonianSystem(hamiltonian, coupling, random_pure_state(rng, dim))
             spread = sample_trajectory(sys_, 20.0, 20000).stats.energy_uncertainty
-            assert sys_.evaluator.speed >= spread.max()
-            below_width += sys_.evaluator.speed < np.ptp(hamiltonian.eig[0]) / 2.0
+            assert certificate_speed(sys_) >= spread.max()
+            below_width += certificate_speed(sys_) < np.ptp(hamiltonian.eig[0]) / 2.0
         assert below_width >= 10  # the structural sum, not only half the width, is tested
 
     @pytest.mark.parametrize("margin", [
@@ -189,7 +195,7 @@ class TestSpectralEvaluator:
         pytest.param(1e80, marks=pytest.mark.xfail(
             strict=True,
             raises=AssertionError,
-            reason="FOUND in CHANGES.md, src/qsl/evolution.py _SpectralEvaluator.__init__: the column norm of "
+            reason="FOUND in CHANGES.md, src/qsl/bounds.py _certificate: the column norm of "
             "(H - <H>) w_k overflows to inf on the empty direction, |c0| @ norms is 0 * inf = nan, and "
             "min(width/2, nan) keeps half the width",
         )),
@@ -199,7 +205,7 @@ class TestSpectralEvaluator:
         # only the speed is read, with no search, so a wrong v cannot make the test hang
         theta = choose_theta(0.5, 1.0, margin)
         with np.errstate(all="ignore"):
-            speed = build_ml_family(1.0, theta).evaluator.speed
+            speed = certificate_speed(build_ml_family(1.0, theta))
         assert speed == pytest.approx(1.0 / math.tan(theta / 2.0), rel=1e-12, abs=0.0)
 
 
