@@ -231,11 +231,13 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     width, not on that of |<H>|, which an energy offset inflates.
     """
     values = operator.eig[0]
-    _, starts, levels = operator._spectrum
+    radius, starts, levels = operator._spectrum
     mean = weights @ values
-    # centered second moment: no cancellation noise for near-stationary states
-    centered = values - mean[..., None]
-    spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
+    # centered second moment: no cancellation noise for near-stationary states; scaled by the exact
+    # power of two of the spectral radius, so the squares do not overflow on a large energy scale
+    exponent = np.frexp(radius)[1]
+    centered = np.ldexp(values - mean[..., None], -exponent)
+    spread = np.ldexp(np.sqrt((weights * centered**2).sum(axis=-1)), exponent)
     occupations = np.add.reduceat(weights.T, starts, axis=0)
     occupied = occupations > OCCUPATION_THRESHOLD
     column = levels.reshape(levels.shape + (1,) * (occupied.ndim - 1))

@@ -225,6 +225,16 @@ class TestTrajectory:
         rate = 1.0 / math.tan(math.radians(5e-7) / 2.0)
         assert report["energy_uncertainty"] == pytest.approx(rate, rel=1e-12, abs=0.0)
 
+    def test_large_energy_scale(self, tmp_path):
+        # the centred energies square past the float range at this scale unless they are scaled first
+        cfg = write_config(tmp_path, "traj.json", {"E": 1e160, "theta_deg": 45.0, "samples": 4})
+        prefix = str(tmp_path / "large")
+        assert main(["trajectory", "--config", cfg, "--out", prefix]) == 0
+        report = json.loads((tmp_path / "large_report.json").read_text())
+        assert report["energy_uncertainty"] == pytest.approx(1e160 / math.tan(math.pi / 8.0), rel=1e-12, abs=0.0)
+        header, rows = read_csv(tmp_path / "large_trajectory.csv")
+        assert np.isfinite(column(header, rows, "energy_uncertainty")).all()
+
 
 class TestAlphaTable:
     def test_three_point_grid(self, tmp_path):

@@ -16,7 +16,7 @@ from qsl import (
     variance,
 )
 from qsl.counterexamples import build_coupling, build_ml_family
-from qsl.linalg import EnergyStatistics
+from qsl.linalg import EnergyStatistics, _energy_statistics
 
 from oracles import commutator_norm, density, fidelity, level_occupations, state_statistics, unitary_exp
 
@@ -375,6 +375,11 @@ class TestStatisticsKernel:
         assert first.levels is second.levels is op._spectrum.levels
         with pytest.raises(ValueError):
             first.levels[0] = 0.0
+
+    def test_spread_on_a_large_energy_scale(self):
+        # the centred energies, squared as they are, would overflow to inf
+        op = HermitianOperator.from_diagonal([-(2.0**520), 2.0**520])
+        assert _energy_statistics(op, np.array([0.5, 0.5])).energy_uncertainty == 2.0**520
 
 
 class TestCommutatorNorm:
