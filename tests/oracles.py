@@ -8,6 +8,7 @@ product path can come to depend on them.
 import math
 
 import numpy as np
+from mpmath import mp
 
 from qsl import DimensionMismatch, HermitianOperator, PureState, RotatedHamiltonianSystem
 from qsl.bounds import GOLDEN_TOL, INV_PHI, INV_PHI_SQ, _ml_objective
@@ -40,6 +41,41 @@ def dense_fidelities(sys: RotatedHamiltonianSystem, times) -> np.ndarray:
     rotating = (np.exp(-1j * mu * times) * (w.conj().T @ u0)) @ w.T
     overlaps = (np.exp(-1j * a * times) * (rotating @ v.conj())) @ (v.T @ u0.conj())
     return np.abs(overlaps) ** 2
+
+
+def mp_first_passage(sys: RotatedHamiltonianSystem, delta: float, t_max: float, points: int = 1000, dps: int = 30):
+    """The first passage of F through delta on [0, t_max] in mpmath at dps digits, or None if the scan sees none.
+
+    F(t) = |<u0|exp(-iAt) exp(-i(H - A)t) u0|^2 comes from mpmath's own
+    eigendecompositions of H - A and of A, taken of the exact float entries.
+    F is scanned at `points` uniform intervals, and `findroot` refines the
+    first interval whose right end has F <= delta. A scan can step over a
+    touch, so the root must be a crossing, with F' < 0 there.
+    """
+    with mp.workdps(dps):
+        u0 = mp.matrix(sys.initial.amplitudes.tolist())
+        u0 /= mp.norm(u0)
+        mu, w = mp.eighe(mp.matrix(sys.H.entries.tolist()) - mp.matrix(sys.A.entries.tolist()))
+        a, v = mp.eighe(mp.matrix(sys.A.entries.tolist()))
+        c, probe, mix = w.H * u0, v.H * u0, v.H * w
+        levels = range(sys.dim)
+
+        def fidelity_at(t):
+            rotating = [mp.expj(-mu[k] * t) * c[k] for k in levels]
+            overlap = mp.fsum(
+                mp.conj(probe[j]) * mp.expj(-a[j] * t) * mp.fsum(mix[j, k] * rotating[k] for k in levels)
+                for j in levels
+            )
+            return overlap.real**2 + overlap.imag**2
+
+        step = mp.mpf(t_max) / points
+        for i in range(1, points + 1):
+            if fidelity_at(i * step) <= delta:
+                root = mp.findroot(lambda t: fidelity_at(t) - delta, ((i - 1) * step, i * step), solver="anderson")
+                slope = mp.diff(fidelity_at, root)
+                assert slope < 0, f"F' = {slope} at the root: a touch, not a crossing"
+                return float(root)
+    return None
 
 
 def density(state: PureState) -> np.ndarray:

@@ -36,7 +36,13 @@ from qsl.sweeps import (
     validity_sweep,
 )
 
-from oracles import alpha_array_search, alpha_grid_oracle, random_saturating_two_level, state_statistics
+from oracles import (
+    alpha_array_search,
+    alpha_grid_oracle,
+    mp_first_passage,
+    random_saturating_two_level,
+    state_statistics,
+)
 
 # deltas at and next to the ends of [0, 1], where the objective's rounding is most fragile
 EXTREME_DELTAS = [0.0, 5e-324, 1e-300, 1e-16, 1e-8, 1 - 1e-8, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53, 1.0]
@@ -69,6 +75,19 @@ def sweep_window(sys_):
 def kept_scan(sys_, t_max, samples):
     """The scan rows that first_passage's certificate keeps for the window."""
     return _certificate(sys_, t_max, samples)[1]
+
+
+def general_cell(rng):
+    """A random (H, A, u0) of dimension 2 to 4, with A a random Hermitian, and a delta in [0.05, 0.95]."""
+    dim = int(rng.integers(2, 5))
+
+    def hermitian():
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return HermitianOperator((g + g.conj().T) / 2)
+
+    hamiltonian, coupling = hermitian(), hermitian()
+    state = PureState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return RotatedHamiltonianSystem(hamiltonian, coupling, state), float(rng.uniform(0.05, 0.95))
 
 
 def passage(sys_, delta, t_max):
@@ -371,6 +390,15 @@ class TestFirstPassage:
                 if hits.size:
                     assert tau <= dense[hits[0]] * (1.0 + 1e-13)
         assert reached >= 60
+
+    # The mpmath oracle shares no code with the search: its own eigendecompositions at 30 digits.
+    # The cells' dimensions are 4, 3, 3 and 2.
+    @pytest.mark.parametrize("seed", [0, 1, 6, 11])
+    def test_passage_matches_the_mpmath_oracle(self, seed):
+        sys_, delta = general_cell(np.random.default_rng(seed))
+        expected = mp_first_passage(sys_, delta, 10.0)
+        assert expected is not None
+        assert first_passage(sys_, delta, 10.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @staticmethod
     def _deferral_taus():
