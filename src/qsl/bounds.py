@@ -149,7 +149,7 @@ def _certificate(sys: RotatedHamiltonianSystem, t_max: float, samples: int) -> t
     else:
         lifted = sys.H.entries @ ev.W - stats.exp_energy * ev.W  # (H - <H>) w_k, one column per k
         speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(ev.c0) @ np.linalg.norm(lifted, axis=0))
-    times = np.linspace(0.0, float(t_max), samples + 1)
+    times = np.linspace(0.0, t_max, samples + 1)
     fids = ev.fidelities(times)
     rows = np.stack((times, fids, _angles(fids)))
     rows.flags.writeable = False
