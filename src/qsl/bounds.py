@@ -136,10 +136,10 @@ def _alpha_of(delta: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _certificate(sys: RotatedHamiltonianSystem, t_max: float, samples: int) -> tuple:
+def _certificate(sys: RotatedHamiltonianSystem, t_max: float) -> tuple:
     """`first_passage`'s speed v, and read-only rows of times, fidelities and their `_angles`.
 
-    The rows scan samples + 1 uniform times on [0, t_max]. Only the last
+    The rows scan PASSAGE_SCAN + 1 uniform times on [0, t_max]. Only the last
     window is kept, so the other deltas of one window reuse it, and the one
     entry keeps at most one system alive (systems compare by identity).
     """
@@ -148,8 +148,10 @@ def _certificate(sys: RotatedHamiltonianSystem, t_max: float, samples: int) -> t
         speed = stats.energy_uncertainty
     else:
         lifted = sys.H.entries @ ev.W - stats.exp_energy * ev.W  # (H - <H>) w_k, one column per k
-        speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(ev.c0) @ np.linalg.norm(lifted, axis=0))
-    times = np.linspace(0.0, t_max, samples + 1)
+        scale = 2.0 ** -np.frexp(sys.H._spectrum.radius)[1]  # exact, so the norms' squares cannot overflow
+        norms = np.linalg.norm(lifted * scale, axis=0) / scale
+        speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(ev.c0) @ norms)
+    times = np.linspace(0.0, t_max, PASSAGE_SCAN + 1)
     fids = ev.fidelities(times)
     rows = np.stack((times, fids, _angles(fids)))
     rows.flags.writeable = False
@@ -208,19 +210,18 @@ def first_passage(
     makes a part of no length, which holds no time its neighbours do not:
     it stays open only when its point reached delta.
 
-    `_certificate` keeps v, the scan and its angles for the last window, so
-    the other deltas of one window reuse them. Every
-    sampled time carries its fidelity and angle through the refinement: only
-    the 33 new interior points of an interval are evaluated, and the search
-    is the same arithmetic on the same points whichever deltas and windows
-    were asked before.
+    `_certificate` keeps v, the scan and its angles for the last system and
+    window, so the other deltas of one window reuse them. Every sampled time
+    carries its fidelity and angle through the refinement: only the 33 new
+    interior points of an interval are evaluated, and the search is the same
+    arithmetic on the same points whichever deltas and windows came before.
     """
     delta = _check_real(delta, "delta", _UNIT_INTERVAL)
     t_max = _check_real(t_max, "t_max", _POSITIVE)
     if delta == 1.0:
         return 0.0
     fidelities = fidelity_function(sys)
-    speed, scan = _certificate(sys, t_max, PASSAGE_SCAN)
+    speed, scan = _certificate(sys, t_max)
     theta = _angle(delta)
     target = 2.0 * theta * (1.0 - PASSAGE_SLACK)
     below, above = theta * (1.0 - 2.0 * PASSAGE_SLACK), theta * (1.0 + 2.0 * PASSAGE_SLACK)

@@ -72,9 +72,9 @@ def sweep_window(sys_):
     return (40.0 if sys_.is_isolated else 1.05 * math.pi) / max(spread, 1e-6)
 
 
-def kept_scan(sys_, t_max, samples):
+def kept_scan(sys_, t_max):
     """The scan rows that first_passage's certificate keeps for the window."""
-    return _certificate(sys_, t_max, samples)[1]
+    return _certificate(sys_, t_max)[1]
 
 
 def general_cell(rng):
@@ -304,7 +304,7 @@ class TestFirstPassage:
         for _ in range(10):
             sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
             ev, t_max = sys_.evaluator, sweep_window(sys_)
-            kept_scan(sys_, t_max, qsl.bounds.PASSAGE_SCAN)
+            kept_scan(sys_, t_max)
             batches, fidelities = [], ev.fidelities
 
             def counted(times):
@@ -445,10 +445,10 @@ class TestFirstPassage:
                 sizes.append(len(times))
             return fidelities(self, times)
 
-        def scanned(sys_, t_max, samples):
+        def scanned(sys_, t_max):
             scanning.append(True)
             try:
-                return certificate(sys_, t_max, samples)
+                return certificate(sys_, t_max)
             finally:
                 scanning.pop()
 
@@ -461,20 +461,18 @@ class TestFirstPassage:
 
     def test_scan_is_kept_per_window(self):
         sys_ = build_ml_family(1.0, 0.8)
-        scan = kept_scan(sys_, 2.0, 64)
+        scan = kept_scan(sys_, 2.0)
         times, fids, angles = scan
-        assert kept_scan(sys_, 2.0, 64) is scan  # times, fidelities and angles alike
-        longer = kept_scan(sys_, 3.0, 64)
+        assert kept_scan(sys_, 2.0) is scan  # times, fidelities and angles alike
+        longer = kept_scan(sys_, 3.0)
         assert longer is not scan and longer[0, -1] == 3.0
-        finer = kept_scan(sys_, 3.0, 128)
-        assert finer.shape == (3, 129)
-        again = kept_scan(sys_, 2.0, 64)
+        again = kept_scan(sys_, 2.0)
         for kept, first in zip(again, (times, fids, angles)):
             assert np.array_equal(kept, first)
         np.testing.assert_allclose(np.cos(angles) ** 2, fids, rtol=0.0, atol=1e-15)
 
     def test_scan_arrays_are_read_only(self):
-        times, fids, angles = kept_scan(build_ml_family(1.0, 0.8), 2.0, 64)
+        times, fids, angles = kept_scan(build_ml_family(1.0, 0.8), 2.0)
         for array in (times, fids, angles):
             with pytest.raises(ValueError):
                 array[0] = 1.0
