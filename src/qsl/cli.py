@@ -11,9 +11,10 @@ unexpectedly, 2 invalid input, 3 numerical failure.
 their kinds, defaults and bounds; `_parse` checks a config against it. Each
 `cmd_*` handler is a function of the parsed config alone: it returns a report
 (a JSON object), a table name and a table that maps each column name to its
-column. `CLAIMS` is the one table of each claim's named rules: `main` judges
-the report and table by them once and appends `claim_verified`, and any
-failed rules as `failed_rules`, to the report. `write_outputs` writes both,
+column. `main` puts the subcommand first in the report, as `kind`. `CLAIMS`
+is the one table of each claim's named rules: `main` judges the report and
+table by them once and appends `claim_verified`, and any failed rules as
+`failed_rules`, to the report. `write_outputs` writes both,
 as `<prefix>_report.json` and `<prefix>_<name>.csv` (or `.json`); a CSV
 numeric column that repeats a value has each distinct value formatted once.
 """
@@ -293,7 +294,7 @@ def _trajectory_table(traj: Trajectory) -> dict:
 def cmd_refute_ml(p: dict) -> tuple[dict, str, dict]:
     report = run_ml_refutation(p["delta"], p["L"], p["E"], p["margin"], samples=p["samples"])
     # asdict would deep-copy the trajectory, and the system it holds, only to drop them
-    payload = {"kind": "refute-ml", **asdict(replace(report, trajectory=None))}
+    payload = asdict(replace(report, trajectory=None))
     del payload["trajectory"]
     return payload, "trajectory", _trajectory_table(report.trajectory)
 
@@ -307,7 +308,6 @@ def cmd_bd_gap(p: dict) -> tuple[dict, str, dict]:
     sys_ = RotatedHamiltonianSystem(hamiltonian, build_coupling(hamiltonian, state), state)
     traj = sample_trajectory(sys_, report.tau_actual, samples)
     payload = {
-        "kind": "bd-gap",
         "levels": levels,
         "report": asdict(report),
         "gap": report.mt_closed - report.bd_closed,
@@ -323,7 +323,6 @@ def cmd_trajectory(p: dict) -> tuple[dict, str, dict]:
         sys_ = RotatedHamiltonianSystem(sys_.H, sys_.A, PureState(OFF_EQUATOR_AMPLITUDES))
     traj = sample_trajectory(sys_, p["t_max"], p["samples"], frame=p["frame"])
     payload = {
-        "kind": "trajectory",
         "E": p["E"],
         "theta": theta,
         "frame": p["frame"],
@@ -341,7 +340,7 @@ def cmd_alpha_table(p: dict) -> tuple[dict, str, dict]:
     arccos = [_angle(delta) for delta in deltas]
     endpoint = [(1.0 - math.sqrt(delta)) * math.pi / 2.0 for delta in deltas]
     table = {"delta": deltas, "alpha": alphas, "arccos_sqrt_delta": arccos, "endpoint_value": endpoint}
-    payload = {"kind": "alpha-table", "n_deltas": len(deltas)}
+    payload = {"n_deltas": len(deltas)}
     payload.update((rule, test(payload, table)) for rule, test in CLAIMS["alpha-table"])  # the three flags
     return payload, "alpha", table
 
@@ -356,7 +355,6 @@ def cmd_validity_sweep(p: dict) -> tuple[dict, str, dict]:
         return [getattr(row.report, name) if row.report else None for row in rows]
 
     payload = {
-        "kind": "validity-sweep",
         "seed": p["seed"],
         "systems": p["systems"],
         "cells": len(rows),
@@ -412,6 +410,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"'format' must be csv or json, got {fmt!r}")
         prefix, fmt = args.out or prefix, args.format or fmt
         report, name, table = HANDLERS[args.command](_parse(args.command, cfg))
+        report = {"kind": args.command, **report}
         failed = [rule for rule, test in CLAIMS.get(args.command, ()) if not test(report, table)]
         if args.command in CLAIMS:  # claim_verified last, then failed_rules only when a rule fails
             report.update(claim_verified=not failed, **({"failed_rules": failed} if failed else {}))
