@@ -380,15 +380,21 @@ class TestFirstPassage:
             for delta, samples in itertools.product((0.0, 0.05, 0.3, 0.75, 0.9, 0.999), (16, 2048)):
                 hits = np.flatnonzero(fids <= delta)
                 monkeypatch.setattr(qsl.bounds, "PASSAGE_SCAN", samples)
+                # the certificate's cache keys on the system and the window, not the scan size
+                qsl.bounds._certificate.cache_clear()
                 try:
                     tau = first_passage(sys_, delta, t_max)
                 except NotReached:
+                    tau = None
+                assert kept_scan(sys_, t_max).shape[1] == samples + 1
+                if tau is None:
                     assert not hits.size
                     continue
                 reached += 1
                 assert sys_.evaluator.fidelities([tau])[0] == pytest.approx(delta, abs=1e-9)
                 if hits.size:
                     assert tau <= dense[hits[0]] * (1.0 + 1e-13)
+        qsl.bounds._certificate.cache_clear()
         assert reached >= 60
 
     # The mpmath oracle shares no code with the search: its own eigendecompositions at 30 digits.

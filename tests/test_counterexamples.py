@@ -286,10 +286,15 @@ class TestRunMlRefutation:
 
     @pytest.mark.parametrize("margin", [1e100, 1e150])
     def test_huge_margins_return(self, margin):
-        # the spectral radius is about 3 margin^2 here, so the certificate's column norms would overflow unscaled
-        report = run_ml_refutation(0.5, 1.0, 1.0, margin, samples=50)
-        assert report.tau == pytest.approx(1.0 / (1.0 + margin), rel=1e-12, abs=0.0)
-        assert report.violated
+        # the spectral radius is about 3 margin^2 here, so the certificate's column norms would overflow unscaled;
+        # in a child with a timeout, as unscaled norms made this search hang
+        code = (
+            "import math\nfrom qsl import run_ml_refutation\n"
+            f"report = run_ml_refutation(0.5, 1.0, 1.0, {margin!r}, samples=50)\n"
+            f"assert math.isclose(report.tau, 1.0 / (1.0 + {margin!r}), rel_tol=1e-12, abs_tol=0.0), report.tau\n"
+            "assert report.violated"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
 
     @pytest.mark.parametrize("big_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     def test_energy_conserved_at_small_hypotheses(self, big_l):
