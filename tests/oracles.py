@@ -111,6 +111,25 @@ def state_statistics(op, state) -> EnergyStatistics:
     return _energy_statistics(operator, np.abs(s.amplitudes @ operator.eig[1].conj()) ** 2)
 
 
+def sample_major_statistics(values, weights):
+    """The energy statistics with every reduction over the last axis of weights, one row per state."""
+    mean = weights @ values
+    centered = values - mean[..., None]
+    spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9 * float(np.abs(values).max()))
+    levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
+    occupations = np.add.reduceat(weights, starts, axis=-1)
+    occupied = occupations > 1e-12
+    eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
+    eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)
+    # the normalized energies subtract the extreme levels before weighting, not eps_min from the mean
+    norm_energy = weights @ (values - levels[0]) - (eps_min - levels[0])
+    dual_norm_energy = weights @ (levels[-1] - values) - (levels[-1] - eps_max)
+    return EnergyStatistics(
+        mean, spread, levels, occupations, eps_min, eps_max, occupied, norm_energy, dual_norm_energy
+    )
+
+
 def level_occupations(op, state) -> tuple[np.ndarray, np.ndarray]:
     """Distinct level values (degeneracy-grouped) and their occupation weights."""
     stats = state_statistics(op, state)

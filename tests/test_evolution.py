@@ -25,11 +25,11 @@ from qsl import (
     validity_sweep,
     variance,
 )
-from qsl.bounds import _certificate
+from qsl.bounds import _certificate, time_average
 from qsl.evolution import NORM_DRIFT_TOL, _SpectralEvaluator
 from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
 
-from oracles import fidelity, hamiltonian_at, level_occupations, rotating_frame
+from oracles import fidelity, hamiltonian_at, level_occupations, rotating_frame, sample_major_statistics
 
 
 def isolated(hamiltonian, state):
@@ -516,7 +516,9 @@ class TestLazyTrajectory:
             assert traj.bloch is None
         assert np.array_equal(traj.fidelity, overlaps.real**2 + overlaps.imag**2)
         assert np.array_equal(traj.states, states)
-        # read, it holds one array per field, as a record filled at sampling time would
+        # unread, it holds the times alone; read, one array per field, as a record filled at sampling time would
+        unread = sample_trajectory(sys_, 2.5, 200, frame=frame)
+        assert [name for name, value in vars(unread).items() if isinstance(value, np.ndarray)] == ["times"]
         arrays = {id(value) for value in vars(traj).values() if isinstance(value, np.ndarray)}
         assert len(arrays) == 3 + (dim == 2)
 
@@ -533,3 +535,51 @@ class TestLazyTrajectory:
                 sample_trajectory(sys_, 1.0, 10).states
         rows, violations = validity_sweep(n_systems=6, dim_range=(2, 4), deltas=(0.0, 0.5), seed=3, samples=50)
         assert violations == 0 and any(row.reached for row in rows)
+
+
+def varying_system(rng, dim):
+    """Random H and u0, and A a random Hermitian times U(0.2, 2): the energy observables vary in time."""
+    coupling = random_hermitian(rng, dim).entries * rng.uniform(0.2, 2.0)
+    return RotatedHamiltonianSystem(random_hermitian(rng, dim), HermitianOperator(coupling), random_pure_state(rng, dim))
+
+
+def phase_tolerance(mu, t_max):
+    """8 ulps per unit of the largest phase: block powers and a direct exp round the phases differently."""
+    return 8 * np.finfo(float).eps * (1.0 + np.abs(mu).max() * t_max)
+
+
+class TestLevelMajorStatistics:
+    # Every sweep class conserves its energy observables, so only systems like these
+    # check the statistics of a trajectory on data that moves.
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_weights_and_averaged_bounds_match_the_states(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        for span in (1.0, 40.0, 2e3):  # max |mu| t_max
+            sys_ = varying_system(rng, dim)
+            ev, (values, vectors) = sys_.evaluator, sys_.H.eig
+            t_max = span / np.abs(ev.mu).max()
+            times = np.linspace(0.0, t_max, 1001)
+            weights = np.abs(ev.rotating(times) @ vectors.conj()) ** 2
+            assert np.abs(ev.uniform_weights(times) - weights.T).max() <= phase_tolerance(ev.mu, t_max)
+
+            stats = sample_major_statistics(values, weights)
+            assert np.ptp(stats.exp_energy) > 1e-3
+            factor = np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
+            avg_unc, avg_bdf, avg_norm = (
+                time_average(times, rate) for rate in (stats.energy_uncertainty, factor, stats.norm_energy)
+            )
+            report = evaluate_bounds(sys_, 0.5, tau=t_max)
+            distance = math.acos(math.sqrt(0.5))
+            got = (report.mt_closed, report.bd_closed, report.avg_norm_energy)
+            assert got == pytest.approx((distance / avg_unc, distance / avg_bdf, avg_norm), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 1000, 15000])
+    def test_block_powers_match_the_direct_exp(self, n):
+        # m = ceil(sqrt(n + 1)) is 8 for n = 63 (a full last block), and 9 for 64 and 65
+        ev = varying_system(np.random.default_rng(n), 6).evaluator
+        for t_max in (1.0, 2e3 / np.abs(ev.mu).max()):
+            times = np.linspace(0.0, t_max, n + 1)
+            weights = ev.uniform_weights(times)
+            assert weights.shape == (6, n + 1)
+            direct = np.abs(ev.modal @ np.exp(np.multiply.outer(-1j * ev.mu, times))) ** 2
+            assert np.abs(weights - direct).max() <= phase_tolerance(ev.mu, t_max)

@@ -18,7 +18,15 @@ from qsl import (
 from qsl.counterexamples import build_coupling, build_ml_family
 from qsl.linalg import EnergyStatistics, _energy_statistics
 
-from oracles import commutator_norm, density, fidelity, level_occupations, state_statistics, unitary_exp
+from oracles import (
+    commutator_norm,
+    density,
+    fidelity,
+    level_occupations,
+    sample_major_statistics,
+    state_statistics,
+    unitary_exp,
+)
 
 
 def random_hermitian_matrix(rng, dim):
@@ -288,22 +296,27 @@ class TestOccupiedExtrema:
             assert stats.eps_max == eps_max
 
 
-def sample_major_statistics(values, weights):
-    """The energy statistics with every reduction over the last axis of weights, one row per state."""
-    mean = weights @ values
-    centered = values - mean[..., None]
-    spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
+def level_major_statistics(values, weights):
+    """The energy statistics of a levels x states batch, one state per column, every weighted sum adding the level rows in order."""
+
+    def down(column, rows):
+        total = column[0] * rows[0]
+        for k in range(1, len(column)):
+            total = total + column[k] * rows[k]
+        return total
+
+    mean = down(values, weights)
+    spread = np.sqrt(down(np.ones(len(values)), weights * (values[:, None] - mean) ** 2))
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9 * float(np.abs(values).max()))
     levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
-    occupations = np.add.reduceat(weights, starts, axis=-1)
+    occupations = np.add.reduceat(weights, starts, axis=0)  # a group's first row plus the sum of the others
     occupied = occupations > 1e-12
-    eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
-    eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)
-    # the normalized energies subtract the extreme levels before weighting, not eps_min from the mean
-    norm_energy = weights @ (values - levels[0]) - (eps_min - levels[0])
-    dual_norm_energy = weights @ (levels[-1] - values) - (levels[-1] - eps_max)
+    eps_min = np.where(occupied, levels[:, None], np.inf).min(axis=0)
+    eps_max = np.where(occupied, levels[:, None], -np.inf).max(axis=0)
+    norm_energy = down(values - levels[0], weights) - (eps_min - levels[0])
+    dual_norm_energy = down(levels[-1] - values, weights) - (levels[-1] - eps_max)
     return EnergyStatistics(
-        mean, spread, levels, occupations, eps_min, eps_max, occupied, norm_energy, dual_norm_energy
+        mean, spread, levels, occupations.T, eps_min, eps_max, occupied.T, norm_energy, dual_norm_energy
     )
 
 
@@ -333,7 +346,7 @@ def assert_same_statistics(got, expected):
 
 
 class TestStatisticsKernel:
-    # The level-major kernel must give the bits of the sample-major formulas.
+    # One state keeps the bits of the sample-major formulas; a batch adds its level rows in order.
     @pytest.mark.parametrize("dim", range(2, 13))
     def test_one_state_matches_the_sample_major_formulas(self, dim):
         rng = np.random.default_rng(300 + dim)
@@ -346,10 +359,11 @@ class TestStatisticsKernel:
                 assert_same_statistics(got, sample_major_statistics(values, weights))
 
     @pytest.mark.parametrize("dim", range(2, 13))
-    def test_trajectory_matches_the_sample_major_formulas(self, dim):
+    def test_trajectory_matches_the_level_major_formulas(self, dim):
+        # the kernel's own input weights; tests/test_evolution.py bounds them against the states
         rng = np.random.default_rng(400 + dim)
         for op in kernel_operators(rng, dim).values():
-            values, vectors = op.eig
+            values = op.eig[0]
             for state in kernel_states(rng, op).values():
                 couplings = (
                     HermitianOperator(np.zeros((dim, dim))),
@@ -357,10 +371,11 @@ class TestStatisticsKernel:
                     HermitianOperator(random_hermitian_matrix(rng, dim)),
                 )
                 for coupling in couplings:
-                    traj = sample_trajectory(RotatedHamiltonianSystem(op, coupling, state), 1.3, 24, frame="rotating")
-                    weights = np.abs(traj.states @ vectors.conj()) ** 2
+                    sys_ = RotatedHamiltonianSystem(op, coupling, state)
+                    traj = sample_trajectory(sys_, 1.3, 24, frame="rotating")
+                    weights = sys_.evaluator.uniform_weights(traj.times)
                     assert traj.stats.occupations.shape == (25, len(traj.stats.levels))
-                    assert_same_statistics(traj.stats, sample_major_statistics(values, weights))
+                    assert_same_statistics(traj.stats, level_major_statistics(values, weights))
 
     def test_cases_cover_grouped_and_unoccupied_levels(self):
         rng = np.random.default_rng(312)
