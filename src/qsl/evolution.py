@@ -143,7 +143,7 @@ class _SpectralEvaluator:
         """M = U_H^dagger W diag(c0), U_H the eigenvectors of H: M exp(-i mu t) is phi_t on U_H.
 
         The statistics read phi_t's weights through it, without phi_t (with the block
-        powers, sweep 1.98 -> 1.64 s); `rotating` does not use it and keeps its bits.
+        powers, sweep 2.08 -> 1.68 s); `rotating` does not use it and keeps its bits.
         """
         return (self._H.eig[1].conj().T @ self.W) * self.c0
 
@@ -241,7 +241,7 @@ class Trajectory:
 
     `times` and `stats` are computed when the trajectory is sampled. `stats`
     holds the energy statistics of H(t), those of H in phi_t, one entry per
-    sample, from `uniform_weights` (sweep 1.98 -> 1.64 s wall);
+    sample, from `uniform_weights` (sweep 2.08 -> 1.68 s wall);
     `stats.occupations[i, k]` is the weight at `times[i]` on the k-th lowest
     level of H (degeneracies grouped). `states`, `fidelity` and `bloch` (for
     two levels, the `bloch_operators` expectations, else None) follow the
@@ -287,7 +287,7 @@ def sample_trajectory(
 
     The statistics take one level-major pass over block-power phases, within 8 eps (1 +
     max|mu| t_max) of phi_t's weights; `times` and the states keep their bits, as they never
-    see the phases. Seed-4242 `perfbench` sweep: 1.98 -> 1.64 s wall (medians of 10 pairs, 2 CPUs).
+    see the phases. Seed-4242 `perfbench` sweep: 2.08 -> 1.68 s wall (medians of 10 40-s pairs, 2 CPUs).
     """
     t_max = _check_real(t_max, "t_max", _POSITIVE)
     n = _check_count(n, 2, "need at least 2 sampling intervals")

@@ -222,7 +222,7 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     dot product per weighted sum, a blocked sum for the spread). A batch
     adds its rows in order, which moves <H> and dH by ulps from those
     formulas and, with the block-power phases of `sample_trajectory`, took
-    the seed-4242 sweep from 1.98 to 1.64 s wall. The grouping (skipped for
+    the seed-4242 sweep from 2.08 to 1.68 s wall. The grouping (skipped for
     levels of one eigenvalue, which it would copy) and the extrema give the
     bits of either layout.
 

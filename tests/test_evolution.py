@@ -539,8 +539,8 @@ class TestLazyTrajectory:
 
 def varying_system(rng, dim):
     """Random H and u0, and A a random Hermitian times U(0.2, 2): the energy observables vary in time."""
-    coupling = random_hermitian(rng, dim).entries * rng.uniform(0.2, 2.0)
-    return RotatedHamiltonianSystem(random_hermitian(rng, dim), HermitianOperator(coupling), random_pure_state(rng, dim))
+    coupling = HermitianOperator(random_hermitian(rng, dim).entries * rng.uniform(0.2, 2.0))
+    return RotatedHamiltonianSystem(random_hermitian(rng, dim), coupling, random_pure_state(rng, dim))
 
 
 def phase_tolerance(mu, t_max):

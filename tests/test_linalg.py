@@ -297,7 +297,7 @@ class TestOccupiedExtrema:
 
 
 def level_major_statistics(values, weights):
-    """The energy statistics of a levels x states batch, one state per column, every weighted sum adding the level rows in order."""
+    """The energy statistics of a levels x states batch, each weighted sum adding the level rows in order."""
 
     def down(column, rows):
         total = column[0] * rows[0]
