@@ -222,9 +222,8 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     dot product per weighted sum, a blocked sum for the spread). A batch
     adds its rows in order, which moves <H> and dH by ulps from those
     formulas and, with the block-power phases of `sample_trajectory`, took
-    the seed-4242 sweep from 2.08 to 1.68 s wall. The grouping (skipped for
-    levels of one eigenvalue, which it would copy) and the extrema give the
-    bits of either layout.
+    the seed-4242 sweep from 2.08 to 1.68 s wall. The grouping and the
+    extrema give the bits of either layout.
 
     The normalized energies subtract before they weight: <H> - eps_min is
     the weighted sum of `values - levels[0]` less `eps_min - levels[0]`
@@ -242,7 +241,7 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     exponent = np.frexp(radius)[1]
     centered = np.ldexp(values.reshape(-1, *lift) - mean, -exponent)
     spread = np.ldexp(np.sqrt((weights * centered**2).sum(axis=0)), exponent)
-    occupations = np.add.reduceat(weights, starts, axis=0) if len(levels) < len(values) else weights
+    occupations = np.add.reduceat(weights, starts, axis=0)
     occupied = occupations > OCCUPATION_THRESHOLD
     column = levels.reshape(-1, *lift)
     eps_min = np.where(occupied, column, np.inf).min(axis=0)

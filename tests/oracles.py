@@ -130,6 +130,11 @@ def sample_major_statistics(values, weights):
     )
 
 
+def phase_tolerance(mu, t_max):
+    """8 ulps per unit of the largest phase: block powers and a direct exp round the phases differently."""
+    return 8 * np.finfo(float).eps * (1.0 + np.abs(mu).max() * t_max)
+
+
 def level_occupations(op, state) -> tuple[np.ndarray, np.ndarray]:
     """Distinct level values (degeneracy-grouped) and their occupation weights."""
     stats = state_statistics(op, state)

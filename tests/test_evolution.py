@@ -29,7 +29,14 @@ from qsl.bounds import _certificate, time_average
 from qsl.evolution import NORM_DRIFT_TOL, _SpectralEvaluator
 from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
 
-from oracles import fidelity, hamiltonian_at, level_occupations, rotating_frame, sample_major_statistics
+from oracles import (
+    fidelity,
+    hamiltonian_at,
+    level_occupations,
+    phase_tolerance,
+    rotating_frame,
+    sample_major_statistics,
+)
 
 
 def isolated(hamiltonian, state):
@@ -541,11 +548,6 @@ def varying_system(rng, dim):
     """Random H and u0, and A a random Hermitian times U(0.2, 2): the energy observables vary in time."""
     coupling = HermitianOperator(random_hermitian(rng, dim).entries * rng.uniform(0.2, 2.0))
     return RotatedHamiltonianSystem(random_hermitian(rng, dim), coupling, random_pure_state(rng, dim))
-
-
-def phase_tolerance(mu, t_max):
-    """8 ulps per unit of the largest phase: block powers and a direct exp round the phases differently."""
-    return 8 * np.finfo(float).eps * (1.0 + np.abs(mu).max() * t_max)
 
 
 class TestLevelMajorStatistics:

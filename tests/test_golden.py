@@ -5,8 +5,9 @@ expected outputs sit beside it as `<name>_report.json` and
 `<name>_<table>.csv` (or `.json` for `"format": "json"`). The files were
 written with numpy 2.4.6 on scipy-openblas 0.3.31 (OpenBLAS 0.3.31.188.0,
 DYNAMIC_ARCH), on an x86-64 CPU where numpy's SIMD dispatch found X86_V3,
-X86_V4 (AVX-512), AVX512_ICL and AVX512_SPR over its X86_V2 baseline, as
-`python -c "import numpy; numpy.show_runtime()"` lists them. Another numpy
+X86_V4 (AVX-512), AVX512_ICL and AVX512_SPR over its X86_V2 baseline;
+`python -c "import numpy; numpy.show_runtime(); numpy.show_config()"` lists
+the SIMD targets and the OpenBLAS build. Another numpy
 or BLAS build, or a CPU without AVX-512, may change the low bits of the
 tables; regenerate from the repository root with
 

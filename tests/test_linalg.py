@@ -23,6 +23,7 @@ from oracles import (
     density,
     fidelity,
     level_occupations,
+    phase_tolerance,
     sample_major_statistics,
     state_statistics,
     unitary_exp,
@@ -360,10 +361,10 @@ class TestStatisticsKernel:
 
     @pytest.mark.parametrize("dim", range(2, 13))
     def test_trajectory_matches_the_level_major_formulas(self, dim):
-        # the kernel's own input weights; tests/test_evolution.py bounds them against the states
+        # bit for bit on the kernel's own input weights, which stay within ulps of the states' weights
         rng = np.random.default_rng(400 + dim)
         for op in kernel_operators(rng, dim).values():
-            values = op.eig[0]
+            values, vectors = op.eig
             for state in kernel_states(rng, op).values():
                 couplings = (
                     HermitianOperator(np.zeros((dim, dim))),
@@ -374,6 +375,8 @@ class TestStatisticsKernel:
                     sys_ = RotatedHamiltonianSystem(op, coupling, state)
                     traj = sample_trajectory(sys_, 1.3, 24, frame="rotating")
                     weights = sys_.evaluator.uniform_weights(traj.times)
+                    from_states = (np.abs(traj.states @ vectors.conj()) ** 2).T
+                    assert np.abs(weights - from_states).max() <= phase_tolerance(sys_.evaluator.mu, 1.3)
                     assert traj.stats.occupations.shape == (25, len(traj.stats.levels))
                     assert_same_statistics(traj.stats, level_major_statistics(values, weights))
 
