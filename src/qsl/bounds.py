@@ -28,7 +28,7 @@ PASSAGE_SLACK = 1e-14
 PASSAGE_WIDTH = 1e-13
 PASSAGE_SPLIT = 32
 PASSAGE_FRACTIONS = np.arange(1, PASSAGE_SPLIT) / PASSAGE_SPLIT  # where a split puts its uniform points
-PASSAGE_ROW = PASSAGE_SPLIT + 3  # a split's points: both ends, 31 uniform ones and the two speed points
+PASSAGE_ROW = PASSAGE_SPLIT + 4  # a split's points: both ends, 31 uniform ones and the three speed points
 _ENDS = np.array([0, 1])  # offsets of a part's left and right point from its left one
 PASSAGE_BATCH = 2048
 PASSAGE_SCAN = 2048
@@ -97,15 +97,19 @@ def time_average(times, values) -> float | list[float]:
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1:] != t.shape or t.size < 2:
         raise DomainError("need matching 1-d arrays with at least 2 samples")
-    steps = np.diff(t)
-    if not np.all(steps >= 0):
+    if not np.all(np.diff(t) >= 0):
         raise DomainError("times must be ascending")
     span = float(t[-1] - t[0])
     if span == 0.0:
         raise DomainError("time window has zero length")
     if span == math.inf:
         raise DomainError("time window has infinite length")
-    return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * steps, axis=-1) / span).tolist()
+    return _trapezoid(t, v)
+
+
+def _trapezoid(t: np.ndarray, v: np.ndarray) -> float | list[float]:
+    """`time_average` on times it need not check: ascending, finite, with t[-1] > t[0]."""
+    return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * np.diff(t), axis=-1) / float(t[-1] - t[0])).tolist()
 
 
 def _angle(delta: float) -> float:
@@ -135,13 +139,19 @@ def _alpha_of(delta: float) -> float:
     return alpha(delta)
 
 
+def _part_bounds(rows: np.ndarray, speed: float) -> np.ndarray:
+    """theta_j + theta_(j+1) + v h_j for each part of rows, h_j its length; -inf where h_j = 0 (it holds no time)."""
+    width = rows[0, 1:] - rows[0, :-1]
+    return np.where(width > 0.0, rows[2, :-1] + rows[2, 1:] + speed * width, -np.inf)
+
+
 @lru_cache(maxsize=1)
 def _certificate(sys: RotatedHamiltonianSystem, t_max: float) -> tuple:
-    """`first_passage`'s speed v, and read-only rows of times, fidelities and their `_angles`.
+    """`first_passage`'s speed v, read-only scan rows of times, fidelities and `_angles`, and their `_part_bounds`.
 
-    The rows scan PASSAGE_SCAN + 1 uniform times on [0, t_max]. Only the last
-    window is kept, so the other deltas of one window reuse it, and the one
-    entry keeps at most one system alive (systems compare by identity).
+    The rows scan PASSAGE_SCAN + 1 uniform times on [0, t_max] by `uniform_fidelities`. Only the last window is
+    kept, so the other deltas of one window reuse it, and the one entry keeps at most one system alive (systems
+    compare by identity).
     """
     ev, stats = sys.evaluator, sys.initial_statistics
     if sys.is_isolated:
@@ -152,10 +162,11 @@ def _certificate(sys: RotatedHamiltonianSystem, t_max: float) -> tuple:
         norms = np.linalg.norm(lifted * scale, axis=0) / scale
         speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(ev.c0) @ norms)
     times = np.linspace(0.0, t_max, PASSAGE_SCAN + 1)
-    fids = ev.fidelities(times)
+    fids = ev.uniform_fidelities(times)
     rows = np.stack((times, fids, _angles(fids)))
-    rows.flags.writeable = False
-    return speed, rows
+    bounds = _part_bounds(rows, speed)
+    rows.flags.writeable = bounds.flags.writeable = False
+    return speed, rows, bounds
 
 
 def first_passage(
@@ -183,45 +194,46 @@ def first_passage(
     An interval [a, b] with theta_a + theta_b + v (b - a) < 2 theta* (1 - 1e-14),
     theta* = arccos(sqrt(delta)), thus cannot hold the passage: theta climbs
     from theta_a to theta* and falls back to theta_b within b - a. The window
-    is scanned at PASSAGE_SCAN uniform intervals. Every interval not ruled
-    out this way is cut, in one batch: past the first PASSAGE_BATCH of them,
-    the time from the next one to the window's end is cut as one more
-    interval. The intervals after the first one whose right end reaches
-    delta are dropped. The midpoint of the first open interval is returned
-    once that is narrower than 1e-13 of its right end, so the result is the
-    same on every time scale and never later than the first passage by more
-    than half that width; a shallow crossing can come out a few widths
-    early. The slack keeps rounding from ruling out an exact touch, so a dip
-    within it counts as reached (the generic case for delta = 0).
+    is scanned at PASSAGE_SCAN uniform intervals, whose left sides (`_part_bounds`)
+    `_certificate` keeps. Every interval not ruled out this way is cut, in one
+    batch: past the first PASSAGE_BATCH of them, the time from the next one to
+    the window's end is cut as one more interval. The intervals after the first
+    one whose right end reaches delta are dropped. The midpoint of the first open
+    interval is returned once that is narrower than 1e-13 of its right end, so
+    the result is the same on every time scale and never later than the first
+    passage by more than half that width; a shallow crossing can come out a few
+    widths early. The slack keeps rounding from ruling out an exact touch, so a
+    dip within it counts as reached (the generic case for delta = 0).
 
     A cut [lo, hi] gets the 31 points that split it into 32 equal parts and
-    two speed points, each clipped into [lo, hi]:
+    three speed points, each clipped into [lo, hi]:
     - a = lo + (theta* (1 - 2e-14) - theta_lo) / v. theta stays at or below
       theta* (1 - 2e-14) up to a, so every part left of a meets the
       inequality above, rounding aside, and is ruled out;
     - b = hi - (theta_hi - theta* (1 + 2e-14)) / v, which falls inside
       [lo, hi] only when F(hi) <= delta: theta is at least
-      theta* (1 + 2e-14) at b, so b is a sampled time past delta.
+      theta* (1 + 2e-14) at b, so b is a sampled time past delta;
+    - c = hi - (theta* (1 - 2e-14) - theta_hi) / v, b's mirror, inside
+      [lo, hi] only when F(hi) > delta: theta stays at or below
+      theta* (1 - 2e-14) on [c, hi], so every part right of c is ruled out.
     When theta moves at v, as on the geodesics `build_coupling` makes, a and
-    b straddle the passage within about 2e-14 of it, and the search ends one
-    round after the scan. The speed points can only add samples: the 32
-    equal parts still narrow the first open interval at least 32-fold every
-    round, whatever rounding does to a and b. A point clipped onto another
-    makes a part of no length, which holds no time its neighbours do not:
-    it stays open only when its point reached delta.
+    b straddle a passage, and a and c a touch (delta = 0), within about
+    2e-14 of it, and the search ends one round after the scan. The speed
+    points can only add samples: the 32 equal parts still narrow the first
+    open interval at least 32-fold every round, whatever rounding does to
+    them. A point clipped onto another makes a part of no length, which
+    stays open only when its point reached delta.
 
-    `_certificate` keeps v, the scan and its angles for the last system and
-    window, so the other deltas of one window reuse them. Every sampled time
-    carries its fidelity and angle through the refinement: only the 33 new
-    interior points of an interval are evaluated, and the search is the same
-    arithmetic on the same points whichever deltas and windows came before.
+    Every sampled time carries its fidelity and angle through the refinement:
+    only the 34 new interior points of an interval are evaluated, and the search
+    is the same arithmetic on the same points whichever deltas and windows came before.
     """
     delta = _check_real(delta, "delta", _UNIT_INTERVAL)
     t_max = _check_real(t_max, "t_max", _POSITIVE)
     if delta == 1.0:
         return 0.0
     fidelities = fidelity_function(sys)
-    speed, scan = _certificate(sys, t_max)
+    speed, scan, bounds = _certificate(sys, t_max)
     theta = _angle(delta)
     target = 2.0 * theta * (1.0 - PASSAGE_SLACK)
     below, above = theta * (1.0 - 2.0 * PASSAGE_SLACK), theta * (1.0 + 2.0 * PASSAGE_SLACK)
@@ -230,11 +242,8 @@ def first_passage(
     # interval into parts, and a part joins two neighbouring points of one row.
     s, row = scan, PASSAGE_SCAN + 1
     while True:
-        t, f, th = s[0], s[1], s[2]
-        reached = f[1:] <= delta
-        width = t[1:] - t[:-1]
-        keep = th[:-1] + th[1:] + speed * width >= target
-        keep &= width > 0.0  # a part of no length holds no time its neighbours do not
+        reached = s[1, 1:] <= delta
+        keep = bounds >= target
         keep |= reached  # rounding must not certify away a sample that reached delta
         keep[row - 1::row] = reached[row - 1::row] = False  # no part joins a row's last point to the next row's first
         first = reached.argmax()
@@ -250,15 +259,19 @@ def first_passage(
         lo, hi = ends[0, :, 0], ends[0, :, 1]
         if hi[0] - lo[0] <= PASSAGE_WIDTH * hi[0]:
             return float((lo[0] + hi[0]) / 2.0)
-        a = lo + (below - ends[2, :, 0]) * pace
-        b = hi - (ends[2, :, 1] - above) * pace  # past hi, so clipped onto it, unless F(hi) <= delta
-        t = np.column_stack(((hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None], a, b))
-        t = np.sort(np.clip(t, lo[:, None], hi[:, None]), axis=1)
-        f = fidelities(t.ravel()).reshape(t.shape)
         rows = np.empty((3, lo.size, PASSAGE_ROW))
         rows[..., ::PASSAGE_ROW - 1] = ends
-        rows[0, :, 1:-1], rows[1, :, 1:-1], rows[2, :, 1:-1] = t, f, _angles(f)
+        t = rows[0, :, 1:-1]
+        t[:, :-3] = (hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None]  # in [lo, hi] as rounded: no clip
+        t[:, -3] = lo + (below - ends[2, :, 0]) * pace
+        t[:, -2] = hi - (ends[2, :, 1] - above) * pace  # past hi, so clipped onto it, unless F(hi) <= delta
+        t[:, -1] = hi - (below - ends[2, :, 1]) * pace  # past hi, so clipped onto it, if F(hi) <= delta
+        np.minimum(np.maximum(t[:, -3:], lo[:, None]), hi[:, None], out=t[:, -3:])
+        t.sort(axis=1)
+        f = fidelities(t.ravel()).reshape(t.shape)
+        rows[1, :, 1:-1], rows[2, :, 1:-1] = f, _angles(f)
         s, row = rows.reshape(3, -1), PASSAGE_ROW
+        bounds = _part_bounds(s, speed)
 
 
 @dataclass
@@ -330,7 +343,7 @@ def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Tra
     if traj is None:
         avg_unc, avg_bdf, avg_norm = spread, factor, norm_energy
     else:
-        avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(_rates(traj.stats)))
+        avg_unc, avg_bdf, avg_norm = _trapezoid(traj.times, np.stack(_rates(traj.stats)))
     distance, scale = _angle(delta), sys.H._spectrum.radius
     return BoundReport(
         delta=delta,

@@ -6,19 +6,18 @@ a second Hermitian operator A:
 
     H(t) = exp(-iAt) H exp(+iAt)
 
-The Schroedinger-picture propagator factors exactly as
-exp(-iAt) exp(-i(H-A)t). It lives in one place: the cached evaluator
-`RotatedHamiltonianSystem.evaluator`, which every exact evolution goes
-through. It has three batched maps: `rotating(times)` gives the
-rotating-frame states phi_t = exp(-i(H-A)t) u0, `schrodinger(times, phi)`
-turns them into the Schroedinger states psi_t = exp(-iAt) phi_t, and
-`fidelities(times)` serves the first-passage scan and its refinement
-(`fidelity_function` hands it out). `propagate_exact` chains the first two
-for one time. A `Trajectory` computes the energy statistics when it is
-sampled, from the phases and a modal matrix, and the states, fidelities and
-Bloch data only when first read, so the bounds never form a state. When A
-is exactly zero the fidelity map skips the exp(-iAt) factor, which is then
-exactly the identity.
+The Schroedinger-picture propagator factors exactly as exp(-iAt) exp(-i(H-A)t).
+It lives in one place: the cached evaluator `RotatedHamiltonianSystem.evaluator`,
+which every exact evolution goes through. It has four batched maps:
+`rotating(times)` gives the rotating-frame states phi_t = exp(-i(H-A)t) u0,
+`schrodinger(times, phi)` turns them into the Schroedinger states
+psi_t = exp(-iAt) phi_t, `uniform_fidelities(times)` serves the first-passage
+scan and `fidelities(times)` its refinement (`fidelity_function` hands it out).
+`propagate_exact` chains the first two for one time. A `Trajectory` computes
+the energy statistics when it is sampled, from the phases and a modal matrix,
+and the states, fidelities and Bloch data only when first read, so the bounds
+never form a state. When A is exactly zero the fidelity maps skip the
+exp(-iAt) factor, which is then exactly the identity.
 
 The independent cross-check, `propagate_numeric`, is a classical fixed-step
 4th-order (RK4) integrator that builds H(t) on its own. For the linear
@@ -148,15 +147,17 @@ class _SpectralEvaluator:
         return (self._H.eig[1].conj().T @ self.W) * self.c0
 
     def uniform_weights(self, times: np.ndarray) -> np.ndarray:
-        """|M exp(-i mu t)|^2, levels x samples, at uniform times t_j = j h from 0, from block powers.
-
-        With m = ceil(sqrt(n + 1)) and j = q m + r, exp(-i mu t_j) is taken as exp(-i mu t_qm)
-        exp(-i mu t_r): about 2 sqrt(n) direct exps per level, so the error does not grow with j.
-        """
-        n, m = len(times) - 1, math.isqrt(len(times) - 1) + 1
-        outer, inner = (np.exp(np.multiply.outer(-1j * self.mu, t)) for t in (times[::m], times[:m]))
-        amplitudes = self.modal @ (outer[:, :, None] * inner[:, None, :]).reshape(len(self.mu), -1)[:, : n + 1]
+        """|M exp(-i mu t)|^2, levels x samples, at uniform times t_j = j h from 0, from `_uniform_phases`."""
+        amplitudes = self.modal @ _uniform_phases(-1j * self.mu, times)
         return amplitudes.real**2 + amplitudes.imag**2
+
+    def uniform_fidelities(self, times: np.ndarray) -> np.ndarray:
+        """`fidelities` at uniform times t_j = j h from 0, level-major on `_uniform_phases`: the passage scan."""
+        mixed = self._mix.T @ (self.c0[:, None] * _uniform_phases(self._rate_mu, times))
+        if not self._isolated:
+            mixed *= _uniform_phases(self._rate_a, times)
+        overlaps = self._probe @ mixed
+        return overlaps.real**2 + overlaps.imag**2
 
     def schrodinger(self, times, phi: np.ndarray) -> np.ndarray:
         """Schroedinger states psi_t from the rotating-frame states phi_t at the same times."""
@@ -171,6 +172,17 @@ class _SpectralEvaluator:
             mixed *= np.exp(times[:, None] * self._rate_a)
         overlaps = mixed @ self._probe
         return overlaps.real**2 + overlaps.imag**2
+
+
+def _uniform_phases(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(rate t_j), rates x samples, at uniform times t_j = j h from 0, from block powers.
+
+    With m = ceil(sqrt(n + 1)) and j = q m + r, exp(rate t_j) is taken as exp(rate t_qm)
+    exp(rate t_r): about 2 sqrt(n) direct exps per rate, so the error does not grow with j.
+    """
+    n, m = len(times) - 1, math.isqrt(len(times) - 1) + 1
+    outer, inner = (np.exp(np.multiply.outer(rates, t)) for t in (times[::m], times[:m]))
+    return (outer[:, :, None] * inner[:, None, :]).reshape(len(rates), -1)[:, : n + 1]
 
 
 def propagate_exact(sys: RotatedHamiltonianSystem, t: float) -> PureState:

@@ -86,10 +86,11 @@ class HermitianOperator:
         """
         values = self.eig[0]
         radius = float(np.abs(values).max())
-        starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9 * radius)
+        starts = np.flatnonzero(new := np.diff(values, prepend=-np.inf) > 1e-9 * radius)
         levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
         levels.flags.writeable = False  # every statistics record of this operator shares it
-        return _Spectrum(radius, starts, levels)
+        merged = tuple(zip((np.cumsum(new) - 1)[~new].tolist(), np.flatnonzero(~new).tolist()))
+        return _Spectrum(radius, starts, levels, merged)
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
@@ -185,11 +186,12 @@ def trace_distance(state1, state2) -> float:
 
 
 class _Spectrum(NamedTuple):
-    """`HermitianOperator._spectrum`: the radius, the index where each level starts, and the level energies."""
+    """`HermitianOperator._spectrum`: radius, each level's first index and energy, (level, index) of the others."""
 
     radius: float
     starts: np.ndarray
     levels: np.ndarray
+    merged: tuple
 
 
 class EnergyStatistics(NamedTuple):
@@ -222,8 +224,9 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     dot product per weighted sum, a blocked sum for the spread). A batch
     adds its rows in order, which moves <H> and dH by ulps from those
     formulas and, with the block-power phases of `sample_trajectory`, took
-    the seed-4242 sweep from 2.08 to 1.68 s wall. The grouping and the
-    extrema give the bits of either layout.
+    the seed-4242 sweep from 2.08 to 1.68 s wall. The grouping (a level's
+    first row, then its other rows in order: no loop without degeneracy)
+    and the extrema give the bits of either layout.
 
     The normalized energies subtract before they weight: <H> - eps_min is
     the weighted sum of `values - levels[0]` less `eps_min - levels[0]`
@@ -231,7 +234,7 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     width, not on that of |<H>|, which an energy offset inflates.
     """
     values = operator.eig[0]
-    radius, starts, levels = operator._spectrum
+    radius, starts, levels, merged = operator._spectrum
     lift = (1,) * (np.ndim(weights) - 1)  # a level's entry spans its row of a batch
     def down(column):  # sum_k column[k] weights[k]: a dot product, or a batch's rows added in order
         return column @ weights if not lift else (column[:, None] * weights).sum(axis=0)
@@ -241,7 +244,9 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     exponent = np.frexp(radius)[1]
     centered = np.ldexp(values.reshape(-1, *lift) - mean, -exponent)
     spread = np.ldexp(np.sqrt((weights * centered**2).sum(axis=0)), exponent)
-    occupations = np.add.reduceat(weights, starts, axis=0)
+    occupations = weights[starts]  # each level's first row, then its other rows added in order
+    for level, k in merged:
+        occupations[level] += weights[k]
     occupied = occupations > OCCUPATION_THRESHOLD
     column = levels.reshape(-1, *lift)
     eps_min = np.where(occupied, column, np.inf).min(axis=0)

@@ -111,6 +111,21 @@ def state_statistics(op, state) -> EnergyStatistics:
     return _energy_statistics(operator, np.abs(s.amplitudes @ operator.eig[1].conj()) ** 2)
 
 
+def grouped(weights, starts):
+    """The rows of weights summed per level: a level's first row, then its other rows added in order.
+
+    `np.add.reduceat` is not a reference for this: it does not add a group of 3 or more rows in order.
+    """
+    ends = list(starts[1:]) + [len(weights)]
+    out = []
+    for start, end in zip(starts, ends):
+        total = weights[start]
+        for k in range(start + 1, end):
+            total = total + weights[k]
+        out.append(total)
+    return np.array(out)
+
+
 def sample_major_statistics(values, weights):
     """The energy statistics with every reduction over the last axis of weights, one row per state."""
     mean = weights @ values
@@ -118,7 +133,7 @@ def sample_major_statistics(values, weights):
     spread = np.sqrt(np.maximum((weights * centered**2).sum(axis=-1), 0.0))
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9 * float(np.abs(values).max()))
     levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
-    occupations = np.add.reduceat(weights, starts, axis=-1)
+    occupations = grouped(weights.T, starts).T
     occupied = occupations > 1e-12
     eps_min = np.where(occupied, levels, np.inf).min(axis=-1)
     eps_max = np.where(occupied, levels, -np.inf).max(axis=-1)

@@ -317,6 +317,31 @@ class TestFirstPassage:
                 first_passage(sys_, delta, t_max)
                 assert len(batches) <= 2
 
+    def test_a_geodesic_touch_takes_one_round_after_the_scan(self, monkeypatch):
+        # delta = 0 on a geodesic is a touch: F dips to 0 and rises again. The speed points a and c
+        # straddle it from both sides, so the first round after the scan leaves one part narrower
+        # than the stop width (the search without c took 7 rounds on these systems)
+        rounds, closure = [], qsl.bounds.fidelity_function
+
+        def counted(sys_):
+            fidelities = closure(sys_)
+
+            def count(times):
+                rounds.append(len(times))
+                return fidelities(times)
+
+            return count
+
+        monkeypatch.setattr(qsl.bounds, "fidelity_function", counted)
+        rng = np.random.default_rng(89)
+        for _ in range(10):
+            sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
+            t_max = sweep_window(sys_)
+            rounds.clear()
+            tau = first_passage(sys_, 0.0, t_max)
+            assert rounds == [qsl.bounds.PASSAGE_ROW - 2]
+            assert tau == pytest.approx(math.pi / 2 / _certificate(sys_, t_max)[0], rel=1e-12)
+
     def test_warm_scan_gives_the_cold_taus(self):
         rng = np.random.default_rng(5)
         shared = random_coupled_system(rng, 4)
@@ -479,9 +504,24 @@ class TestFirstPassage:
 
     def test_scan_arrays_are_read_only(self):
         times, fids, angles = kept_scan(build_ml_family(1.0, 0.8), 2.0)
-        for array in (times, fids, angles):
+        bounds = _certificate(build_ml_family(1.0, 0.8), 2.0)[2]
+        for array in (times, fids, angles, bounds):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    @pytest.mark.parametrize("t_max", [2.0, 40.0, 1e-321])
+    def test_part_bounds_are_the_inequality_on_the_kept_rows(self, t_max):
+        # 1e-321 is a window of subnormal times, most of whose scan parts have no length
+        rng = np.random.default_rng(97)
+        systems = [build_ml_family(1.0, 0.8), random_coupled_system(rng, 4), random_isolated_system(rng, 5)]
+        for sys_ in systems:
+            speed, (times, fids, angles), bounds = _certificate(sys_, t_max)
+            width = times[1:] - times[:-1]
+            inequality = angles[:-1] + angles[1:] + speed * width
+            assert bounds.shape == (qsl.bounds.PASSAGE_SCAN,)
+            assert np.array_equal(bounds[width > 0.0], inequality[width > 0.0])
+            assert np.all(bounds[width <= 0.0] == -math.inf)
+        assert np.isneginf(bounds).any() == (t_max < 1.0)
 
 
 class TestIsolatedBounds:
@@ -747,14 +787,14 @@ class TestValiditySweep:
 
     def test_one_scan_per_system(self, monkeypatch):
         scans = []
-        fidelities = _SpectralEvaluator.fidelities
+        uniform_fidelities = _SpectralEvaluator.uniform_fidelities
 
         def counted(self, times):
             if len(times) == 2049:
                 scans.append(self)
-            return fidelities(self, times)
+            return uniform_fidelities(self, times)
 
-        monkeypatch.setattr(_SpectralEvaluator, "fidelities", counted)
+        monkeypatch.setattr(_SpectralEvaluator, "uniform_fidelities", counted)
         rows, _ = validity_sweep(n_systems=4, seed=3, samples=50, isolated_fraction=0.5)
         assert len(rows) == 40
         assert len(scans) == len(set(map(id, scans))) == 4

@@ -585,3 +585,15 @@ class TestLevelMajorStatistics:
             assert weights.shape == (6, n + 1)
             direct = np.abs(ev.modal @ np.exp(np.multiply.outer(-1j * ev.mu, times))) ** 2
             assert np.abs(weights - direct).max() <= phase_tolerance(ev.mu, t_max)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 2048])
+    @pytest.mark.parametrize("make", [random_isolated_system, random_coupled_system, varying_system])
+    def test_uniform_fidelities_match_the_direct_map(self, n, make):
+        # the passage scan's block powers; a coupled system's fidelities carry the phases of mu and of a
+        ev = make(np.random.default_rng(n), 6).evaluator
+        for t_max in (1.0, 2e3 / np.abs(ev.mu).max()):
+            times = np.linspace(0.0, t_max, n + 1)
+            fids = ev.uniform_fidelities(times)
+            assert fids.shape == (n + 1,)
+            tolerance = phase_tolerance(np.concatenate((ev.mu, ev.a)), t_max)
+            assert np.abs(fids - ev.fidelities(times)).max() <= tolerance

@@ -22,6 +22,7 @@ from oracles import (
     commutator_norm,
     density,
     fidelity,
+    grouped,
     level_occupations,
     phase_tolerance,
     sample_major_statistics,
@@ -310,7 +311,7 @@ def level_major_statistics(values, weights):
     spread = np.sqrt(down(np.ones(len(values)), weights * (values[:, None] - mean) ** 2))
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9 * float(np.abs(values).max()))
     levels = np.add.reduceat(values, starts) / np.diff(starts, append=len(values))
-    occupations = np.add.reduceat(weights, starts, axis=0)  # a group's first row plus the sum of the others
+    occupations = grouped(weights, starts)
     occupied = occupations > 1e-12
     eps_min = np.where(occupied, levels[:, None], np.inf).min(axis=0)
     eps_max = np.where(occupied, levels[:, None], -np.inf).max(axis=0)
