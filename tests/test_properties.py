@@ -13,6 +13,7 @@ from qsl import (
     NotReached,
     PureState,
     RotatedHamiltonianSystem,
+    evaluate_bounds,
     first_passage,
     run_bd_nonsaturation,
     run_ml_refutation,
@@ -112,3 +113,49 @@ def test_scaling_the_system_scales_the_passage(sys_, delta, exponent):
     assert (tau is None) == (tau_scaled is None)
     if tau is not None:
         assert abs(s * tau_scaled - tau) <= 1e-11 * tau + 1e-12 * WINDOW
+
+
+@st.composite
+def isolated_cells(draw):
+    """Levels of H (2 to 6, distinct, in [-5, 5]), u0's amplitudes on 2 or more of them, and a basis seed.
+
+    The amplitudes are in H's eigenbasis, 0 on the levels u0 does not occupy, each occupied one of
+    modulus in [0.05, 1] with a phase.
+    """
+    levels = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6, unique=True)))
+    assume(min(np.diff(levels)) >= 1e-3)
+    occupied = draw(st.permutations(range(len(levels))))[: draw(st.integers(2, len(levels)))]
+    amplitudes = np.zeros(len(levels), dtype=complex)
+    for k in occupied:
+        amplitudes[k] = draw(st.floats(0.05, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    return levels, amplitudes, draw(st.integers(0, 2**32 - 1))
+
+
+def conjugated(levels, amplitudes, seed) -> RotatedHamiltonianSystem:
+    """The isolated system of `isolated_cells` with H and u0 in a random basis: a unitary Q from a QR."""
+    rng = np.random.default_rng(seed)
+    dim = len(levels)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    hamiltonian = HermitianOperator((q * np.asarray(levels)) @ q.conj().T)
+    return RotatedHamiltonianSystem(hamiltonian, HermitianOperator(np.zeros((dim, dim))),
+                                    PureState.normalized(q @ amplitudes))
+
+
+@properties(40)
+@given(cell=isolated_cells(), delta=st.floats(0.0, 0.95))
+@example(cell=([-1.0, 0.5, 2.0], np.array([1.0, 0.0, -1.0j]), 7), delta=0.3)  # two equal weights: both saturate
+@example(cell=([-1.0, 0.5, 2.0], np.array([1.0, 0.6, 1.0]), 7), delta=0.3)  # three levels: neither saturates
+def test_isolated_mandelstam_tamm_and_bhatia_davies_saturate_together(cell, delta):
+    # the paper's claim for isolated systems: MT and BD coincide exactly on two occupied levels, so
+    # they saturate together; on three or more BD is strictly below MT
+    sys_ = conjugated(*cell)
+    two = np.count_nonzero(cell[1]) == 2
+    assert sys_.initial_statistics.occupied.sum() == np.count_nonzero(cell[1])
+    tau = passage(sys_, delta, 40.0 / float(sys_.initial_statistics.energy_uncertainty))
+    report = evaluate_bounds(sys_, delta, tau=tau or 0.0)
+    assert (abs(report.mt - report.bd) <= 1e-12 * report.mt) == two
+    assert report.bd <= report.mt * (1.0 + 1e-12)
+    if tau is not None:
+        assert report.mt <= tau * (1.0 + 1e-12)
+        if tau - report.mt <= 1e-9 * tau:
+            assert tau - report.bd <= 1e-9 * tau
