@@ -272,7 +272,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
 # sha256 of the default sweep's outputs; tests/test_golden.py says how to regenerate them
 SWEEP_DIGESTS = {
     "report.json": "078460af5d5f9ef695122411476e530c8ec32e42ec2bbde0ccb8e58424eee2d1",
-    "sweep.csv": "5e92f242383a2418c18a4c046494f4e6a49f7306e2b2eeabec2bc0b5c66d4e93",
+    "sweep.csv": "86dbf523e28c1c57e300e34c3daf9bf429f13d9d6df4029ae546750fa6b17536",
 }
 
 
