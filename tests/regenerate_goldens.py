@@ -2,22 +2,21 @@
 
 Run from the repository root, with QSL_SEED unset:
 
-    PYTHONPATH=src python3 tests/regenerate_goldens.py [--check]
+    PYTHONPATH=src python3 tests/regenerate_goldens.py
 
 Every config of `test_golden.CASES` runs through the CLI into a scratch
-directory. For each output whose bytes differ from its golden copy, every
-changed CSV column or JSON key is printed with its number of changed cells and
-the largest relative and absolute change; `worst_margin`, a bound minus tau,
-is measured against that row's tau instead of its own value. The golden files are then rewritten, unless
---check is given. Last, the default sweep of criterion 9 (seed 20260810) is run
-and its sha256 digests are printed beside `SWEEP_DIGESTS` of
+directory. Each output whose bytes differ from its golden copy is rewritten,
+and every changed CSV column or JSON key is printed with its number of changed
+cells and the largest relative and absolute change; `worst_margin`, a bound
+minus tau, is measured against that row's tau instead of its own value (`git
+diff` shows the rest). Last, the default sweep of criterion 9 (seed 20260810)
+is run and its sha256 digests are printed beside `SWEEP_DIGESTS` of
 tests/test_acceptance.py, which is edited by hand. Pytest does not collect
 this file.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import io
@@ -94,7 +93,7 @@ def changes(path: Path, old: bytes, new: bytes) -> list[str]:
     return lines
 
 
-def regenerate(write: bool, scratch: Path) -> None:
+def regenerate(scratch: Path) -> None:
     for name in sorted(CASES):
         config = GOLDEN / f"{name}.json"
         cfg = json.loads(config.read_text())
@@ -108,8 +107,7 @@ def regenerate(write: bool, scratch: Path) -> None:
                 continue
             print(f"{golden.name}: changed")
             print("\n".join(changes(golden, old, new)))
-            if write:
-                shutil.copyfile(produced, golden)
+            shutil.copyfile(produced, golden)
 
 
 def sweep_digests(scratch: Path) -> None:
@@ -123,10 +121,7 @@ def sweep_digests(scratch: Path) -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="report the changes without rewriting the goldens")
-    args = parser.parse_args()
     os.environ.pop("QSL_SEED", None)  # the goldens are written at their configs' own seeds
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(not args.check, Path(tmp))
+        regenerate(Path(tmp))
         sweep_digests(Path(tmp))

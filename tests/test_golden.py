@@ -9,7 +9,12 @@ X86_V4 (AVX-512), AVX512_ICL and AVX512_SPR over its X86_V2 baseline;
 `python -c "import numpy; numpy.show_runtime(); numpy.show_config()"` lists
 the SIMD targets and the OpenBLAS build. Another numpy
 or BLAS build, or a CPU without AVX-512, may change the low bits of the
-tables; regenerate from the repository root with
+tables. Regenerate them all from the repository root with
+
+    PYTHONPATH=src python3 tests/regenerate_goldens.py
+
+which reports every changed column and the criterion-9 digests below, or
+one of them with
 
     PYTHONPATH=src python3 -m qsl.cli <kind> --config tests/golden/<name>.json --out tests/golden/<name>
 
