@@ -298,49 +298,26 @@ class TestFirstPassage:
         assert tau == pytest.approx(1 / 1.1, rel=1e-6)
 
     def test_a_geodesic_passage_takes_one_round_after_the_scan(self):
-        # theta moves at exactly the certificate's speed on a geodesic, so the speed points
-        # straddle the passage and the next round finds it in a part narrower than the stop width
+        # theta moves at exactly the certificate's speed on a geodesic, so the speed points a and b
+        # straddle a passage, and a and c a touch (delta = 0: F dips to 0 and rises again), and
+        # the one round after the scan leaves a part narrower than the stop width around theta*/v
         rng = np.random.default_rng(89)
         for _ in range(10):
             sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
             ev, t_max = sys_.evaluator, sweep_window(sys_)
-            kept_scan(sys_, t_max)
+            speed = _certificate(sys_, t_max)[0]
             batches, fidelities = [], ev.fidelities
 
             def counted(times):
                 batches.append(len(times))
                 return fidelities(times)
 
-            ev.fidelities = counted
-            for delta in DEFAULT_DELTAS[1:]:
+            ev.fidelities = counted  # the map that the closure of `fidelity_function` hands out
+            for delta in DEFAULT_DELTAS:
                 batches.clear()
-                first_passage(sys_, delta, t_max)
-                assert len(batches) <= 2
-
-    def test_a_geodesic_touch_takes_one_round_after_the_scan(self, monkeypatch):
-        # delta = 0 on a geodesic is a touch: F dips to 0 and rises again. The speed points a and c
-        # straddle it from both sides, so the first round after the scan leaves one part narrower
-        # than the stop width (the search without c took 7 rounds on these systems)
-        rounds, closure = [], qsl.bounds.fidelity_function
-
-        def counted(sys_):
-            fidelities = closure(sys_)
-
-            def count(times):
-                rounds.append(len(times))
-                return fidelities(times)
-
-            return count
-
-        monkeypatch.setattr(qsl.bounds, "fidelity_function", counted)
-        rng = np.random.default_rng(89)
-        for _ in range(10):
-            sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
-            t_max = sweep_window(sys_)
-            rounds.clear()
-            tau = first_passage(sys_, 0.0, t_max)
-            assert rounds == [qsl.bounds.PASSAGE_ROW - 2]
-            assert tau == pytest.approx(math.pi / 2 / _certificate(sys_, t_max)[0], rel=1e-12)
+                tau = first_passage(sys_, delta, t_max)
+                assert batches == [qsl.bounds.PASSAGE_ROW - 2]
+                assert tau == pytest.approx(_angle(delta) / speed, rel=1e-12)
 
     def test_warm_scan_gives_the_cold_taus(self):
         rng = np.random.default_rng(5)
