@@ -97,19 +97,15 @@ def time_average(times, values) -> float | list[float]:
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1:] != t.shape or t.size < 2:
         raise DomainError("need matching 1-d arrays with at least 2 samples")
-    if not np.all(np.diff(t) >= 0):
+    steps = np.diff(t)
+    if not np.all(steps >= 0):
         raise DomainError("times must be ascending")
     span = float(t[-1] - t[0])
     if span == 0.0:
         raise DomainError("time window has zero length")
     if span == math.inf:
         raise DomainError("time window has infinite length")
-    return _trapezoid(t, v)
-
-
-def _trapezoid(t: np.ndarray, v: np.ndarray) -> float | list[float]:
-    """`time_average` on times it need not check: ascending, finite, with t[-1] > t[0]."""
-    return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * np.diff(t), axis=-1) / float(t[-1] - t[0])).tolist()
+    return (np.sum((v[..., 1:] + v[..., :-1]) / 2.0 * steps, axis=-1) / span).tolist()
 
 
 def _angle(delta: float) -> float:
@@ -343,7 +339,7 @@ def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Tra
     if traj is None:
         avg_unc, avg_bdf, avg_norm = spread, factor, norm_energy
     else:
-        avg_unc, avg_bdf, avg_norm = _trapezoid(traj.times, np.stack(_rates(traj.stats)))
+        avg_unc, avg_bdf, avg_norm = time_average(traj.times, np.stack(_rates(traj.stats)))
     distance, scale = _angle(delta), sys.H._spectrum.radius
     return BoundReport(
         delta=delta,

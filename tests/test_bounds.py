@@ -498,7 +498,7 @@ class TestFirstPassage:
             assert bounds.shape == (qsl.bounds.PASSAGE_SCAN,)
             assert np.array_equal(bounds[width > 0.0], inequality[width > 0.0])
             assert np.all(bounds[width <= 0.0] == -math.inf)
-        assert np.isneginf(bounds).any() == (t_max < 1.0)
+            assert np.isneginf(bounds).any() == (t_max < 1.0)
 
 
 class TestIsolatedBounds:
@@ -630,6 +630,13 @@ class TestClosedBounds:
         for tau in (-1e-300, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="tau must be nonnegative and finite"):
                 evaluate_bounds(sys_, 0.5, tau=tau)
+
+    def test_a_subnormal_window_whose_samples_descend_is_refused(self):
+        # 8 samples of 5 subnormal units: linspace rounds the step of 5/8 unit to 1, so the times run 0..7 and end on 5
+        times = np.linspace(0.0, 2.5e-323, 9)
+        assert np.array_equal(times / 5e-324, [0, 1, 2, 3, 4, 5, 6, 7, 5])
+        with pytest.raises(DomainError, match="times must be ascending"):
+            evaluate_bounds(build_ml_family(1.0, 0.9), 0.5, tau=2.5e-323, samples=8)
 
 
 class TestBoundReport:
