@@ -317,9 +317,20 @@ def evaluate_bounds(
     return _evaluate(sys, delta, tau, sample_trajectory(sys, tau, samples) if tau else None)
 
 
+def _level_exponent(stats: EnergyStatistics) -> int:
+    """The exponent of the power of two of max|levels| (the levels ascend), which scales energies exactly."""
+    return math.frexp(max(-stats.levels[0], stats.levels[-1]))[1]
+
+
 def _bd_factor(stats: EnergyStatistics):
-    """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics."""
-    return np.sqrt(np.maximum(stats.dual_norm_energy * stats.norm_energy, 0.0))
+    """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics.
+
+    Both factors are first divided by the power of two of `_level_exponent`, as the spread is, so their product
+    cannot overflow on a large energy scale; in range the bits are those of the unscaled product.
+    """
+    exponent = _level_exponent(stats)
+    product = np.ldexp(stats.dual_norm_energy, -exponent) * np.ldexp(stats.norm_energy, -exponent)
+    return np.ldexp(np.sqrt(np.maximum(product, 0.0)), exponent)
 
 
 def _rates(stats: EnergyStatistics) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import VALIDITY_SLACK, BoundReport, _angle, _evaluate, evaluate_bounds, first_passage
+from .bounds import VALIDITY_SLACK, BoundReport, _angle, _evaluate, _level_exponent, evaluate_bounds, first_passage
 from .errors import _BELOW_ONE, _INSIDE_PI, _POSITIVE, DomainError, InsufficientLevels, _check_real
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
 from .linalg import HermitianOperator, PureState, _centred, _operator_and_state
@@ -159,9 +159,16 @@ def run_ml_refutation(
 
 
 def bd_pointwise_margin(traj: Trajectory) -> float:
-    """Smallest per-sample gap between the Bhatia-Davies product and the variance."""
+    """Smallest per-sample gap between the Bhatia-Davies product and the variance.
+
+    The energies are first divided by the power of two of `bounds._level_exponent`, as in `bounds._bd_factor`, so
+    the products cannot overflow; a gap beyond the float range is returned as +-inf.
+    """
     stats = traj.stats
-    return float((stats.dual_norm_energy * stats.norm_energy - stats.energy_uncertainty**2).min())
+    exponent = _level_exponent(stats)
+    dual, norm, spread = np.ldexp((stats.dual_norm_energy, stats.norm_energy, stats.energy_uncertainty), -exponent)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp((dual * norm - spread**2).min(), 2 * exponent))
 
 
 def run_bd_nonsaturation(

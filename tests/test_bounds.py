@@ -686,6 +686,15 @@ class TestEnergyScale:
             bounds = report.mt, report.ml, report.bd, report.mt_closed, report.bd_closed
             assert all(map(math.isfinite, bounds)), (g, bounds)
 
+    @pytest.mark.parametrize("scale", [2.0**-600, 1.0, 2.0**520], ids=["2^-600", "1", "2^520"])
+    def test_bd_factor_scales_with_the_energy(self, scale):
+        # the product of the two energies would overflow from about 1e154, or underflow, unless scaled first
+        state = PureState.normalized([1.0, 2.0, 3.0])
+        stats, unit = (
+            state_statistics(HermitianOperator.from_diagonal([-1.5 * s, 0.0, 2.5 * s]), state) for s in (scale, 1.0)
+        )
+        assert _bd_factor(stats) == _bd_factor(unit) * scale > 0.0
+
     @pytest.mark.parametrize("c", [0.0, 1.0, 3.7, 1e6, 1e-9])
     def test_every_state_of_a_multiple_of_the_identity_is_stationary(self, c):
         # H = cI moves no state, so every bound is inf however the rounding spread of the energy scales with c

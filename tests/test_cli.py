@@ -166,6 +166,18 @@ class TestBdGap:
             taus.append(json.loads((tmp_path / "gap_report.json").read_text())["report"]["tau_actual"])
         assert taus[1] == pytest.approx(taus[0], rel=1e-10, abs=0.0)
 
+    def test_bhatia_davies_products_on_a_large_energy_scale(self, tmp_path):
+        # (eps_max - <H>)(<H> - eps_min) is about 1e400 here: unscaled, bd_closed read 0 and the margin NaN;
+        # only the absolute 1e-6 gap tolerance fails now, on a gap of about 1.8e-201
+        cfg = write_config(tmp_path, "gap.json", {"delta": 0.5, "levels": [1e200, 0.0, 2e200], "samples": 200})
+        assert main(["bd-gap", "--config", cfg, "--out", str(tmp_path / "gap")]) == 1
+        report = json.loads((tmp_path / "gap_report.json").read_text())
+        assert report["report"]["avg_bd_factor"] == pytest.approx(1e200, rel=1e-12, abs=0.0)
+        assert report["report"]["bd_closed"] == pytest.approx(math.pi / 4 / 1e200, rel=1e-12, abs=0.0)
+        assert 0.0 < report["gap"] < 1e-200
+        assert report["min_pointwise_bd_margin"] == math.inf
+        assert report["failed_rules"] == ["gap_open"]
+
 
 class TestTrajectory:
     def test_rotating_frame_circle(self, tmp_path):
