@@ -16,7 +16,8 @@ is the one table of each claim's named rules: `main` judges the report and
 table by them once and appends `claim_verified`, and any failed rules as
 `failed_rules`, to the report. `write_outputs` writes both,
 as `<prefix>_report.json` and `<prefix>_<name>.csv` (or `.json`); a CSV
-numeric column that repeats a value has each distinct value formatted once.
+table is written in blocks of rows, and a numeric column that repeats a value
+within a block has each of the block's distinct values formatted once.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
 
 INVALID_INPUT_ERRORS = (ConfigError, DomainError, DimensionMismatch, NonHermitian, InsufficientLevels)
+
+CSV_BLOCK_ROWS = 2048  # CSV rows formatted and written at a time
 
 # Bloch vector (1/2, 0, sqrt(3)/2): polar angle 60 degrees from the x axis,
 # in the x-z plane. Used when a config asks for the off-equator start.
@@ -244,30 +247,40 @@ def _csv_column(cells) -> tuple[str, list]:
     if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iuf"):
         return "%s", list(map(_fmt, cells.tolist() if isinstance(cells, np.ndarray) else cells))
     # grouped by bits, not by value: -0.0 and 0.0 are written apart
-    _, first, inverse = np.unique(cells.view(f"u{cells.itemsize}"), return_index=True, return_inverse=True)
-    if len(first) == len(cells):  # one string per row would outweigh one float per row
+    bits, inverse = np.unique(cells.view(f"u{cells.itemsize}"), return_inverse=True)
+    if len(bits) == len(cells):  # one string per row would outweigh one float per row
         return "%.17g", cells.tolist()
-    return "%s", np.array(["%.17g" % value for value in cells[first].tolist()], dtype=object)[inverse].tolist()
+    return "%s", np.array(["%.17g" % v for v in bits.view(cells.dtype).tolist()], dtype=object)[inverse].tolist()
 
 
 def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -> None:
     """Write `<prefix>_report.json` and the table as `<prefix>_<name>.csv` or `.json`.
 
     `table` maps each column name, in output order, to its cells: a numpy
-    array or a list of numbers, booleans, strings or None (missing). Each CSV
-    row is written by one template. A float or integer array is formatted by
-    "%.17g": row by row when its values are all distinct, else each distinct
-    value once, with the same bytes. A boolean array or a list is formatted
-    cell by cell by `_fmt`, which gives numbers the same 17 significant
-    digits. Cells are not quoted; the tables' strings are fixed words.
+    array or a list of numbers, booleans, strings or None (missing); a
+    ValueError is raised before the table's file is opened if the columns
+    differ in length. CSV rows are formatted and written one block of
+    `CSV_BLOCK_ROWS` rows at a time, so writing a table takes memory for one
+    block, not the whole table; a cell's text depends on that cell alone,
+    so the bytes are those of one pass. A block's rows are written by one
+    template. A float or integer array is formatted by "%.17g": row by row
+    when the block's values are all distinct, else each of the block's
+    distinct values once, with the same bytes. A boolean array or a list is
+    formatted cell by cell by `_fmt`, which gives numbers the same 17
+    significant digits. Cells are not quoted; the tables' strings are fixed
+    words.
     """
     _write_json(f"{prefix}_report.json", report)
     if fmt == "csv":
-        pairs = [_csv_column(cells) for cells in table.values()]
-        template = ",".join(rule for rule, _ in pairs) + "\n"
+        lengths = sorted({len(cells) for cells in table.values()})
+        if len(lengths) > 1:
+            raise ValueError(f"table columns differ in length: {lengths}")
         with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(table) + "\n")
-            fh.writelines(template % row for row in zip(*(cells for _, cells in pairs), strict=True))
+            for start in range(0, lengths[0] if lengths else 0, CSV_BLOCK_ROWS):
+                pairs = [_csv_column(cells[start:start + CSV_BLOCK_ROWS]) for cells in table.values()]
+                template = ",".join(rule for rule, _ in pairs) + "\n"
+                fh.writelines(template % row for row in zip(*(cells for _, cells in pairs)))
     else:
         columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
         cells = [list(map(_json_cell, row)) for row in zip(*columns, strict=True)]

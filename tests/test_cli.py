@@ -590,8 +590,11 @@ def _assert_csv_matches_reference(tmp_path, table):
     assert (tmp_path / "x_t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_csv_writer_matches_the_reference_bytes(tmp_path):
-    # repeating numeric columns go through their distinct values; each must still write the reference's bytes
+@pytest.mark.parametrize("block", [1, 3, 4, 100])
+def test_csv_writer_matches_the_reference_bytes(block, tmp_path, monkeypatch):
+    # repeating numeric columns go through their distinct values; each must still write the reference's bytes,
+    # also where a block boundary splits repeated values, signed zeros and NaN payloads (100 is past the table)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
     nan_payloads = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
     special = np.array([-0.0, 0.0, nan_payloads[0], nan_payloads[1], np.inf, -np.inf, 0.0, -0.0, np.nan])
     grid = np.column_stack([[0.1, 0.1, 0.2, 0.1, 0.3, 0.2, 0.1, 0.3, 0.1], np.arange(9) / 7.0])  # rows of .T are strided
@@ -613,6 +616,19 @@ def test_csv_writer_matches_the_reference_bytes(tmp_path):
     ]
 
 
+def test_csv_writer_writes_the_header_of_an_empty_table(tmp_path):
+    cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", {"floats": np.array([]), "words": []})
+    assert (tmp_path / "x_t.csv").read_bytes() == b"floats,words\n"
+
+
+def test_csv_writer_refuses_a_ragged_table_before_opening_it(tmp_path, monkeypatch):
+    # the lengths are checked once, up front, not when the short column runs out in a later block
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2)
+    with pytest.raises(ValueError, match="differ in length"):
+        cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", {"a": np.arange(5.0), "b": [1.0] * 4})
+    assert not (tmp_path / "x_t.csv").exists()
+
+
 @pytest.mark.parametrize("kind, payload", [
     ("refute-ml", {"delta": 0.3, "L": 1.0, "E": 2.0, "samples": 500}),
     ("bd-gap", {"delta": 0.3, "levels": [0.0, 1.0, 2.5, 4.0], "samples": 500}),
@@ -625,21 +641,28 @@ def test_csv_tables_match_the_reference_bytes(kind, payload, tmp_path):
     _assert_csv_matches_reference(tmp_path, table)
 
 
+def _traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("frame", ["rotating", "schrodinger"])
 def test_csv_writer_peaks_below_the_reference(frame, tmp_path):
-    # each distinct value of a repeating column is held once, as one string, not once per row
-    params = cli._parse("trajectory", {"E": 1.7, "theta_deg": 70.0, "t_max": 2.0, "samples": 15000, "frame": frame})
-    _, _, table = cli.cmd_trajectory(params)
-    peaks = []
-    for write in (lambda: write_csv_reference(tmp_path / "reference.csv", table),
-                  lambda: cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", table)):
-        tracemalloc.start()
-        try:
-            write()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < peaks[0], peaks
+    # each distinct value of a repeating column is held once per block, as one string, not once per row,
+    # and only one block of cells exists at a time, so the writer's peak does not grow with the table
+    peaks = {}
+    for samples in (15000, 60000):
+        config = {"E": 1.7, "theta_deg": 70.0, "t_max": 2.0, "samples": samples, "frame": frame}
+        _, _, table = cli.cmd_trajectory(cli._parse("trajectory", config))
+        peaks[samples] = _traced_peak(lambda: cli.write_outputs(str(tmp_path / "x"), "csv", {}, "t", table))
+        if samples == 15000:
+            reference = _traced_peak(lambda: write_csv_reference(tmp_path / "reference.csv", table))
+            assert peaks[samples] < reference, (peaks, reference)
+    assert peaks[60000] <= 1.1 * peaks[15000], peaks
 
 
 # The README's exit codes: 2 for invalid input, 3 for a numerical failure.
