@@ -9,10 +9,14 @@ directory. Each output whose bytes differ from its golden copy is rewritten,
 and every changed CSV column or JSON key is printed with its number of changed
 cells and the largest relative and absolute change; `worst_margin`, a bound
 minus tau, is measured against that row's tau instead of its own value (`git
-diff` shows the rest). Last, the default sweep of criterion 9 (seed 20260810)
-is run and its sha256 digests are printed beside `SWEEP_DIGESTS` of
-tests/test_acceptance.py, which is edited by hand. Pytest does not collect
-this file.
+diff` shows the rest). A statistics column (`STATISTICS`) also gets its largest
+change against the table's spectral scale, the largest finite
+max(|eps_min|, |eps_max|) of the new output: the golden criterion for these
+columns is 1e-15 of it, absolute, since a relative change means little where
+<H> is near 0. Last, the default sweep of criterion 9 (seed 20260810) is run
+and its sha256 digests are printed beside `SWEEP_DIGESTS` of
+tests/test_acceptance.py, which is edited by hand. The script exits 1 when any
+golden or digest moved, 0 when none did. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
@@ -32,6 +37,8 @@ from test_acceptance import SWEEP_DIGESTS
 from test_golden import CASES, GOLDEN
 
 from qsl.cli import main
+
+STATISTICS = ("exp_energy", "energy_uncertainty", "eps_min", "eps_max", "norm_energy", "dual_norm_energy")
 
 
 def columns(path: Path, data: bytes) -> dict[str, list]:
@@ -68,12 +75,19 @@ def number(cell) -> float | None:
         return None
 
 
+def spectral_scale(cells: dict[str, list]) -> float | None:
+    """The largest finite max(|eps_min|, |eps_max|) of an output, or None without those columns."""
+    values = [abs(x) for name in ("eps_min", "eps_max") for x in map(number, cells.get(name, ())) if x is not None]
+    finite = [x for x in values if math.isfinite(x)]
+    return max(finite) if finite else None
+
+
 def changes(path: Path, old: bytes, new: bytes) -> list[str]:
     """One line per changed column: its changed cells and the largest relative and absolute change."""
     before, after = columns(path, old), columns(path, new)
     if before.keys() != after.keys() or any(len(before[k]) != len(after[k]) for k in before):
         return ["  the columns or the row count changed"]
-    taus = after.get("tau")
+    taus, spectral = after.get("tau"), spectral_scale(after)
     lines = []
     for name in before:
         moved, worst, largest = 0, 0.0, 0.0
@@ -89,11 +103,16 @@ def changes(path: Path, old: bytes, new: bytes) -> list[str]:
                 worst, largest = max(worst, abs(y - x) / abs(scale)), max(largest, abs(y - x))
         if moved:
             against = "of that row's tau" if name == "worst_margin" else "relative"
-            lines.append(f"  {name}: {moved} cells, largest change {worst:.3g} {against} ({largest:.3g} absolute)")
+            line = f"  {name}: {moved} cells, largest change {worst:.3g} {against} ({largest:.3g} absolute)"
+            if name in STATISTICS and spectral:
+                line += f", {largest / spectral:.3g} of the spectral scale {spectral:.17g}"
+            lines.append(line)
     return lines
 
 
-def regenerate(scratch: Path) -> None:
+def regenerate(scratch: Path) -> bool:
+    """Rewrite every golden whose bytes moved; True when any did."""
+    moved = False
     for name in sorted(CASES):
         config = GOLDEN / f"{name}.json"
         cfg = json.loads(config.read_text())
@@ -108,9 +127,13 @@ def regenerate(scratch: Path) -> None:
             print(f"{golden.name}: changed")
             print("\n".join(changes(golden, old, new)))
             shutil.copyfile(produced, golden)
+            moved = True
+    return moved
 
 
-def sweep_digests(scratch: Path) -> None:
+def sweep_digests(scratch: Path) -> bool:
+    """Print criterion 9's digests; True when any differs from its pinned value."""
+    moved = False
     config = scratch / "sweep.json"
     config.write_text(json.dumps({"seed": 20260810}))
     main(["validity-sweep", "--config", str(config), "--out", str(scratch / "sweep")])
@@ -118,10 +141,13 @@ def sweep_digests(scratch: Path) -> None:
     for name, pinned in SWEEP_DIGESTS.items():
         digest = hashlib.sha256((scratch / f"sweep_{name}").read_bytes()).hexdigest()
         print(f'  "{name}": "{digest}",  # {"unchanged" if digest == pinned else f"was {pinned}"}')
+        moved |= digest != pinned
+    return moved
 
 
 if __name__ == "__main__":
     os.environ.pop("QSL_SEED", None)  # the goldens are written at their configs' own seeds
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(Path(tmp))
-        sweep_digests(Path(tmp))
+        moved = regenerate(Path(tmp))
+        moved |= sweep_digests(Path(tmp))
+    sys.exit(1 if moved else 0)

@@ -13,8 +13,8 @@ tables. Regenerate them all from the repository root with
 
     PYTHONPATH=src python3 tests/regenerate_goldens.py
 
-which reports every changed column and the criterion-9 digests below, or
-one of them with
+which reports every changed column and the criterion-9 digests below and
+exits 1 when any of them moved (CI runs it after tier-1), or one of them with
 
     PYTHONPATH=src python3 -m qsl.cli <kind> --config tests/golden/<name>.json --out tests/golden/<name>
 
