@@ -272,12 +272,12 @@ def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -
     """
     _write_json(f"{prefix}_report.json", report)
     if fmt == "csv":
-        lengths = sorted({len(cells) for cells in table.values()})
+        lengths = {len(cells) for cells in table.values()}
         if len(lengths) > 1:
-            raise ValueError(f"table columns differ in length: {lengths}")
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
         with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(table) + "\n")
-            for start in range(0, lengths[0] if lengths else 0, CSV_BLOCK_ROWS):
+            for start in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
                 pairs = [_csv_column(cells[start:start + CSV_BLOCK_ROWS]) for cells in table.values()]
                 template = ",".join(rule for rule, _ in pairs) + "\n"
                 fh.writelines(template % row for row in zip(*(cells for _, cells in pairs)))

@@ -77,9 +77,8 @@ def number(cell) -> float | None:
 
 def spectral_scale(cells: dict[str, list]) -> float | None:
     """The largest finite max(|eps_min|, |eps_max|) of an output, or None without those columns."""
-    values = [abs(x) for name in ("eps_min", "eps_max") for x in map(number, cells.get(name, ())) if x is not None]
-    finite = [x for x in values if math.isfinite(x)]
-    return max(finite) if finite else None
+    values = (number(cell) for name in ("eps_min", "eps_max") for cell in cells.get(name, ()))
+    return max((abs(x) for x in values if x is not None and math.isfinite(x)), default=None)
 
 
 def changes(path: Path, old: bytes, new: bytes) -> list[str]:
