@@ -338,6 +338,12 @@ def _rates(stats: EnergyStatistics) -> tuple:
     return stats.energy_uncertainty, _bd_factor(stats), stats.norm_energy
 
 
+@lru_cache(maxsize=1)
+def _initial_rates(sys: RotatedHamiltonianSystem) -> tuple:
+    """`_rates` of `initial_statistics` as floats, once per system: keyed as `_certificate` is, by identity."""
+    return tuple(map(float, _rates(sys.initial_statistics)))
+
+
 def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Trajectory | None) -> BoundReport:
     """Every bound from the initial statistics and the trajectory's times and statistics on [0, tau].
 
@@ -346,7 +352,7 @@ def _evaluate(sys: RotatedHamiltonianSystem, delta: float, tau: float, traj: Tra
     `run_ml_refutation` passes the one it already holds. traj is None for
     tau = 0, the one-point window, whose averages are the initial values.
     """
-    spread, factor, norm_energy = map(float, _rates(sys.initial_statistics))
+    spread, factor, norm_energy = _initial_rates(sys)
     if traj is None:
         avg_unc, avg_bdf, avg_norm = spread, factor, norm_energy
     else:

@@ -248,11 +248,15 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     for level, k in merged:
         occupations[level] += weights[k]
     occupied = occupations > OCCUPATION_THRESHOLD
-    column = levels.reshape(-1, *lift)
-    eps_min = np.where(occupied, column, np.inf).min(axis=0)
-    eps_max = np.where(occupied, column, -np.inf).max(axis=0)
-    norm_energy = down(values - levels[0]) - (eps_min - levels[0])
-    dual_norm_energy = down(levels[-1] - values) - (levels[-1] - eps_max)
+    if lift and occupied.all():  # the extrema are the end levels, and the corrections below are exactly 0
+        eps_min, eps_max = np.full(weights.shape[1:], levels[0]), np.full(weights.shape[1:], levels[-1])
+        norm_energy, dual_norm_energy = down(values - levels[0]), down(levels[-1] - values)
+    else:
+        column = levels.reshape(-1, *lift)
+        eps_min = np.where(occupied, column, np.inf).min(axis=0)
+        eps_max = np.where(occupied, column, -np.inf).max(axis=0)
+        norm_energy = down(values - levels[0]) - (eps_min - levels[0])
+        dual_norm_energy = down(levels[-1] - values) - (levels[-1] - eps_max)
     return EnergyStatistics(
         mean, spread, levels, occupations.T, eps_min, eps_max, occupied.T, norm_energy, dual_norm_energy
     )
