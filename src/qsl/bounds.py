@@ -28,8 +28,9 @@ PASSAGE_SLACK = 1e-14
 PASSAGE_WIDTH = 1e-13
 PASSAGE_SPLIT = 32
 PASSAGE_FRACTIONS = np.arange(1, PASSAGE_SPLIT) / PASSAGE_SPLIT  # where a split puts its uniform points
-PASSAGE_ROW = PASSAGE_SPLIT + 4  # a split's points: both ends, 31 uniform ones and the three speed points
+PASSAGE_ROW = PASSAGE_SPLIT + 7  # a split's points: both ends, 31 uniform ones, three speed and three chord points
 _ENDS = np.array([0, 1])  # offsets of a part's left and right point from its left one
+_GUARDS = np.array([-1.0, 0.0, 1.0])  # the chord points: the chord's crossing and its two guards
 PASSAGE_BATCH = 2048
 PASSAGE_SCAN = 2048
 VALIDITY_SLACK = 1e-9
@@ -201,6 +202,18 @@ def first_passage(
     widths early. The slack keeps rounding from ruling out an exact touch, so a
     dip within it counts as reached (the generic case for delta = 0).
 
+    When A is exactly zero a second rule rules out parts too. With p_l the
+    weights of u0 on the levels e_l of H, F(t) = sum_lm p_l p_m cos((e_l - e_m) t),
+    so |F''| <= sum_lm p_l p_m (e_l - e_m)^2 = 2 dH^2, and on [a, b], of
+    length h, F is at most dH^2 (t - a)(b - t) <= dH^2 h^2 / 4 below its chord:
+
+        F(t) >= min(F_a, F_b) - dH^2 h^2 / 4   for every t in [a, b].
+
+    [a, b] thus cannot hold the passage when that exceeds
+    cos^2(theta* (1 - 2e-14)), the fidelity at the angle below which the
+    speed point a keeps theta; dH gets a 1e-9 relative cushion for its
+    rounding. A part stays open only when neither rule rules it out.
+
     A cut [lo, hi] gets the 31 points that split it into 32 equal parts and
     three speed points, each clipped into [lo, hi]:
     - a = lo + (theta* (1 - 2e-14) - theta_lo) / v. theta stays at or below
@@ -214,14 +227,29 @@ def first_passage(
       theta* (1 - 2e-14) on [c, hi], so every part right of c is ruled out.
     When theta moves at v, as on the geodesics `build_coupling` makes, a and
     b straddle a passage, and a and c a touch (delta = 0), within about
-    2e-14 of it, and the search ends one round after the scan. The speed
-    points can only add samples: the 32 equal parts still narrow the first
-    open interval at least 32-fold every round, whatever rounding does to
-    them. A point clipped onto another makes a part of no length, which
-    stays open only when its point reached delta.
+    2e-14 of it, and the search ends one round after the scan.
+
+    On more than two levels an isolated system's theta moves slower than
+    v = dH, so a and b do not straddle its passage. Its cuts get three chord
+    points, also clipped into [lo, hi]: x = lo + (F_lo - delta) r, where the
+    chord of F from lo to hi meets delta (r = h / (F_lo - F_hi), and x = lo
+    where F does not fall across the cut), and two guards at x -+ g, with
+    g = (dH^2 h^2 / 4 + cos^2(theta* (1 - 2e-14)) - delta) r + 1e-13 hi / 4.
+    F is within dH^2 h^2 / 4 of the chord, so where F falls at about the
+    chord's slope the passage lies between the guards, and F at the left
+    guard is above the rule's threshold, which then rules out every part
+    before it. The chord's time error shrinks as h^3, so a seed-4242 sweep
+    cell refines in 3 rounds, not the 7 or 8 that 32-fold splits take from
+    the scan width down to the stop width. A coupled cut puts its chord
+    points at lo.
+
+    The speed and chord points can only add samples: the 32 equal parts
+    still narrow the first open interval at least 32-fold every round,
+    whatever rounding does to them. A point clipped onto another makes a
+    part of no length, which stays open only when its point reached delta.
 
     Every sampled time carries its fidelity and angle through the refinement:
-    only the 34 new interior points of an interval are evaluated, and the search
+    only the 37 new interior points of an interval are evaluated, and the search
     is the same arithmetic on the same points whichever deltas and windows came before.
     """
     delta = _check_real(delta, "delta", _UNIT_INTERVAL)
@@ -234,12 +262,16 @@ def first_passage(
     target = 2.0 * theta * (1.0 - PASSAGE_SLACK)
     below, above = theta * (1.0 - 2.0 * PASSAGE_SLACK), theta * (1.0 + 2.0 * PASSAGE_SLACK)
     pace = 1.0 / speed if speed else 0.0  # a stationary state has no speed points to place
+    curve = speed / 2.0 * (1.0 + 1e-9) if sys.is_isolated else None  # F's curvature rule: (curve h)^2 = dH^2 h^2 / 4
+    floor = math.cos(below) ** 2  # the rule's threshold
     # s[0], s[1] and s[2] hold the times, fidelities and angles of rows of `row` points. A row cuts one
     # interval into parts, and a part joins two neighbouring points of one row.
     s, row = scan, PASSAGE_SCAN + 1
     while True:
         reached = s[1, 1:] <= delta
         keep = bounds >= target
+        if curve is not None:  # isolated: F >= min(F_a, F_b) - dH^2 h^2 / 4 on a part of length h
+            keep &= np.minimum(s[1, :-1], s[1, 1:]) - (curve * (s[0, 1:] - s[0, :-1])) ** 2 <= floor
         keep |= reached  # rounding must not certify away a sample that reached delta
         keep[row - 1::row] = reached[row - 1::row] = False  # no part joins a row's last point to the next row's first
         first = reached.argmax()
@@ -258,11 +290,19 @@ def first_passage(
         rows = np.empty((3, lo.size, PASSAGE_ROW))
         rows[..., ::PASSAGE_ROW - 1] = ends
         t = rows[0, :, 1:-1]
-        t[:, :-3] = (hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None]  # in [lo, hi] as rounded: no clip
-        t[:, -3] = lo + (below - ends[2, :, 0]) * pace
-        t[:, -2] = hi - (ends[2, :, 1] - above) * pace  # past hi, so clipped onto it, unless F(hi) <= delta
-        t[:, -1] = hi - (below - ends[2, :, 1]) * pace  # past hi, so clipped onto it, if F(hi) <= delta
-        np.minimum(np.maximum(t[:, -3:], lo[:, None]), hi[:, None], out=t[:, -3:])
+        t[:, :-6] = (hi - lo)[:, None] * PASSAGE_FRACTIONS + lo[:, None]  # in [lo, hi] as rounded: no clip
+        t[:, -6] = lo + (below - ends[2, :, 0]) * pace
+        t[:, -5] = hi - (ends[2, :, 1] - above) * pace  # past hi, so clipped onto it, unless F(hi) <= delta
+        t[:, -4] = hi - (below - ends[2, :, 1]) * pace  # past hi, so clipped onto it, if F(hi) <= delta
+        if curve is None:
+            t[:, -3:] = lo[:, None]  # coupled: parts of no length
+        else:  # where the chord of F meets delta, and guards at -+ g; lo where F does not fall
+            drop = ends[1, :, 0] - ends[1, :, 1]
+            rise = np.divide(hi - lo, drop, out=np.zeros_like(drop), where=drop > 0.0)
+            chord = lo + (ends[1, :, 0] - delta) * rise
+            guard = ((curve * (hi - lo)) ** 2 + floor - delta) * rise + PASSAGE_WIDTH / 4.0 * hi
+            t[:, -3:] = chord[:, None] + guard[:, None] * _GUARDS
+        np.fmin(np.fmax(t[:, -6:], lo[:, None]), hi[:, None], out=t[:, -6:])  # fmax: a NaN point goes to lo
         t.sort(axis=1)
         f = fidelities(t.ravel()).reshape(t.shape)
         rows[1, :, 1:-1], rows[2, :, 1:-1] = f, _angles(f)

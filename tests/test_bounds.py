@@ -90,6 +90,18 @@ def general_cell(rng):
     return RotatedHamiltonianSystem(hamiltonian, coupling, state), float(rng.uniform(0.05, 0.95))
 
 
+def counting(sys_):
+    """The list to which the sizes of the fidelity batches that first_passage asks of sys_ are appended."""
+    batches, fidelities = [], sys_.evaluator.fidelities
+
+    def counted(times):
+        batches.append(len(times))
+        return fidelities(times)
+
+    sys_.evaluator.fidelities = counted  # the map that the closure of `fidelity_function` hands out
+    return batches
+
+
 def passage(sys_, delta, t_max):
     """first_passage, or None where the fidelity never reaches delta."""
     try:
@@ -304,20 +316,31 @@ class TestFirstPassage:
         rng = np.random.default_rng(89)
         for _ in range(10):
             sys_ = random_coupled_system(rng, int(rng.integers(2, 7)))
-            ev, t_max = sys_.evaluator, sweep_window(sys_)
+            t_max = sweep_window(sys_)
             speed = _certificate(sys_, t_max)[0]
-            batches, fidelities = [], ev.fidelities
-
-            def counted(times):
-                batches.append(len(times))
-                return fidelities(times)
-
-            ev.fidelities = counted  # the map that the closure of `fidelity_function` hands out
+            batches = counting(sys_)
             for delta in DEFAULT_DELTAS:
                 batches.clear()
                 tau = first_passage(sys_, delta, t_max)
                 assert batches == [qsl.bounds.PASSAGE_ROW - 2]
                 assert tau == pytest.approx(_angle(delta) / speed, rel=1e-12)
+
+    def test_an_isolated_passage_takes_a_few_rounds_after_the_scan(self):
+        # on more than two levels theta moves slower than v = dH, so the speed points alone narrowed a cut
+        # only 32-fold a round (a median of 8 batches here); the curvature rule and the chord points end it
+        # in about two rounds more
+        rng = np.random.default_rng(89)
+        rounds = []
+        for _ in range(10):
+            sys_ = random_isolated_system(rng, int(rng.integers(2, 7)))
+            t_max = sweep_window(sys_)
+            batches = counting(sys_)
+            for delta in DEFAULT_DELTAS:
+                batches.clear()
+                if passage(sys_, delta, t_max) is not None:
+                    rounds.append(len(batches))
+        assert len(rounds) >= 50
+        assert np.median(rounds) <= 3 and max(rounds) <= 6, sorted(rounds)
 
     def test_warm_scan_gives_the_cold_taus(self):
         rng = np.random.default_rng(5)
@@ -407,6 +430,17 @@ class TestFirstPassage:
         expected = mp_first_passage(sys_, delta, 10.0)
         assert expected is not None
         assert first_passage(sys_, delta, 10.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    # Three isolated cells of 4 to 6 levels, where theta moves slower than v = dH.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_isolated_passage_matches_the_mpmath_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_isolated_system(rng, int(rng.integers(3, 7)))
+        t_max = sweep_window(sys_)
+        for delta in (0.1, 0.5, 0.9):
+            expected = mp_first_passage(sys_, delta, t_max)
+            assert expected is not None
+            assert first_passage(sys_, delta, t_max) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @staticmethod
     def _deferral_taus():

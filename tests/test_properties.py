@@ -90,9 +90,8 @@ def passage(sys: RotatedHamiltonianSystem, delta: float, t_max: float) -> float 
         return None
 
 
-@properties(30)
-@given(sys_=general_systems(), delta=st.floats(0.0, 0.999))
-def test_first_passage_is_never_later_than_a_dense_scan(sys_, delta):
+def assert_never_later_than_a_dense_scan(sys_: RotatedHamiltonianSystem, delta: float) -> None:
+    """The passage comes no later than the first dense sample at delta, and NotReached only without one."""
     # the reference rounds apart from qsl by about 1e-15, so a sample counts as reaching delta 1e-12 below it
     times = np.linspace(0.0, WINDOW, DENSE)
     reaching = np.flatnonzero(dense_fidelities(sys_, times) <= delta - 1e-12)
@@ -101,6 +100,12 @@ def test_first_passage_is_never_later_than_a_dense_scan(sys_, delta):
         assert reaching.size == 0
     elif reaching.size:
         assert tau <= times[reaching[0]]
+
+
+@properties(30)
+@given(sys_=general_systems(), delta=st.floats(0.0, 0.999))
+def test_first_passage_is_never_later_than_a_dense_scan(sys_, delta):
+    assert_never_later_than_a_dense_scan(sys_, delta)
 
 
 @properties(30)
@@ -159,3 +164,12 @@ def test_isolated_mandelstam_tamm_and_bhatia_davies_saturate_together(cell, delt
         assert report.mt <= tau * (1.0 + 1e-12)
         if tau - report.mt <= 1e-9 * tau:
             assert tau - report.bd <= 1e-9 * tau
+
+
+@properties(40)
+@given(cell=isolated_cells(), delta=st.floats(0.0, 0.999))
+@example(cell=([-1.0, 0.5, 2.0], np.array([1.0, 0.0, -1.0j]), 7), delta=0.0)  # two equal weights: F touches 0
+@example(cell=([-1.0, 0.5, 2.0], np.array([1.0, 0.6, 1.0]), 7), delta=0.0)
+def test_isolated_passage_is_never_later_than_a_dense_scan(cell, delta):
+    # isolated systems are searched with the curvature rule and the chord points as well
+    assert_never_later_than_a_dense_scan(conjugated(*cell), delta)
