@@ -53,7 +53,7 @@ EXIT_NUMERICAL = 3
 
 INVALID_INPUT_ERRORS = (ConfigError, DomainError, DimensionMismatch, NonHermitian, InsufficientLevels)
 
-CSV_BLOCK_ROWS = 2048  # CSV rows formatted and written at a time
+CSV_BLOCK_ROWS = 2048  # table rows, CSV or JSON, formatted and written at a time
 
 # Bloch vector (1/2, 0, sqrt(3)/2): polar angle 60 degrees from the x axis,
 # in the x-z plane. Used when a config asks for the off-equator start.
@@ -150,9 +150,12 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _json_cell(value):
-    """JSON table cell: strings and missing as they are, every other value a float."""
-    return value if value is None or isinstance(value, str) else float(value)
+def _json_column(cells) -> list:
+    """JSON table cells: strings and missing as they are, every other value a float (a numeric array's at once)."""
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "biuf":
+        return cells.astype(float).tolist()
+    values = cells.tolist() if isinstance(cells, np.ndarray) else cells
+    return [value if value is None or isinstance(value, str) else float(value) for value in values]
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -268,23 +271,31 @@ def write_outputs(prefix: str, fmt: str, report: dict, name: str, table: dict) -
     distinct values once, with the same bytes. A boolean array or a list is
     formatted cell by cell by `_fmt`, which gives numbers the same 17
     significant digits. Cells are not quoted; the tables' strings are fixed
-    words.
+    words. A JSON table is written in the same blocks, with the bytes of one
+    `json.dump(..., indent=2)` of {"columns": names, "rows": rows}, every
+    cell but a string or None a float.
     """
     _write_json(f"{prefix}_report.json", report)
+    lengths = {len(cells) for cells in table.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    blocks = [(start, start + CSV_BLOCK_ROWS) for start in range(0, max(lengths, default=0), CSV_BLOCK_ROWS)]
     if fmt == "csv":
-        lengths = {len(cells) for cells in table.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
         with open(f"{prefix}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(table) + "\n")
-            for start in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
-                pairs = [_csv_column(cells[start:start + CSV_BLOCK_ROWS]) for cells in table.values()]
+            for start, stop in blocks:
+                pairs = [_csv_column(cells[start:stop]) for cells in table.values()]
                 template = ",".join(rule for rule, _ in pairs) + "\n"
                 fh.writelines(template % row for row in zip(*(cells for _, cells in pairs)))
     else:
-        columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
-        cells = [list(map(_json_cell, row)) for row in zip(*columns, strict=True)]
-        _write_json(f"{prefix}_{name}.json", {"columns": list(table), "rows": cells})
+        with open(f"{prefix}_{name}.json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"columns": list(table), "rows": []}, indent=2)[:-3])  # up to '"rows": ['
+            for start, stop in blocks:
+                rows = list(zip(*(_json_column(cells[start:stop]) for cells in table.values())))
+                # json.dump's indented text for these rows, from the compact one: no encoded string holds a NUL
+                cells = json.dumps(rows, separators=("\0", ":"))[2:-2].replace("]\0[", "\n    ],\n    [\n      ")
+                fh.write("," * (start > 0) + "\n    [\n      " + cells.replace("\0", ",\n      ") + "\n    ]")
+            fh.write("\n  ]\n}\n" if blocks else "]\n}\n")
 
 
 def _trajectory_table(traj: Trajectory) -> dict:

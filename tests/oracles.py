@@ -5,6 +5,7 @@ answer from the fixtures. Nothing under src/qsl imports this module, so no
 product path can come to depend on them.
 """
 
+import json
 import math
 
 import numpy as np
@@ -230,6 +231,16 @@ def write_csv_reference(path, table: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(table) + "\n")
         fh.writelines(template % row for row in zip(*columns, strict=True))
+
+
+def write_json_reference(path, table: dict) -> None:
+    """The JSON table in one `json.dump(..., indent=2)` of every row: strings and None as they are, other cells floats."""
+    columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in table.values()]
+    rows = [[cell if cell is None or isinstance(cell, str) else float(cell) for cell in row]
+            for row in zip(*columns, strict=True)]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"columns": list(table), "rows": rows}, fh, indent=2)
+        fh.write("\n")
 
 
 def random_saturating_two_level(rng: np.random.Generator) -> RotatedHamiltonianSystem:

@@ -16,7 +16,7 @@ import qsl
 from qsl import cli
 from qsl.cli import main
 
-from oracles import write_csv_reference
+from oracles import write_csv_reference, write_json_reference
 
 # The documented trajectory column order (README, "Command line").
 TRAJECTORY_COLUMNS = [
@@ -662,6 +662,55 @@ def test_csv_writer_peaks_below_the_reference(frame, tmp_path):
         if samples == 15000:
             reference = _traced_peak(lambda: write_csv_reference(tmp_path / "reference.csv", table))
             assert peaks[samples] < reference, (peaks, reference)
+    assert peaks[60000] <= 1.1 * peaks[15000], peaks
+
+
+def _assert_json_matches_reference(tmp_path, table):
+    cli.write_outputs(str(tmp_path / "x"), "json", {}, "t", table)
+    write_json_reference(tmp_path / "reference.json", table)
+    assert (tmp_path / "x_t.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, 100])
+def test_json_writer_matches_the_reference_bytes(block, tmp_path, monkeypatch):
+    # blocks of rows, spliced into one document: the bytes of one json.dump, also across block boundaries
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    table = {
+        "special": np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 0.1, np.nan, 2.5]),
+        "ints": np.array([3, -2, 3, 3, 2**62, -2, 0, 3, 2**62], dtype=np.int64),
+        "bools": np.array([True, False, True, True, False, False, True, False, True]),
+        "missing": [1.5, None, 2.0, None, np.nan, 1.5, None, -np.inf, 2],
+        "words": ["a", "b", "a", "c", "a", "b", "c", "a", "b"],
+    }
+    _assert_json_matches_reference(tmp_path, table)
+    rows = json.loads((tmp_path / "x_t.json").read_text())["rows"]
+    assert [row[3] for row in rows][:5] == [1.5, None, 2.0, None, pytest.approx(math.nan, nan_ok=True)]
+
+
+@pytest.mark.parametrize("table", [{"floats": np.array([]), "words": []}, {}], ids=["no rows", "no columns"])
+def test_json_writer_writes_an_empty_table(table, tmp_path):
+    _assert_json_matches_reference(tmp_path, table)
+
+
+@pytest.mark.parametrize("name", ["alpha_table_json", "bd_gap_5level", "validity_sweep_json"])
+def test_json_tables_of_the_goldens_match_the_reference_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)  # the golden tables span several blocks
+    config = Path(__file__).resolve().parent / "golden" / f"{name}.json"
+    kind = json.loads(config.read_text())["kind"]
+    _, _, table = cli.HANDLERS[kind](cli._parse(kind, cli._load_config(str(config), kind)))
+    assert len(next(iter(table.values()))) > 7
+    _assert_json_matches_reference(tmp_path, table)
+
+
+def test_json_writer_peak_does_not_grow_with_the_table(tmp_path):
+    # only one block of rows exists as Python objects and text at a time (a writer that builds every row
+    # first peaked at 3.41 MB at 15000 samples and 13.51 MB at 60000); three columns keep the traced run short
+    peaks = {}
+    for samples in (15000, 60000):
+        config = {"E": 1.7, "theta_deg": 70.0, "t_max": 2.0, "samples": samples}
+        _, _, table = cli.cmd_trajectory(cli._parse("trajectory", config))
+        table = {name: table[name] for name in ("t", "fidelity", "bloch_x")}
+        peaks[samples] = _traced_peak(lambda: cli.write_outputs(str(tmp_path / "x"), "json", {}, "t", table))
     assert peaks[60000] <= 1.1 * peaks[15000], peaks
 
 
