@@ -13,8 +13,9 @@ diff` shows the rest). A statistics column (`STATISTICS`) also gets its largest
 change against the table's spectral scale, the largest finite
 max(|eps_min|, |eps_max|) of the new output: the golden criterion for these
 columns is 1e-15 of it, absolute, since a relative change means little where
-<H> is near 0. Last, the default sweep of criterion 9 (seed 20260810) is run
-and its sha256 digests are printed beside `SWEEP_DIGESTS` of
+<H> is near 0. Last, the default sweep of criterion 9 (seed 20260810) is run,
+its reached cells and violations are printed, so a moved digest says whether
+a verdict moved, and its sha256 digests are printed beside `SWEEP_DIGESTS` of
 tests/test_acceptance.py, which is edited by hand. The script exits 1 when any
 golden or digest moved, 0 when none did. Pytest does not collect this file.
 """
@@ -136,6 +137,8 @@ def sweep_digests(scratch: Path) -> bool:
     config = scratch / "sweep.json"
     config.write_text(json.dumps({"seed": 20260810}))
     main(["validity-sweep", "--config", str(config), "--out", str(scratch / "sweep")])
+    report = json.loads((scratch / "sweep_report.json").read_text())
+    print(f"criterion 9 sweep: {report['reached_cells']} reached cells, {report['violations']} violations")
     print("criterion 9 digests (SWEEP_DIGESTS in tests/test_acceptance.py):")
     for name, pinned in SWEEP_DIGESTS.items():
         digest = hashlib.sha256((scratch / f"sweep_{name}").read_bytes()).hexdigest()
