@@ -272,7 +272,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
 # sha256 of the default sweep's outputs; tests/test_golden.py says how to regenerate them
 SWEEP_DIGESTS = {
     "report.json": "078460af5d5f9ef695122411476e530c8ec32e42ec2bbde0ccb8e58424eee2d1",
-    "sweep.csv": "86dbf523e28c1c57e300e34c3daf9bf429f13d9d6df4029ae546750fa6b17536",
+    "sweep.csv": "c0da440766a30f1213b1959d7a1ccea5cbe826389cfdad4f5bcec4697458212a",
 }
 
 
