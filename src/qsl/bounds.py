@@ -238,10 +238,10 @@ def first_passage(
     F is within dH^2 h^2 / 4 of the chord, so where F falls at about the
     chord's slope the passage lies between the guards, and F at the left
     guard is above the rule's threshold, which then rules out every part
-    before it. The chord's time error shrinks as h^3, so a seed-4242 sweep
-    cell refines in 3 rounds, not the 7 or 8 that 32-fold splits take from
-    the scan width down to the stop width. A coupled cut puts its chord
-    points at lo.
+    before it. The chord's time error shrinks as h^3, so an isolated cell of
+    the seed-4242 sweep refines in 3 or 4 rounds after the scan, not the 7
+    or 8 that 32-fold splits take from the scan width down to the stop
+    width. A coupled cut puts its chord points at lo.
 
     The speed and chord points can only add samples: the 32 equal parts
     still narrow the first open interval at least 32-fold every round,

@@ -248,7 +248,7 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     for level, k in merged:
         occupations[level] += weights[k]
     occupied = occupations > OCCUPATION_THRESHOLD
-    if lift and occupied.all():  # the extrema are the end levels, and the corrections below are exactly 0
+    if lift and occupied.all():  # the extrema are the end levels, so the normalized energies' corrections are 0
         eps_min, eps_max = np.full(weights.shape[1:], levels[0]), np.full(weights.shape[1:], levels[-1])
         norm_energy, dual_norm_energy = down(values - levels[0]), down(levels[-1] - values)
     else:

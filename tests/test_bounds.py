@@ -464,7 +464,7 @@ class TestFirstPassage:
         fidelities = _SpectralEvaluator.fidelities
 
         def counted(self, times):
-            # one batch part and the carried rest of the window, 33 new points each
+            # one batch part and the carried rest of the window, PASSAGE_ROW - 2 new points each
             if len(times) == 2 * (qsl.bounds.PASSAGE_ROW - 2):
                 carried.append(times[0])
             return fidelities(self, times)
