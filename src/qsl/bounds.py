@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL, DomainError, NotReached, _check_count, _check_real
 from .evolution import RotatedHamiltonianSystem, Trajectory, fidelity_function, sample_trajectory
-from .linalg import EnergyStatistics
+from .linalg import EnergyStatistics, _level_exponent
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -155,7 +155,7 @@ def _certificate(sys: RotatedHamiltonianSystem, t_max: float) -> tuple:
         speed = stats.energy_uncertainty
     else:
         lifted = sys.H.entries @ ev.W - stats.exp_energy * ev.W  # (H - <H>) w_k, one column per k
-        scale = 2.0 ** -np.frexp(sys.H._spectrum.radius)[1]  # exact, so the norms' squares cannot overflow
+        scale = 2.0 ** -_level_exponent(stats.levels)  # exact, so the norms' squares cannot overflow
         norms = np.linalg.norm(lifted * scale, axis=0) / scale
         speed = min(np.ptp(sys.H.eig[0]) / 2.0, np.abs(ev.c0) @ norms)
     times = np.linspace(0.0, t_max, PASSAGE_SCAN + 1)
@@ -357,18 +357,13 @@ def evaluate_bounds(
     return _evaluate(sys, delta, tau, sample_trajectory(sys, tau, samples) if tau else None)
 
 
-def _level_exponent(stats: EnergyStatistics) -> int:
-    """The exponent of the power of two of max|levels| (the levels ascend), which scales energies exactly."""
-    return math.frexp(max(-stats.levels[0], stats.levels[-1]))[1]
-
-
 def _bd_factor(stats: EnergyStatistics):
     """sqrt((eps_max - <H>)(<H> - eps_min)) per state of the statistics.
 
     Both factors are first divided by the power of two of `_level_exponent`, as the spread is, so their product
     cannot overflow on a large energy scale; in range the bits are those of the unscaled product.
     """
-    exponent = _level_exponent(stats)
+    exponent = _level_exponent(stats.levels)
     product = np.ldexp(stats.dual_norm_energy, -exponent) * np.ldexp(stats.norm_energy, -exponent)
     return np.ldexp(np.sqrt(np.maximum(product, 0.0)), exponent)
 

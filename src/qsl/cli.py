@@ -186,6 +186,8 @@ def _load_config(path: str, kind: str) -> dict:
     missing = {spec[0] for spec in specs if spec[2] is REQUIRED} - set(cfg)
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
+    if "seed" in cfg:  # an integer wherever it is given; only the sweep bounds its range
+        _checked("seed", int, cfg["seed"])
     if (env_seed := os.environ.get("QSL_SEED")) is not None:
         try:  # a JSON integer, as a config's seed must be; deep nesting exhausts the decoder's recursion
             cfg["seed"] = _checked("seed", int, json.loads(env_seed))

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import VALIDITY_SLACK, BoundReport, _angle, _evaluate, _level_exponent, evaluate_bounds, first_passage
+from .bounds import VALIDITY_SLACK, BoundReport, _angle, _evaluate, evaluate_bounds, first_passage
 from .errors import _BELOW_ONE, _INSIDE_PI, _POSITIVE, DomainError, InsufficientLevels, _check_real
 from .evolution import RotatedHamiltonianSystem, Trajectory, bloch_operators, sample_trajectory
-from .linalg import HermitianOperator, PureState, _centred, _operator_and_state
+from .linalg import HermitianOperator, PureState, _centred, _level_exponent, _operator_and_state
 
 
 def build_coupling(H, state) -> HermitianOperator:
@@ -161,11 +161,11 @@ def run_ml_refutation(
 def bd_pointwise_margin(traj: Trajectory) -> float:
     """Smallest per-sample gap between the Bhatia-Davies product and the variance.
 
-    The energies are first divided by the power of two of `bounds._level_exponent`, as in `bounds._bd_factor`, so
+    The energies are first divided by the power of two of `linalg._level_exponent`, as in `bounds._bd_factor`, so
     the products cannot overflow; a gap beyond the float range is returned as +-inf.
     """
     stats = traj.stats
-    exponent = _level_exponent(stats)
+    exponent = _level_exponent(stats.levels)
     dual, norm, spread = np.ldexp((stats.dual_norm_energy, stats.norm_energy, stats.energy_uncertainty), -exponent)
     with np.errstate(over="ignore"):
         return float(np.ldexp((dual * norm - spread**2).min(), 2 * exponent))

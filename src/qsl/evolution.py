@@ -16,8 +16,7 @@ scan and `fidelities(times)` its refinement (`fidelity_function` hands it out).
 `propagate_exact` chains the first two for one time. A `Trajectory` computes
 the energy statistics when it is sampled, from the phases and a modal matrix,
 and the states, fidelities and Bloch data only when first read, so the bounds
-never form a state. When A is exactly zero the fidelity maps skip the
-exp(-iAt) factor, which is then exactly the identity.
+never form a state.
 
 The independent cross-check, `propagate_numeric`, is a classical fixed-step
 4th-order (RK4) integrator that builds H(t) on its own. For the linear
@@ -84,7 +83,7 @@ class RotatedHamiltonianSystem:
 
     @cached_property
     def is_isolated(self) -> bool:
-        """A is exactly zero: the one test of isolation, for ML, the certificate and the propagator."""
+        """A is exactly zero: the one test of isolation, for ML, the passage certificate and the sweep's window."""
         return not np.any(self.A.entries)
 
     @cached_property
@@ -108,14 +107,7 @@ class _SpectralEvaluator:
     Rotating frame: phi_t = W exp(-i mu t) c0 with c0 = W^dagger u0.
     Schroedinger picture: psi_t = V exp(-i a t) V^dagger phi_t. Fidelities
     take <u0|psi_t> in the eigenbasis of A, as the product of (V^dagger u0)^dagger,
-    exp(-i a t), V^dagger W and exp(-i mu t) c0, without forming psi_t. For an
-    isolated system, a = 0 and V = I: `fidelities` skips exp(-i a t), and the
-    general formula would reproduce its numbers bit for bit. The skip is for
-    speed: isolated systems are 30% of the default sweep, and a 100-system
-    all-isolated `validity_sweep` on one BLAS thread took 0.62 s of CPU with
-    it and 0.70 s without it (medians of 6 alternating runs a side, 2 CPUs).
-    `schrodinger` has no such skip: no workload forms the Schroedinger states
-    of an isolated system.
+    exp(-i a t), V^dagger W and exp(-i mu t) c0, without forming psi_t.
     """
 
     def __init__(self, sys: RotatedHamiltonianSystem):
@@ -124,7 +116,6 @@ class _SpectralEvaluator:
         self.u0 = sys.initial.amplitudes
         self.c0 = self.W.conj().T @ self.u0
         self._H = sys.H
-        self._isolated = sys.is_isolated
         self._mix = self.W.T @ self.V.conj()
         self._probe = self.V.T @ self.u0.conj()
         # A global phase of either factor drops out of fidelities: phases about the
@@ -141,8 +132,8 @@ class _SpectralEvaluator:
     def modal(self) -> np.ndarray:
         """M = U_H^dagger W diag(c0), U_H the eigenvectors of H: M exp(-i mu t) is phi_t on U_H.
 
-        The statistics read phi_t's weights through it, without phi_t (with the block
-        powers, sweep 2.08 -> 1.68 s); `rotating` does not use it and keeps its bits.
+        The statistics read phi_t's weights through it, without phi_t; `rotating` does not
+        use it and keeps its bits.
         """
         return (self._H.eig[1].conj().T @ self.W) * self.c0
 
@@ -154,8 +145,7 @@ class _SpectralEvaluator:
     def uniform_fidelities(self, times: np.ndarray) -> np.ndarray:
         """`fidelities` at uniform times t_j = j h from 0, level-major on `_uniform_phases`: the passage scan."""
         mixed = self._mix.T @ (self.c0[:, None] * _uniform_phases(self._rate_mu, times))
-        if not self._isolated:
-            mixed *= _uniform_phases(self._rate_a, times)
+        mixed *= _uniform_phases(self._rate_a, times)
         overlaps = self._probe @ mixed
         return overlaps.real**2 + overlaps.imag**2
 
@@ -168,8 +158,7 @@ class _SpectralEvaluator:
         """|<u0|psi_t>|^2 at each of the given times, without forming the states."""
         times = np.asarray(times, dtype=float)
         mixed = (np.exp(times[:, None] * self._rate_mu) * self.c0) @ self._mix
-        if not self._isolated:
-            mixed *= np.exp(times[:, None] * self._rate_a)
+        mixed *= np.exp(times[:, None] * self._rate_a)
         overlaps = mixed @ self._probe
         return overlaps.real**2 + overlaps.imag**2
 
@@ -253,7 +242,7 @@ class Trajectory:
 
     `times` and `stats` are computed when the trajectory is sampled. `stats`
     holds the energy statistics of H(t), those of H in phi_t, one entry per
-    sample, from `uniform_weights` (sweep 2.08 -> 1.68 s wall);
+    sample, from `uniform_weights`;
     `stats.occupations[i, k]` is the weight at `times[i]` on the k-th lowest
     level of H (degeneracies grouped). `states`, `fidelity` and `bloch` (for
     two levels, the `bloch_operators` expectations, else None) follow the
@@ -299,7 +288,7 @@ def sample_trajectory(
 
     The statistics take one level-major pass over block-power phases, within 8 eps (1 +
     max|mu| t_max) of phi_t's weights; `times` and the states keep their bits, as they never
-    see the phases. Seed-4242 `perfbench` sweep: 2.08 -> 1.68 s wall (medians of 10 40-s pairs, 2 CPUs).
+    see the phases.
     """
     t_max = _check_real(t_max, "t_max", _POSITIVE)
     n = _check_count(n, 2, "need at least 2 sampling intervals")

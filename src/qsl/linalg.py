@@ -7,6 +7,7 @@ significant component of each column is real positive.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -78,7 +79,7 @@ class HermitianOperator:
 
     @cached_property
     def _spectrum(self) -> "_Spectrum":
-        """The spectral radius and the degeneracy grouping of the eigenvalues, read by `_energy_statistics`.
+        """The spectral radius, for the bounds' zero-rate test, and the eigenvalues' grouping for `_energy_statistics`.
 
         A level starts wherever the gap to the eigenvalue below exceeds 1e-9
         times the radius, max|eigenvalue|; its energy is the mean of its
@@ -185,6 +186,11 @@ def trace_distance(state1, state2) -> float:
     return float(np.linalg.norm(residual))
 
 
+def _level_exponent(levels: np.ndarray) -> int:
+    """The exponent of the power of two of max|levels| (they ascend): the one scale of every energy product."""
+    return math.frexp(max(-levels[0], levels[-1]))[1]
+
+
 class _Spectrum(NamedTuple):
     """`HermitianOperator._spectrum`: radius, each level's first index and energy, (level, index) of the others."""
 
@@ -223,10 +229,9 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     axis slowly. One state keeps the bits of the sample-major formulas (a
     dot product per weighted sum, a blocked sum for the spread). A batch
     adds its rows in order, which moves <H> and dH by ulps from those
-    formulas and, with the block-power phases of `sample_trajectory`, took
-    the seed-4242 sweep from 2.08 to 1.68 s wall. The grouping (a level's
-    first row, then its other rows in order: no loop without degeneracy)
-    and the extrema give the bits of either layout.
+    formulas. The grouping (a level's first row, then its other rows in
+    order: no loop without degeneracy) and the extrema give the bits of
+    either layout.
 
     The normalized energies subtract before they weight: <H> - eps_min is
     the weighted sum of `values - levels[0]` less `eps_min - levels[0]`
@@ -234,14 +239,14 @@ def _energy_statistics(operator: HermitianOperator, weights) -> EnergyStatistics
     width, not on that of |<H>|, which an energy offset inflates.
     """
     values = operator.eig[0]
-    radius, starts, levels, merged = operator._spectrum
+    _, starts, levels, merged = operator._spectrum
     lift = (1,) * (np.ndim(weights) - 1)  # a level's entry spans its row of a batch
     def down(column):  # sum_k column[k] weights[k]: a dot product, or a batch's rows added in order
         return column @ weights if not lift else (column[:, None] * weights).sum(axis=0)
     mean = down(values)
     # centered second moment: no cancellation noise for near-stationary states; scaled by the exact
-    # power of two of the spectral radius, so the squares do not overflow on a large energy scale
-    exponent = np.frexp(radius)[1]
+    # power of two of the levels, so the squares do not overflow on a large energy scale
+    exponent = _level_exponent(levels)
     centered = np.ldexp(values.reshape(-1, *lift) - mean, -exponent)
     spread = np.ldexp(np.sqrt((weights * centered**2).sum(axis=0)), exponent)
     occupations = weights[starts]  # each level's first row, then its other rows added in order

@@ -473,6 +473,9 @@ FRAMES = "('schrodinger', 'rotating')"
         ("validity-sweep", {**SWEEP, "deltas": [0.5, 1.5], "samples": 1}, None, "ConfigError",
          "'samples' must be >= 2, got 1"),
         ("validity-sweep", {"seed": "1", "systems": 0}, None, "ConfigError", "'seed' must be an integer, got '1'"),
+        # a config's seed is an integer wherever it is given, as QSL_SEED is
+        ("refute-ml", {**REFUTE, "seed": "banana"}, None, "ConfigError", "'seed' must be an integer, got 'banana'"),
+        ("bd-gap", {"delta": 0.0, "seed": 5.0}, None, "ConfigError", "'seed' must be an integer, got 5.0"),
         ("refute-ml", {**REFUTE, "out": 5, "delta": None}, None, "ConfigError", "'out' must be a string, got 5"),
         ("refute-ml", {**REFUTE, "format": "xml", "samples": 1}, None, "ConfigError",
          "'format' must be csv or json, got 'xml'"),

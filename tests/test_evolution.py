@@ -26,7 +26,7 @@ from qsl import (
     variance,
 )
 from qsl.bounds import _certificate, time_average
-from qsl.evolution import NORM_DRIFT_TOL, _SpectralEvaluator
+from qsl.evolution import NORM_DRIFT_TOL, _SpectralEvaluator, _uniform_phases
 from qsl.sweeps import random_coupled_system, random_hermitian, random_isolated_system, random_pure_state
 
 from oracles import (
@@ -166,6 +166,10 @@ class TestSpectralEvaluator:
             assert np.array_equal(got_phi, phi)
             assert np.array_equal(got_psi, psi)
             assert np.array_equal(ev.fidelities(self.TIMES), fids)
+            # a = 0 and V = I exactly, so the scan's exp(-i a t) phases are exactly 1
+            assert not ev.a.any() and np.array_equal(ev.V, np.eye(dim))
+            overlaps = ev._probe @ (ev._mix.T @ (ev.c0[:, None] * _uniform_phases(ev._rate_mu, self.TIMES)))
+            assert np.array_equal(ev.uniform_fidelities(self.TIMES), overlaps.real**2 + overlaps.imag**2)
 
     def test_tiny_coupling_takes_the_general_path(self):
         rng = np.random.default_rng(1)
